@@ -26,7 +26,10 @@ The index keeps *global* aggregates over all nets:
   point,
 * lazily built per-row/per-column *crossing prefix sums*, so the A*'s
   crossover-aware lower bound can ask "how many crossings would a
-  straight run over ``[a..b]`` pay" in O(log row) instead of O(b-a).
+  straight run over ``[a..b]`` pay" in O(log row) instead of O(b-a),
+* dense boolean grids over ``plane.bounds`` mirroring the row/column
+  obstacle sets and ``occ_pts`` (``stop_h``, ``stop_v``, ``occ_grid``),
+  which the escalated A* bound sweeps whole intervals of at once.
 
 A :class:`NetView` is the routers' per-connection window: it references
 the global maps (the ``hard`` set of blocked and claimed points is never
@@ -41,13 +44,17 @@ rebuilt-from-scratch reference):
 * ``h_block[p] == sum(contrib[n][p].hb)`` and point sets mirror the
   positive counts (same for ``v_block``/``cross_*``/``occ``),
 * every point of ``blocked | claims`` or with a positive axis block
-  count appears in its row/column obstacle set, and nothing else does.
+  count appears in its row/column obstacle set, and nothing else does,
+* inside ``plane.bounds`` the grids equal those row/column sets and
+  ``occ_pts``; points outside the bounds have no cell.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Hashable, Iterable
+
+import numpy as np
 
 from ..core.geometry import Orientation, Point
 
@@ -135,6 +142,11 @@ class PlaneIndex:
         "_cross_by_col",
         "_cross_rows",
         "_cross_cols",
+        "_ox",
+        "_oy",
+        "stop_h",
+        "stop_v",
+        "occ_grid",
     )
 
     def __init__(self, plane: "Plane") -> None:
@@ -167,6 +179,14 @@ class PlaneIndex:
         self._cross_by_col: dict[int, dict[int, int]] = {}
         self._cross_rows: dict[int, tuple[list[int], list[int]]] = {}
         self._cross_cols: dict[int, tuple[list[int], list[int]]] = {}
+        # Dense mirrors over the bounds, indexed [y - y1, x - x1]: the
+        # ``_rows``/``_cols`` memberships and ``occ_pts``.
+        bounds = plane.bounds
+        self._ox, self._oy = bounds.x, bounds.y
+        shape = (bounds.h + 1, bounds.w + 1)
+        self.stop_h = np.zeros(shape, dtype=bool)
+        self.stop_v = np.zeros(shape, dtype=bool)
+        self.occ_grid = np.zeros(shape, dtype=bool)
 
     # -- plane mutation hooks -------------------------------------------
 
@@ -217,6 +237,7 @@ class PlaneIndex:
             else:
                 del self.occ[p]
                 self.occ_pts.discard(p)
+                self._set(self.occ_grid, p, False)
 
     def _apply_delta(self, p: Point, old: tuple[int, int, int, int]) -> None:
         """Subtract a contribution tuple from the per-point aggregates."""
@@ -274,6 +295,7 @@ class PlaneIndex:
             self.occ[p] = n
             if n == 1:
                 self.occ_pts.add(p)
+                self._set(self.occ_grid, p, True)
         cmap[p] = new
         dhb = new[0] - old[0]
         if dhb:
@@ -343,6 +365,11 @@ class PlaneIndex:
         self._row_maybe_remove(p)
         self._col_maybe_remove(p)
 
+    def _set(self, grid: np.ndarray, p: Point, value: bool) -> None:
+        i, j = p.y - self._oy, p.x - self._ox
+        if 0 <= i < grid.shape[0] and 0 <= j < grid.shape[1]:
+            grid[i, j] = value
+
     def _row_add(self, p: Point) -> None:
         row = self._rows.get(p.y)
         if row is None:
@@ -350,6 +377,7 @@ class PlaneIndex:
         if p.x not in row:
             row.add(p.x)
             self._rows_sorted.pop(p.y, None)
+            self._set(self.stop_h, p, True)
 
     def _col_add(self, p: Point) -> None:
         col = self._cols.get(p.x)
@@ -358,6 +386,7 @@ class PlaneIndex:
         if p.y not in col:
             col.add(p.y)
             self._cols_sorted.pop(p.x, None)
+            self._set(self.stop_v, p, True)
 
     def _row_maybe_remove(self, p: Point) -> None:
         """Drop ``p`` from its row unless another source still blocks
@@ -374,6 +403,7 @@ class PlaneIndex:
             if not row:
                 del self._rows[p.y]
             self._rows_sorted.pop(p.y, None)
+            self._set(self.stop_h, p, False)
 
     def _col_maybe_remove(self, p: Point) -> None:
         if (
@@ -388,6 +418,7 @@ class PlaneIndex:
             if not col:
                 del self._cols[p.x]
             self._cols_sorted.pop(p.x, None)
+            self._set(self.stop_v, p, False)
 
     def sorted_row(self, y: int) -> list[int]:
         """Sorted x coordinates obstructing horizontal movement on row y."""
@@ -452,13 +483,8 @@ class PlaneIndex:
         O(net size) instead of a full ``usage`` scan."""
         return set(self.contrib.get(net, ()))
 
-    def view(
-        self,
-        net: str,
-        allow: frozenset[Point] = frozenset(),
-        extra_hard: frozenset[Point] = frozenset(),
-    ) -> "NetView":
-        return NetView(self, net, allow, extra_hard)
+    def view(self, net: str, allow: frozenset[Point] = frozenset()) -> "NetView":
+        return NetView(self, net, allow)
 
 
 class NetView:
@@ -473,7 +499,6 @@ class NetView:
         "blocked",
         "claims",
         "allow",
-        "extra_hard",
         "blocked_h",
         "blocked_v",
         "cross_h",
@@ -488,13 +513,7 @@ class NetView:
         "net",
     )
 
-    def __init__(
-        self,
-        index: PlaneIndex,
-        net: str,
-        allow: frozenset[Point],
-        extra_hard: frozenset[Point] = frozenset(),
-    ) -> None:
+    def __init__(self, index: PlaneIndex, net: str, allow: frozenset[Point]) -> None:
         plane = index.plane
         bounds = plane.bounds
         self.x1, self.y1 = bounds.x, bounds.y
@@ -502,7 +521,6 @@ class NetView:
         self.blocked = plane.blocked
         self.claims = plane.claims
         self.allow = allow
-        self.extra_hard = extra_hard
         self.blocked_h = index.blocked_h_pts
         self.blocked_v = index.blocked_v_pts
         self.cross_h = index.cross_h
@@ -533,8 +551,6 @@ class NetView:
     # -- interval engine and tests) -------------------------------------
 
     def hard_at(self, q: Point) -> bool:
-        if q in self.extra_hard:
-            return True
         return (q in self.blocked or q in self.claims) and q not in self.allow
 
     def entry_blocked(self, q: Point, horizontal: bool) -> bool:
@@ -591,10 +607,36 @@ class NetView:
         return None
 
     def _stops(self, q: Point, vertical: bool) -> bool:
-        if q in self.extra_hard:
-            return True
         if (q in self.blocked or q in self.claims) and q not in self.allow:
             return True
         if vertical:
             return q in self.blocked_v and q not in self.unblock_v
         return q in self.blocked_h and q not in self.unblock_h
+
+    def grids(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Fresh copies of the index's dense grids with this view's
+        exemptions patched in: where a horizontal/vertical sweep of this
+        net stops (:meth:`_stops`), and where it may bend (no foreign
+        wire), each indexed ``[y - y1, x - x1]``.
+
+        Outside ``allow`` and the ``unblock`` sets a stop of the view is
+        exactly an obstacle of the index, and outside ``self_clear`` a
+        bendable point is exactly an unoccupied one, so only those few
+        points need the per-point rules."""
+        index = self.index
+        stop_h = index.stop_h.copy()
+        stop_v = index.stop_v.copy()
+        bendable = ~index.occ_grid
+        x1, y1, x2, y2 = self.x1, self.y1, self.x2, self.y2
+        for grid, points, vertical in (
+            (stop_h, self.allow | self.unblock_h, False),
+            (stop_v, self.allow | self.unblock_v, True),
+        ):
+            for p in points:
+                x, y = p
+                if x1 <= x <= x2 and y1 <= y <= y2:
+                    grid[y - y1, x - x1] = self._stops(p, vertical)
+        for x, y in self.self_clear:
+            if x1 <= x <= x2 and y1 <= y <= y2:
+                bendable[y - y1, x - x1] = True
+        return stop_h, stop_v, bendable

@@ -52,9 +52,11 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from ..core.geometry import Direction, Point, normalize_path
 from ..obs import counters
-from .index import _prefix_entry
+from .index import NetView, _prefix_entry
 from .plane import Plane
 
 
@@ -129,6 +131,91 @@ _OPPOSITE = [1, 0, 3, 2]
 #: search escalates to the exact BFS bend-distance heuristic.
 _ESCALATE_AFTER = 256
 
+#: Wave of an interval no target reaches (above every real wave).
+_UNREACHED = 1 << 30
+
+
+def bend_distance(
+    view: NetView,
+    target_dirs: Mapping[tuple[int, int], frozenset[int] | None],
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Exact minimum remaining bends of every in-bounds state of the
+    view's net towards the targets, relaxed only by ignoring U-turn bans
+    (the admissible direction).
+
+    ``target_dirs`` maps target points to their accepted arrival
+    direction indices (``None`` for any), as the search's goal test reads
+    them.  Returns ``(run_h, run_v)``: ``run_h[y - y1][x - x1]`` is the
+    bound of a state at ``(x, y)`` travelling horizontally, ``run_v`` of
+    one travelling vertically, and ``-1`` marks states from which no
+    completion exists.
+
+    This is the paper's line expansion run backwards from the targets:
+    wave ``k`` holds every free interval (maximal stop-free run of a row
+    or column) some target reaches with ``k`` bends.  Intervals are
+    labelled by a cumulative sum along each axis and every wave is swept
+    as whole intervals: a bendable point joins its row interval to its
+    column interval one bend apart.
+    """
+    stop_h, stop_v, bendable = view.grids()
+    ny, nx = stop_h.shape
+    free_h, free_v = ~stop_h, ~stop_v
+    # A free point starts an interval when the point before it on its
+    # line is a stop or the plane border.  Counting starts in line order
+    # numbers the intervals; every line's first free point is a start,
+    # so no label spans two lines.  Stops get the sentinel label ``n``,
+    # whose wave stays unreached.
+    first_h = free_h.copy()
+    first_h[:, 1:] &= stop_h[:, :-1]
+    first_v = free_v.copy()
+    first_v[1:, :] &= stop_v[:-1, :]
+    n_h, n_v = int(first_h.sum()), int(first_v.sum())
+    lab_h = np.cumsum(first_h).reshape(ny, nx)
+    lab_v = np.cumsum(first_v.T).reshape(nx, ny).T
+    lab_h -= 1
+    lab_v -= 1
+    lab_h[stop_h] = n_h
+    lab_v[stop_v] = n_v
+    wave_h = np.full(n_h + 1, _UNREACHED)
+    wave_v = np.full(n_v + 1, _UNREACHED)
+    # Seeds mirror the goal-acceptance rule, per arrival axis, so every
+    # acceptable goal state reads distance 0.
+    x1, y1 = view.x1, view.y1
+    for (tx, ty), dirs in target_dirs.items():
+        i, j = ty - y1, tx - x1
+        if not (0 <= i < ny and 0 <= j < nx and bendable[i, j]):
+            continue
+        for tdi in range(4) if dirs is None else dirs:
+            if _DIR_STEPS[tdi][2]:
+                if free_h[i, j]:
+                    wave_h[lab_h[i, j]] = 0
+            elif free_v[i, j]:
+                wave_v[lab_v[i, j]] = 0
+    # One edge per point where a wire may bend: free on both axes and
+    # free of foreign wires.
+    corner = free_h & free_v & bendable
+    edge_h, edge_v = lab_h[corner], lab_v[corner]
+    level = 0
+    while True:
+        to_v = edge_v[wave_h[edge_h] == level]
+        to_v = to_v[wave_v[to_v] == _UNREACHED]
+        to_h = edge_h[wave_v[edge_v] == level]
+        to_h = to_h[wave_h[to_h] == _UNREACHED]
+        if not (to_v.size or to_h.size):
+            break
+        level += 1
+        wave_v[to_v] = level
+        wave_h[to_h] = level
+    run_h = wave_h[lab_h]
+    run_v = wave_v[lab_v]
+    # A state may also bend where it stands onto the other axis.
+    exact_h = np.where(bendable, np.minimum(run_h, run_v + 1), run_h)
+    exact_v = np.where(bendable, np.minimum(run_v, run_h + 1), run_v)
+    return (
+        np.where(exact_h < _UNREACHED, exact_h, -1).tolist(),
+        np.where(exact_v < _UNREACHED, exact_v, -1).tolist(),
+    )
+
 
 def route_connection(
     plane: Plane,
@@ -138,7 +225,6 @@ def route_connection(
     targets: Mapping[Point, frozenset[Direction] | None] | Iterable[Point],
     *,
     allow: frozenset[Point] = frozenset(),
-    extra_hard: frozenset[Point] = frozenset(),
     cost_order: CostOrder = CostOrder.BENDS_CROSSINGS_LENGTH,
     bidirectional: bool = False,
     stats: SearchStats | None = None,
@@ -153,9 +239,9 @@ def route_connection(
     are acceptable there (``None`` for any); a bare iterable of points
     accepts any arrival direction.
 
-    ``extra_hard`` adds caller-owned forbidden points on top of the
-    plane's own obstacles (speculative parallel routing passes the claim
-    points of concurrently routing nets here).
+    ``allow`` exempts points from the module/terminal/claim blocks (the
+    net's own terminals; speculative parallel routing adds claim points
+    the serial order would already have released).
 
     Returns ``None`` when no connection exists — and only then.
     """
@@ -164,7 +250,7 @@ def route_connection(
     if not targets:
         return None
     start_directions = list(start_directions)
-    view = plane.index.view(net, allow, extra_hard)
+    view = plane.index.view(net, allow)
     if start in targets:
         # Zero-length connection: legal only under the same acceptance
         # rule as the main loop — the target must carry no foreign wire
@@ -259,30 +345,37 @@ def route_connection(
             total -= sums[bisect_right(coords, b)] - sums[bisect_left(coords, a)]
         return total
 
-    # Per-line *stop* coordinates for this net: the index's obstacle
-    # coords filtered by the view's exemptions (own wire, ``allow``)
-    # once per touched line, then bisected.  A straight run cannot pass
-    # its first stop, which upgrades the bend bound behind walls.
-    # ``extra_hard`` points missing from the index only overestimate
-    # reachability — the safe direction for a lower bound.
+    # Per-line *stop* coordinates for this net, bisected.  A straight
+    # run cannot pass its first stop, which upgrades the bend bound
+    # behind walls.  A line holding none of the view's exemptions
+    # (``allow``, own-wire unblocks) stops exactly at the index's
+    # obstacles, so it reads the index's shared sorted list (read-only
+    # here); the few exempt lines are filtered once per connection.
+    exempt_rows = {p[1] for p in allow}
+    exempt_rows.update(p[1] for p in view.unblock_h)
+    exempt_cols = {p[0] for p in allow}
+    exempt_cols.update(p[0] for p in view.unblock_v)
     stop_rows: dict[int, list[int]] = {}
     stop_cols: dict[int, list[int]] = {}
+    sorted_row, sorted_col = index.sorted_row, index.sorted_col
     view_stops = view._stops
 
     def _stops_row(y: int) -> list[int]:
         lst = stop_rows.get(y)
         if lst is None:
-            lst = stop_rows[y] = [
-                x for x in index.sorted_row(y) if view_stops(Point(x, y), False)
-            ]
+            lst = sorted_row(y)
+            if y in exempt_rows:
+                lst = [x for x in lst if view_stops(Point(x, y), False)]
+            stop_rows[y] = lst
         return lst
 
     def _stops_col(x: int) -> list[int]:
         lst = stop_cols.get(x)
         if lst is None:
-            lst = stop_cols[x] = [
-                y for y in index.sorted_col(x) if view_stops(Point(x, y), True)
-            ]
+            lst = sorted_col(x)
+            if x in exempt_cols:
+                lst = [y for y in lst if view_stops(Point(x, y), True)]
+            stop_cols[x] = lst
         return lst
 
     def _hc1_horiz(qx: int, qy: int, sgn: int, lim: int | None) -> int | None:
@@ -494,7 +587,6 @@ def route_connection(
             (sx, sy),
             frozenset(_DIR_INDEX[d] for d in start_directions),
             allow,
-            extra_hard,
             view,
             crossings_first,
             cost_order,
@@ -506,101 +598,26 @@ def route_connection(
     # bound, but its bend component saturates at 3 while congested
     # connections need 4-11 bends, so the search degenerates towards
     # uniform-cost on the expensive tail.  Such a connection escalates:
-    # a line-expansion 0-1 BFS from the target set computes the *exact*
-    # minimum remaining bends for every reachable (point, axis) —
-    # relaxed only by ignoring U-turn bans and ``extra_hard``, both the
-    # admissible direction — and the search restarts under the stronger
-    # bound.  Expansions spent before the restart stay counted; the
-    # budget keeps that waste small against the tail it removes.
-
-    def _bend_distance() -> tuple[
-        dict[tuple[int, int], int], dict[tuple[int, int], int]
-    ]:
-        dist_h: dict[tuple[int, int], int] = {}
-        dist_v: dict[tuple[int, int], int] = {}
-        cur_h: list[tuple[int, int]] = []
-        cur_v: list[tuple[int, int]] = []
-        # Seeds mirror the goal-acceptance rule, per arrival axis, so
-        # every acceptable goal state reads distance 0.
-        for pk, dirs in target_dirs.items():
-            if pk in occ_pts and pk not in self_clear:
-                continue
-            if pk in extra_hard:
-                continue
-            if (pk in hard_blocked or pk in hard_claims) and pk not in allow:
-                continue
-            for tdi in range(4) if dirs is None else dirs:
-                if _DIR_STEPS[tdi][2]:
-                    if pk not in blocked[0] or pk in unblock[0]:
-                        cur_h.append(pk)
-                else:
-                    if pk not in blocked[1] or pk in unblock[1]:
-                        cur_v.append(pk)
-        level = 0
-        while cur_h or cur_v:
-            nxt_h: list[tuple[int, int]] = []
-            nxt_v: list[tuple[int, int]] = []
-            # Straight propagation along a free interval is one "line"
-            # (bend-free, so the whole interval joins this level); a
-            # bendable swept point spawns the perpendicular axis at
-            # level + 1.  Any visited point implies its whole interval
-            # is visited, so each (point, axis) is swept exactly once.
-            for pk in cur_h:
-                if pk in dist_h:
-                    continue
-                px, py = pk
-                srow = _stops_row(py)
-                j = bisect_left(srow, px)
-                lo = srow[j - 1] + 1 if j > 0 else x1
-                hi = srow[j] - 1 if j < len(srow) else x2
-                for x in range(lo, hi + 1):
-                    key = (x, py)
-                    dist_h[key] = level
-                    if key not in dist_v and (
-                        key not in occ_pts or key in self_clear
-                    ):
-                        nxt_v.append(key)
-            for pk in cur_v:
-                if pk in dist_v:
-                    continue
-                px, py = pk
-                scol = _stops_col(px)
-                j = bisect_left(scol, py)
-                lo = scol[j - 1] + 1 if j > 0 else y1
-                hi = scol[j] - 1 if j < len(scol) else y2
-                for y in range(lo, hi + 1):
-                    key = (px, y)
-                    dist_v[key] = level
-                    if key not in dist_h and (
-                        key not in occ_pts or key in self_clear
-                    ):
-                        nxt_h.append(key)
-            cur_h, cur_v = nxt_h, nxt_v
-            level += 1
-        return dist_h, dist_v
-
-    dist_h: dict[tuple[int, int], int] = {}
-    dist_v: dict[tuple[int, int], int] = {}
+    # :func:`bend_distance` computes the *exact* minimum remaining bends
+    # of every state (relaxed only by ignoring U-turn bans) and the
+    # search restarts under the stronger bound.  Expansions spent before
+    # the restart stay counted; the budget keeps that waste small
+    # against the tail it removes.
+    exact_h: list[list[int]] = []
+    exact_v: list[list[int]] = []
 
     def heur_exact(qx: int, qy: int, di: int) -> tuple[int, int, int] | None:
-        """The geometric/crossover bound upgraded by the BFS bend
-        distance; ``None`` prunes states the relaxed BFS cannot reach
+        """The geometric/crossover bound upgraded by the exact bend
+        distance; ``None`` prunes states no relaxed completion reaches
         (then no real completion exists either)."""
-        hb, hc, hl = heur(qx, qy, di)
-        key = (qx, qy)
-        if _DIR_STEPS[di][2]:
-            d_straight = dist_h.get(key)
-            d_turn = dist_v.get(key)
-        else:
-            d_straight = dist_v.get(key)
-            d_turn = dist_h.get(key)
-        cand = d_straight
-        if d_turn is not None and (key not in occ_pts or key in self_clear):
-            dt = d_turn + 1
-            if cand is None or dt < cand:
-                cand = dt
-        if cand is None:
+        cand = (exact_h if _DIR_STEPS[di][2] else exact_v)[qy - y1][qx - x1]
+        if cand < 0:
             return None
+        if cand >= 4:
+            # The geometric bend bound never exceeds 3, so it cannot
+            # win; only its length component is needed.
+            return cand, 0, max(tx1 - qx, 0, qx - tx2) + max(ty1 - qy, 0, qy - ty2)
+        hb, hc, hl = heur(qx, qy, di)
         if cand > hb:
             return cand, 0, hl
         return hb, hc, hl
@@ -616,9 +633,7 @@ def route_connection(
     while heap:
         if not escalated and expanded >= _ESCALATE_AFTER:
             escalated = True
-            bfs_h, bfs_v = _bend_distance()
-            dist_h.update(bfs_h)
-            dist_v.update(bfs_v)
+            exact_h, exact_v = bend_distance(view, target_dirs)
             cur_heur = heur_exact
             counters.inc("route.heur_escalations")
             if stats is not None:
@@ -631,9 +646,17 @@ def route_connection(
                 state = (sx, sy, di)
                 best[state] = zero
                 parents[state] = None
-                hbl = heur_exact(sx, sy, di)
-                if hbl is None:
-                    continue
+                # The search only has to leave the start, so a start
+                # outside the plane or on a stop of its own axis (which
+                # the sweep never enters) keeps the geometric bound.
+                if not (x1 <= sx <= x2 and y1 <= sy <= y2) or view_stops(
+                    start, not _DIR_STEPS[di][2]
+                ):
+                    hbl = heur(sx, sy, di)
+                else:
+                    hbl = heur_exact(sx, sy, di)
+                    if hbl is None:
+                        continue
                 hb, hc, hl = hbl
                 f = (hb, hc, hl) if crossings_first else (hb, hl, hc)
                 heappush(heap, (f, counter, zero, state))
@@ -677,8 +700,6 @@ def route_connection(
             if not (x1 <= qx <= x2 and y1 <= qy <= y2):
                 continue
             q = (qx, qy)
-            if q in extra_hard:
-                continue
             if (q in hard_blocked or q in hard_claims) and q not in allow:
                 continue
             axis = 0 if moves_h else 1
@@ -780,7 +801,6 @@ def _route_bidirectional(
     start_xy: tuple[int, int],
     start_dir_set: frozenset[int],
     allow: frozenset[Point],
-    extra_hard: frozenset[Point],
     view,
     crossings_first: bool,
     cost_order: CostOrder,
@@ -842,8 +862,7 @@ def _route_bidirectional(
         whose feasibility (stop lists) and crossing price (range sums,
         including the entry crossing at ``q`` itself — the forward half
         of a meet pays it) are read off exactly.  Feasibility may only
-        over-approximate — ``extra_hard`` points are absent from the
-        index stop lists — which weakens the bound without breaking
+        over-approximate, which weakens the bound without breaking
         admissibility: a claimed ``(0, c, l)`` stays lexicographically
         below every >=1-bend prefix regardless of ``c``."""
         hl = abs(qx - sx) + abs(qy - sy)
@@ -905,8 +924,6 @@ def _route_bidirectional(
     counter_b = 0
     for pk, dirs in target_dirs.items():
         if pk in occ_pts and pk not in self_clear:
-            continue
-        if pk in extra_hard:
             continue
         if (pk in hard_blocked or pk in hard_claims) and pk not in allow:
             continue
@@ -1002,8 +1019,6 @@ def _route_bidirectional(
                 if not (x1 <= qx <= x2 and y1 <= qy <= y2):
                     continue
                 q = (qx, qy)
-                if q in extra_hard:
-                    continue
                 if (q in hard_blocked or q in hard_claims) and q not in allow:
                     continue
                 axis = 0 if moves_h else 1
@@ -1059,9 +1074,7 @@ def _route_bidirectional(
                 continue
             q = (qx, qy)
             q_is_start = qx == sx and qy == sy
-            q_hard = q in extra_hard or (
-                (q in hard_blocked or q in hard_claims) and q not in allow
-            )
+            q_hard = (q in hard_blocked or q in hard_claims) and q not in allow
             can_turn_q = q not in occ_pts or q in self_clear
             # The meet point's entry cost belongs to the forward side;
             # moving the frontier from p to q charges p's entry here.

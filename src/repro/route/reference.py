@@ -58,19 +58,11 @@ class ReferenceSnapshot:
         "cross_v",
     )
 
-    def __init__(
-        self,
-        plane: Plane,
-        net: str,
-        allow: frozenset[Point],
-        extra_hard: frozenset[Point] = frozenset(),
-    ) -> None:
+    def __init__(self, plane: Plane, net: str, allow: frozenset[Point]) -> None:
         bounds = plane.bounds
         self.x1, self.y1 = bounds.x, bounds.y
         self.x2, self.y2 = bounds.x2, bounds.y2
-        self.hard = ((set(plane.blocked) | set(plane.claims)) - allow) | set(
-            extra_hard
-        )
+        self.hard = (set(plane.blocked) | set(plane.claims)) - allow
         # Points carrying any foreign wire (no turning/terminating there).
         self.foreign_any: set[tuple[int, int]] = set()
         # Points a wire moving horizontally/vertically may not enter.
@@ -113,7 +105,6 @@ def route_connection_reference(
     targets: Mapping[Point, frozenset[Direction] | None] | Iterable[Point],
     *,
     allow: frozenset[Point] = frozenset(),
-    extra_hard: frozenset[Point] = frozenset(),
     cost_order: CostOrder = CostOrder.BENDS_CROSSINGS_LENGTH,
     stats: SearchStats | None = None,
 ) -> RouteResult | None:
@@ -124,7 +115,7 @@ def route_connection_reference(
     if not targets:
         return None
     start_directions = list(start_directions)
-    snap = ReferenceSnapshot(plane, net, allow, extra_hard)
+    snap = ReferenceSnapshot(plane, net, allow)
     if start in targets:
         dirs = targets[start]
         if (

@@ -180,6 +180,7 @@ def _canonical_index(index: PlaneIndex) -> dict:
         "cross_by_col": {
             x: dict(col) for x, col in index._cross_by_col.items() if col
         },
+        "grids": [g.tolist() for g in (index.stop_h, index.stop_v, index.occ_grid)],
     }
 
 

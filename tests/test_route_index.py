@@ -9,14 +9,24 @@ Two layers of evidence:
   like the pre-index :class:`~repro.route.reference.ReferenceSnapshot`,
 * behavioural — the indexed A* returns the same optimum cost tuple
   (bends, crossings, length) as the snapshot-rebuilding reference
-  Dijkstra on randomized scenes, under both tie-break orders.
+  Dijkstra on randomized scenes, under both tie-break orders, also when
+  every connection escalates to the interval-sweep bend bound, and that
+  bound equals a per-point line expansion.
 """
 
 import random
 
+import numpy as np
+
 from repro.core.geometry import Direction, Orientation, Point, Rect
+from repro.route import line_expansion
 from repro.route.index import PlaneIndex
-from repro.route.line_expansion import CostOrder, SearchStats, route_connection
+from repro.route.line_expansion import (
+    CostOrder,
+    SearchStats,
+    bend_distance,
+    route_connection,
+)
 from repro.route.plane import Plane
 from repro.route.reference import ReferenceSnapshot, route_connection_reference
 
@@ -34,6 +44,11 @@ def _lines(d: dict) -> dict:
     """Row/column sets with emptied entries dropped (removals leave empty
     sets behind in the live index; that is not a semantic difference)."""
     return {k: set(v) for k, v in d.items() if v}
+
+
+def _grid_points(grid: np.ndarray, bounds: Rect) -> set[Point]:
+    ys, xs = np.nonzero(grid)
+    return {Point(int(x) + bounds.x, int(y) + bounds.y) for y, x in zip(ys, xs)}
 
 
 def assert_index_matches_rebuild(plane: Plane) -> None:
@@ -55,6 +70,21 @@ def assert_index_matches_rebuild(plane: Plane) -> None:
         assert live.sorted_row(y) == fresh.sorted_row(y)
     for x in set(live._cols) | set(fresh._cols):
         assert live.sorted_col(x) == fresh.sorted_col(x)
+    # The dense grids mirror the line sets and occ_pts inside the bounds.
+    for name in ("stop_h", "stop_v", "occ_grid"):
+        assert np.array_equal(getattr(live, name), getattr(fresh, name)), name
+    b = plane.bounds
+    assert _grid_points(live.stop_h, b) == {
+        Point(x, y) for y, xs in live._rows.items() for x in xs
+        if b.contains(Point(x, y))
+    }
+    assert _grid_points(live.stop_v, b) == {
+        Point(x, y) for x, ys in live._cols.items() for y in ys
+        if b.contains(Point(x, y))
+    }
+    assert _grid_points(live.occ_grid, b) == {
+        p for p in live.occ_pts if b.contains(p)
+    }
 
 
 def assert_view_matches_snapshot(plane: Plane, net: str, allow=frozenset()) -> None:
@@ -102,6 +132,7 @@ class TestIncrementalConsistency:
         p.blocked.add(Point(4, 4))
         p.blocked |= {Point(4, 5), Point(4, 6)}
         p.blocked.update([Point(5, 5)])
+        p.blocked.add(Point(12, 4))  # outside the bounds: no grid cell
         assert_index_matches_rebuild(p)
         assert 4 in p.index.sorted_row(5)
         p.blocked.discard(Point(4, 5))
@@ -164,6 +195,10 @@ class TestIncrementalConsistency:
                     assert_view_matches_snapshot(p, net)
         p.release_all_claims()
         assert_index_matches_rebuild(p)
+        for net in ("net0", "net1", "net2", "net3"):
+            p.remove_net(net)
+            assert_index_matches_rebuild(p)
+        assert not p.index.occ_grid.any()
 
     def test_net_points_served_from_contrib(self):
         p = Plane(bounds=Rect(0, 0, 20, 20))
@@ -257,6 +292,15 @@ class TestAStarMatchesReference:
         for seed in range(12):
             self._compare(seed, CostOrder.BENDS_LENGTH_CROSSINGS)
 
+    def test_escalated_search_matches_reference(self, monkeypatch):
+        # Escalating at the first pop runs every connection under the
+        # exact bend bound, starts on a foreign wire included: the search
+        # only has to leave such a start, so it must not be pruned.
+        monkeypatch.setattr(line_expansion, "_ESCALATE_AFTER", 0)
+        for order in CostOrder:
+            for seed in range(60):
+                self._compare(seed, order)
+
     def test_astar_never_expands_more(self):
         # The admissible heuristic may only prune, never add, expansions
         # relative to the undirected search on the same scene.
@@ -272,6 +316,108 @@ class TestAStarMatchesReference:
             total_a += sa.states_expanded
             total_b += sb.states_expanded
         assert total_a < total_b
+
+
+def _reference_bend_bounds(view, target_dirs):
+    """Per-point line expansion from the targets, folded into per-state
+    bounds: a state may run on along its axis or bend where it stands.
+    Returns ``bound(x, y, axis)`` (axis 0 horizontal, 1 vertical), or
+    ``None`` where no completion exists."""
+    x1, y1, x2, y2 = view.x1, view.y1, view.x2, view.y2
+
+    def stops(x, y, axis):
+        inside = x1 <= x <= x2 and y1 <= y <= y2
+        return not inside or view._stops(Point(x, y), axis == 1)
+
+    def bendable(x, y):
+        return not view.foreign_at(Point(x, y))
+
+    dist = ({}, {})
+    cur = ([], [])
+    for (tx, ty), dirs in target_dirs.items():
+        if not bendable(tx, ty):
+            continue
+        for di in range(4) if dirs is None else dirs:
+            axis = 0 if di < 2 else 1  # LEFT, RIGHT move horizontally
+            if not stops(tx, ty, axis):
+                cur[axis].append((tx, ty))
+    level = 0
+    while cur[0] or cur[1]:
+        nxt = ([], [])
+        for axis in (0, 1):
+            dx, dy = (1, 0) if axis == 0 else (0, 1)
+            for px, py in cur[axis]:
+                if (px, py) in dist[axis]:
+                    continue
+                run = [(px, py)]
+                for sgn in (1, -1):
+                    x, y = px + sgn * dx, py + sgn * dy
+                    while not stops(x, y, axis):
+                        run.append((x, y))
+                        x, y = x + sgn * dx, y + sgn * dy
+                for key in run:
+                    dist[axis][key] = level
+                    if key not in dist[1 - axis] and bendable(*key):
+                        nxt[1 - axis].append(key)
+        cur = nxt
+        level += 1
+
+    def bound(x, y, axis):
+        best = dist[axis].get((x, y))
+        turn = dist[1 - axis].get((x, y))
+        if turn is not None and bendable(x, y):
+            if best is None or turn + 1 < best:
+                best = turn + 1
+        return best
+
+    return bound
+
+
+class TestBendDistance:
+    """The interval sweep equals the per-point line expansion for own,
+    foreign and fresh nets, with ``allow`` points and claims in play."""
+
+    def _check(self, plane: Plane, rng: random.Random) -> int:
+        """Compare every state of a 23x23 plane; return the deepest
+        finite bound seen."""
+        grid = [Point(x, y) for x in range(23) for y in range(23)]
+        hard = sorted(set(plane.blocked) | set(plane.claims))
+        deepest = 0
+        for net in ("f0", "f1", "mine"):
+            targets = {
+                p: rng.choice(
+                    [None, frozenset(rng.sample(range(4), rng.randrange(1, 4)))]
+                )
+                for p in rng.sample(grid, rng.randrange(1, 4))
+            }
+            allow = frozenset([*targets, *rng.sample(hard, min(len(hard), 3))])
+            view = plane.index.view(net, allow)
+            target_dirs = {(p.x, p.y): d for p, d in targets.items()}
+            run_h, run_v = bend_distance(view, target_dirs)
+            want = _reference_bend_bounds(view, target_dirs)
+            for x, y in grid:
+                for axis, got in ((0, run_h[y][x]), (1, run_v[y][x])):
+                    got = None if got < 0 else got
+                    assert got == want(x, y, axis), (net, x, y, axis)
+                    if got is not None:
+                        deepest = max(deepest, got)
+        return deepest
+
+    def test_matches_per_point_expansion(self):
+        for seed in range(30):
+            self._check(_random_scene(seed), random.Random(seed * 17 + 5))
+
+    def test_matches_on_walled_channels(self):
+        # A serpentine of walls forces bends well past the geometric
+        # bound's ceiling of 3.
+        plane = Plane(bounds=Rect(0, 0, 22, 22))
+        for k, x in enumerate((4, 8, 12, 16)):
+            plane.block_rect(Rect(x, 0 if k % 2 == 0 else 4, 0, 18))
+        plane.add_net_path("f0", [Point(2, 1), Point(2, 21)])
+        plane.add_net_path("f1", [Point(5, 11), Point(7, 11), Point(7, 15)])
+        assert plane.add_claim(Point(10, 12), "c0")
+        rng = random.Random(3)
+        assert max(self._check(plane, rng) for _ in range(8)) >= 6
 
 
 class TestZeroLengthAcceptance:
