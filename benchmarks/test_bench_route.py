@@ -94,11 +94,7 @@ def test_bench_route_engines(benchmark, experiment_store):
             before = reg.get("route.astar_pruned")
             _, idx_report, idx_wall = _route_once(placed, RouterOptions())
             pruned = reg.get("route.astar_pruned") - before
-            _, bidi_report, bidi_wall = _route_once(
-                placed, RouterOptions(bidirectional=True)
-            )
             assert idx_report.nets_routed == ref_report.nets_routed
-            assert bidi_report.nets_routed == ref_report.nets_routed
             assert {str(f) for f in idx_report.failed_nets} == {
                 str(f) for f in ref_report.failed_nets
             }
@@ -120,16 +116,6 @@ def test_bench_route_engines(benchmark, experiment_store):
                     "states": idx_report.search.states_expanded,
                     "pruned": pruned,
                     "routed": f"{idx_report.nets_routed}/{idx_report.nets_total}",
-                }
-            )
-            rows.append(
-                {
-                    "workload": name,
-                    "engine": "indexed-astar-bidi",
-                    "wall_s": round(bidi_wall, 3),
-                    "states": bidi_report.search.states_expanded,
-                    "pruned": 0,
-                    "routed": f"{bidi_report.nets_routed}/{bidi_report.nets_total}",
                 }
             )
         return rows

@@ -246,12 +246,6 @@ def _eureka_args(parser: argparse.ArgumentParser, *, short_swap: bool = True) ->
     parser.add_argument("--no-claims", action="store_true", help="disable claimpoints")
     parser.add_argument("--margin", type=int, default=4, help="routing border margin")
     parser.add_argument(
-        "--bidirectional",
-        action="store_true",
-        help="bidirectional line expansion (same optimum cost, may pick "
-        "different equal-cost paths)",
-    )
-    parser.add_argument(
         "--parallel-nets",
         action="store_true",
         dest="parallel_nets",
@@ -278,7 +272,6 @@ def _eureka_options(args: argparse.Namespace) -> RouterOptions:
         cost_order=order,
         margin=args.margin,
         fixed_sides=frozenset(fixed),
-        bidirectional=args.bidirectional,
         parallel_nets=args.parallel_nets,
     )
 

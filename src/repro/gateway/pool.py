@@ -48,6 +48,7 @@ from __future__ import annotations
 import inspect
 import multiprocessing
 import os
+import signal
 import threading
 import time
 from collections import deque
@@ -57,7 +58,7 @@ from typing import Any, Callable
 
 from ..faults import CRASH_EXIT_CODE, get_faults
 from ..obs.counters import get_registry
-from ..obs.sampler import ensure_sampler, label_thread, set_sampler
+from ..obs.sampler import ensure_sampler, get_sampler, label_thread, set_sampler
 from ..obs.trace import TraceContext, set_trace_context
 from ..service.scheduler import execute_job, run_with_timeout
 
@@ -189,7 +190,24 @@ def _error_payload(payload: dict, status: str, error: str) -> dict:
     }
 
 
-def _worker_main(inbox, results, worker, wants_progress) -> None:
+#: How often a worker checks that its parent is still alive.
+PARENT_POLL_S = 0.5
+
+
+def _exit_with_parent(parent: int) -> None:
+    """End this worker once ``parent`` is gone — idle in ``inbox.get``
+    or mid-job alike.  A SIGKILLed parent cannot close its workers, and
+    a worker holds both ends of its own pipes, so nothing else would
+    ever wake it."""
+    sampler = get_sampler()
+    if sampler is not None:  # an idle watch, not work worth profiling
+        sampler.excluded.add(threading.get_ident())
+    while os.getppid() == parent:
+        time.sleep(PARENT_POLL_S)
+    os._exit(0)
+
+
+def _worker_main(inbox, results, worker, wants_progress, parent) -> None:
     """Child process body: pull one job at a time until the sentinel.
 
     ``results`` is this worker's **private** pipe connection to the
@@ -198,6 +216,15 @@ def _worker_main(inbox, results, worker, wants_progress) -> None:
     or corrupt framing that other workers depend on, which a shared
     queue's cross-process write lock cannot guarantee.
     """
+    # A forked worker inherits its parent's signal setup.  Under
+    # artwork-serve that is asyncio's SIGTERM/SIGINT handlers, which
+    # write to the parent loop's wakeup fd, so a signal sent to one
+    # worker would drain and stop the whole daemon.  A worker dies on
+    # SIGTERM, leaves a terminal's Ctrl-C to its parent's drain, and
+    # exits with its parent.
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
     def post(msg) -> bool:
         try:
@@ -212,6 +239,9 @@ def _worker_main(inbox, results, worker, wants_progress) -> None:
     set_sampler(None)
     ensure_sampler()
     label_thread("worker.main")
+    threading.Thread(
+        target=_exit_with_parent, args=(parent,), name="parent-watch", daemon=True
+    ).start()
     while True:
         item = inbox.get()
         if item is None:
@@ -399,7 +429,7 @@ class WorkerPool:
         recv_conn, send_conn = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(inbox, send_conn, self.worker_fn, self._wants_progress),
+            args=(inbox, send_conn, self.worker_fn, self._wants_progress, os.getpid()),
             daemon=True,
             name="artwork-worker",
         )

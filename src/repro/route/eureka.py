@@ -57,11 +57,6 @@ class RouterOptions:
     #: crossing-first tie-break only); "reference" = the pre-index
     #: snapshot-rebuilding Dijkstra, kept for benchmarks and verification.
     engine: Engine = "state"
-    #: Run the state engine bidirectionally — a second search grows path
-    #: suffixes from the goal states and the fronts meet in the middle.
-    #: Same exact optimum cost tuples; equal-cost tie-break *paths* may
-    #: differ, so this option is part of the job digest.
-    bidirectional: bool = False
     #: Route conflict-unlikely waves of nets concurrently on threads over
     #: read-only plane views, commit in net order, re-route conflicted
     #: nets serially.  Guaranteed identical output to the serial router —
@@ -533,7 +528,6 @@ def _route_pin_to_targets(
         targets,
         allow=allow,
         cost_order=options.cost_order,
-        bidirectional=options.bidirectional,
         stats=stats,
     )
     if options.verify_optimum:
@@ -619,7 +613,7 @@ class _SpecOutcome:
     reason: FailureReason | None = None
     stats: SearchStats = field(default_factory=SearchStats)
     # Union hull of every connection's search footprint.  ``unbounded``
-    # when any search failed or escalated to the exact BFS heuristic —
+    # when any search failed or escalated to the exact cost-to-go field —
     # those may read the whole reachable plane.
     x1: int = 1 << 60
     y1: int = 1 << 60

@@ -27,9 +27,10 @@ The index keeps *global* aggregates over all nets:
 * lazily built per-row/per-column *crossing prefix sums*, so the A*'s
   crossover-aware lower bound can ask "how many crossings would a
   straight run over ``[a..b]`` pay" in O(log row) instead of O(b-a),
-* dense boolean grids over ``plane.bounds`` mirroring the row/column
-  obstacle sets and ``occ_pts`` (``stop_h``, ``stop_v``, ``occ_grid``),
-  which the escalated A* bound sweeps whole intervals of at once.
+* dense grids over ``plane.bounds`` mirroring the row/column obstacle
+  sets, ``occ_pts`` and the crossing counts (``stop_h``, ``stop_v``,
+  ``occ_grid``, ``cross_h_grid``, ``cross_v_grid``), which the escalated
+  A* bound sweeps whole intervals of at once.
 
 A :class:`NetView` is the routers' per-connection window: it references
 the global maps (the ``hard`` set of blocked and claimed points is never
@@ -45,12 +46,18 @@ rebuilt-from-scratch reference):
   positive counts (same for ``v_block``/``cross_*``/``occ``),
 * every point of ``blocked | claims`` or with a positive axis block
   count appears in its row/column obstacle set, and nothing else does,
-* inside ``plane.bounds`` the grids equal those row/column sets and
-  ``occ_pts``; points outside the bounds have no cell.
+* inside ``plane.bounds`` the grids equal those row/column sets,
+  ``occ_pts`` and ``cross_h``/``cross_v``; points outside the bounds have
+  no cell.
+
+The index holds its plane through a weak reference: the plane owns the
+index, and a back-reference would make every plane a reference cycle
+that only the cycle collector frees.
 """
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Hashable, Iterable
 
@@ -124,7 +131,7 @@ class PlaneIndex:
     """Incremental aggregates of a :class:`Plane`'s obstacle field."""
 
     __slots__ = (
-        "plane",
+        "_plane",
         "h_block",
         "v_block",
         "blocked_h_pts",
@@ -147,10 +154,12 @@ class PlaneIndex:
         "stop_h",
         "stop_v",
         "occ_grid",
+        "cross_h_grid",
+        "cross_v_grid",
     )
 
     def __init__(self, plane: "Plane") -> None:
-        self.plane = plane
+        self._plane = weakref.ref(plane)
         # point -> number of nets blocking horizontal/vertical entry
         self.h_block: dict[Point, int] = {}
         self.v_block: dict[Point, int] = {}
@@ -180,13 +189,20 @@ class PlaneIndex:
         self._cross_rows: dict[int, tuple[list[int], list[int]]] = {}
         self._cross_cols: dict[int, tuple[list[int], list[int]]] = {}
         # Dense mirrors over the bounds, indexed [y - y1, x - x1]: the
-        # ``_rows``/``_cols`` memberships and ``occ_pts``.
+        # ``_rows``/``_cols`` memberships, ``occ_pts`` and the crossing
+        # counts.
         bounds = plane.bounds
         self._ox, self._oy = bounds.x, bounds.y
         shape = (bounds.h + 1, bounds.w + 1)
         self.stop_h = np.zeros(shape, dtype=bool)
         self.stop_v = np.zeros(shape, dtype=bool)
         self.occ_grid = np.zeros(shape, dtype=bool)
+        self.cross_h_grid = np.zeros(shape, dtype=np.int64)
+        self.cross_v_grid = np.zeros(shape, dtype=np.int64)
+
+    @property
+    def plane(self) -> "Plane":
+        return self._plane()
 
     # -- plane mutation hooks -------------------------------------------
 
@@ -342,6 +358,7 @@ class PlaneIndex:
             if not row:
                 del self._cross_by_row[p.y]
         self._cross_rows.pop(p.y, None)
+        self._bump(self.cross_h_grid, p, delta)
 
     def _cross_v_change(self, p: Point, delta: int) -> None:
         n = self.cross_v.get(p, 0) + delta
@@ -355,6 +372,7 @@ class PlaneIndex:
             if not col:
                 del self._cross_by_col[p.x]
         self._cross_cols.pop(p.x, None)
+        self._bump(self.cross_v_grid, p, delta)
 
     def _static_add(self, p: Point) -> None:
         """A blocked/claimed point obstructs movement on both axes."""
@@ -369,6 +387,11 @@ class PlaneIndex:
         i, j = p.y - self._oy, p.x - self._ox
         if 0 <= i < grid.shape[0] and 0 <= j < grid.shape[1]:
             grid[i, j] = value
+
+    def _bump(self, grid: np.ndarray, p: Point, delta: int) -> None:
+        i, j = p.y - self._oy, p.x - self._ox
+        if 0 <= i < grid.shape[0] and 0 <= j < grid.shape[1]:
+            grid[i, j] += delta
 
     def _row_add(self, p: Point) -> None:
         row = self._rows.get(p.y)
@@ -391,11 +414,8 @@ class PlaneIndex:
     def _row_maybe_remove(self, p: Point) -> None:
         """Drop ``p`` from its row unless another source still blocks
         horizontal movement there."""
-        if (
-            p in self.plane.blocked
-            or p in self.plane.claims
-            or p in self.blocked_h_pts
-        ):
+        plane = self.plane
+        if p in plane.blocked or p in plane.claims or p in self.blocked_h_pts:
             return
         row = self._rows.get(p.y)
         if row and p.x in row:
@@ -406,11 +426,8 @@ class PlaneIndex:
             self._set(self.stop_h, p, False)
 
     def _col_maybe_remove(self, p: Point) -> None:
-        if (
-            p in self.plane.blocked
-            or p in self.plane.claims
-            or p in self.blocked_v_pts
-        ):
+        plane = self.plane
+        if p in plane.blocked or p in plane.claims or p in self.blocked_v_pts:
             return
         col = self._cols.get(p.x)
         if col and p.y in col:
@@ -613,20 +630,26 @@ class NetView:
             return q in self.blocked_v and q not in self.unblock_v
         return q in self.blocked_h and q not in self.unblock_h
 
-    def grids(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def grids(
+        self,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Fresh copies of the index's dense grids with this view's
         exemptions patched in: where a horizontal/vertical sweep of this
-        net stops (:meth:`_stops`), and where it may bend (no foreign
-        wire), each indexed ``[y - y1, x - x1]``.
+        net stops (:meth:`_stops`), where it may bend (no foreign wire),
+        and the foreign crossings a horizontal/vertical entry pays
+        (:meth:`crossings_at`), each indexed ``[y - y1, x - x1]``.
 
         Outside ``allow`` and the ``unblock`` sets a stop of the view is
-        exactly an obstacle of the index, and outside ``self_clear`` a
-        bendable point is exactly an unoccupied one, so only those few
-        points need the per-point rules."""
+        exactly an obstacle of the index, outside ``self_clear`` a
+        bendable point is exactly an unoccupied one, and outside the
+        net's own crossing contributions the count is the index's, so
+        only those few points need the per-point rules."""
         index = self.index
         stop_h = index.stop_h.copy()
         stop_v = index.stop_v.copy()
         bendable = ~index.occ_grid
+        cross_h = index.cross_h_grid.copy()
+        cross_v = index.cross_v_grid.copy()
         x1, y1, x2, y2 = self.x1, self.y1, self.x2, self.y2
         for grid, points, vertical in (
             (stop_h, self.allow | self.unblock_h, False),
@@ -639,4 +662,8 @@ class NetView:
         for x, y in self.self_clear:
             if x1 <= x <= x2 and y1 <= y <= y2:
                 bendable[y - y1, x - x1] = True
-        return stop_h, stop_v, bendable
+        for grid, own in ((cross_h, self.own_cross_h), (cross_v, self.own_cross_v)):
+            for (x, y), c in own.items():
+                if x1 <= x <= x2 and y1 <= y <= y2:
+                    grid[y - y1, x - x1] -= c
+        return stop_h, stop_v, bendable, cross_h, cross_v

@@ -35,6 +35,14 @@ length, and the ``-s`` swap) while states pointing away from every target
 Like the paper's algorithm (section 5.5.4) the search stays exhaustive: a
 connection is found whenever one exists.
 
+A connection that is still searching after ``_ESCALATE_AFTER`` pops
+escalates to :func:`cost_to_go`: the exact lexicographic cost of every
+state on the problem with only the U-turn ban lifted, computed as the
+paper's segment wavefront with costs attached, and the search restarts
+under that bound.  Among states of equal ``f`` the one with the longer
+path so far pops first, so plateaus of equal-cost states are walked
+depth-first.
+
 Obstacle queries come from the plane's incremental
 :class:`~repro.route.index.PlaneIndex` — a per-connection
 :class:`~repro.route.index.NetView` overlay built in O(own net) — instead
@@ -86,8 +94,8 @@ class RouteResult:
     #: heuristic probes) unioned with the start and target boxes.  A
     #: foreign wire added strictly outside this hull cannot have changed
     #: the result, which is what speculative parallel routing checks
-    #: before committing.  ``None`` means unbounded (the escalated BFS
-    #: bound reads the whole reachable plane).
+    #: before committing.  ``None`` means unbounded (the escalated
+    #: cost-to-go field reads the whole plane).
     footprint: tuple[int, int, int, int] | None = None
 
 
@@ -106,7 +114,7 @@ class SearchStats:
     failures: int = 0
     #: Heap entries skipped as stale/superseded (A* pruning bookkeeping).
     pruned: int = 0
-    #: Connections that escalated to the exact BFS bend-distance bound.
+    #: Connections that escalated to the exact cost-to-go bound.
     escalations: int = 0
     #: Per-connection introspection rows ("why was this net slow") —
     #: pops vs the initial bound estimate, escalation, footprint area,
@@ -128,93 +136,214 @@ _DIR_INDEX = {d: i for i, d in enumerate(_DIR_ORDER)}
 _OPPOSITE = [1, 0, 3, 2]
 
 #: Pops a connection may spend under the geometric bound before the
-#: search escalates to the exact BFS bend-distance heuristic.
+#: search escalates to the exact cost-to-go field.
 _ESCALATE_AFTER = 256
 
 #: Wave of an interval no target reaches (above every real wave).
 _UNREACHED = 1 << 30
 
+#: Largest magnitude the sweeps may reach in int64 arithmetic; beyond
+#: it they run on Python integers.
+_INT64_LIMIT = 1 << 63
 
-def bend_distance(
+
+def cost_to_go(
     view: NetView,
     target_dirs: Mapping[tuple[int, int], frozenset[int] | None],
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Exact minimum remaining bends of every in-bounds state of the
+    cost_order: CostOrder,
+) -> tuple[np.ndarray, int]:
+    """Exact lexicographic cost-to-go of every in-bounds state of the
     view's net towards the targets, relaxed only by ignoring U-turn bans
     (the admissible direction).
 
     ``target_dirs`` maps target points to their accepted arrival
     direction indices (``None`` for any), as the search's goal test reads
-    them.  Returns ``(run_h, run_v)``: ``run_h[y - y1][x - x1]`` is the
-    bound of a state at ``(x, y)`` travelling horizontally, ``run_v`` of
-    one travelling vertically, and ``-1`` marks states from which no
-    completion exists.
+    them.  Returns ``(field, shift)``: ``field[0][y - y1][x - x1]`` is the
+    cost-to-go of a state at ``(x, y)`` travelling horizontally,
+    ``field[1]`` of one travelling vertically, packed into one int64 as
+    ``(bends << 2 * shift) + (first << shift) + second``, where
+    ``(first, second)`` is ``(crossings, length)`` — or
+    ``(length, crossings)`` under the ``-s`` order — so packed values
+    compare like :meth:`CostOrder.key` tuples.  ``-1`` marks states from
+    which no completion exists, and states on a stop of their own axis
+    (never entered; the search bounds starts there itself).
 
-    This is the paper's line expansion run backwards from the targets:
-    wave ``k`` holds every free interval (maximal stop-free run of a row
-    or column) some target reaches with ``k`` bends.  Intervals are
-    labelled by a cumulative sum along each axis and every wave is swept
-    as whole intervals: a bendable point joins its row interval to its
-    column interval one bend apart.
+    This is the paper's line expansion run backwards from the targets,
+    with costs attached to the segment wavefront.  Wave ``k`` holds every
+    free interval (maximal stop-free run of a row or column) some target
+    reaches with ``k`` bends.  Intervals are labelled by a cumulative sum
+    along each line, and each wave is found as whole intervals: a
+    bendable point joins its row interval to its column interval one
+    bend apart.  Then, wave by wave, every point of a wave-``k`` interval
+    takes the cheapest seed of its interval plus the straight run to it.
+    Wave-0 seeds are the accepted targets (value 0); wave-``k`` seeds are
+    the interval's bendable points whose other-axis state is on wave
+    ``k - 1``, with that state's value.  A bendable point is free on
+    both axes or on neither, so these seeds also cover a state bending
+    where it stands.
     """
-    stop_h, stop_v, bendable = view.grids()
+    stop_h, stop_v, bendable, cross_h, cross_v = view.grids()
     ny, nx = stop_h.shape
-    free_h, free_v = ~stop_h, ~stop_v
-    # A free point starts an interval when the point before it on its
-    # line is a stop or the plane border.  Counting starts in line order
-    # numbers the intervals; every line's first free point is a start,
-    # so no label spans two lines.  Stops get the sentinel label ``n``,
-    # whose wave stays unreached.
-    first_h = free_h.copy()
-    first_h[:, 1:] &= stop_h[:, :-1]
-    first_v = free_v.copy()
-    first_v[1:, :] &= stop_v[:-1, :]
-    n_h, n_v = int(first_h.sum()), int(first_v.sum())
-    lab_h = np.cumsum(first_h).reshape(ny, nx)
-    lab_v = np.cumsum(first_v.T).reshape(nx, ny).T
-    lab_h -= 1
-    lab_v -= 1
-    lab_h[stop_h] = n_h
-    lab_v[stop_v] = n_v
-    wave_h = np.full(n_h + 1, _UNREACHED)
-    wave_v = np.full(n_v + 1, _UNREACHED)
+    n = ny * nx
+    # Both axes as flat arrays in line order: rows for horizontal travel,
+    # columns for vertical.  ``to_v[f]`` is where the point at index
+    # ``f`` of the row order sits in the column order; ``to_h`` inverts.
+    to_v = np.arange(n, dtype=np.int32).reshape(nx, ny).T.ravel()
+    to_h = np.arange(n, dtype=np.int32).reshape(ny, nx).T.ravel()
+    perm = (to_v, to_h)
+    # Both cost components of any candidate — an optimal completion,
+    # which enters each state at most once, plus one straight run — fit
+    # in ``shift`` bits, so packed sums never carry between them.
+    cap = max(2 * n + max(nx, ny), 2 * int(cross_h.sum() + cross_v.sum()))
+    shift = cap.bit_length()
+    unit = 1 << shift
+    crossings_first = cost_order is CostOrder.BENDS_CROSSINGS_LENGTH
+    lab, n_lab, excl, incl = [], [], [], []
+    for stop, cross in ((stop_h, cross_h), (stop_v.T, cross_v.T)):
+        stop = np.ascontiguousarray(stop)
+        # A free point starts an interval when the point before it on its
+        # line is a stop or the plane border.  Counting starts in line
+        # order numbers the intervals; every line's first free point is a
+        # start, so no label spans two lines.  Stops get the sentinel
+        # label, whose wave stays unreached.
+        first = ~stop
+        first[:, 1:] &= stop[:, :-1]
+        labels = np.cumsum(first.ravel(), dtype=np.int32)
+        labels -= 1
+        count = int(labels[-1]) + 1 if n else 0
+        labels[stop.ravel()] = count
+        lab.append(labels)
+        n_lab.append(count)
+        # Packed cost of entering each point, summed along the line up to
+        # and excluding / including the point: a straight run from ``p``
+        # to ``b`` costs ``excl[p] - excl[b]`` leftwards and
+        # ``incl[b] - incl[p]`` rightwards.
+        step = cross * unit + 1 if crossings_first else cross + unit
+        total = np.cumsum(step, axis=1)
+        incl.append(total.ravel())
+        excl.append((total - step).ravel())
+    corner_h = ~stop_h.ravel() & ~stop_v.ravel() & bendable.ravel()
+    corner = (corner_h, corner_h[to_h])
+    waves = [np.full(c + 1, _UNREACHED) for c in n_lab]
     # Seeds mirror the goal-acceptance rule, per arrival axis, so every
-    # acceptable goal state reads distance 0.
+    # acceptable goal state reads cost 0.
+    targets: tuple[list[int], list[int]] = ([], [])
     x1, y1 = view.x1, view.y1
     for (tx, ty), dirs in target_dirs.items():
         i, j = ty - y1, tx - x1
         if not (0 <= i < ny and 0 <= j < nx and bendable[i, j]):
             continue
         for tdi in range(4) if dirs is None else dirs:
-            if _DIR_STEPS[tdi][2]:
-                if free_h[i, j]:
-                    wave_h[lab_h[i, j]] = 0
-            elif free_v[i, j]:
-                wave_v[lab_v[i, j]] = 0
-    # One edge per point where a wire may bend: free on both axes and
-    # free of foreign wires.
-    corner = free_h & free_v & bendable
-    edge_h, edge_v = lab_h[corner], lab_v[corner]
+            axis = tdi >> 1
+            f = i * nx + j if axis == 0 else j * ny + i
+            if lab[axis][f] < n_lab[axis]:
+                waves[axis][lab[axis][f]] = 0
+                targets[axis].append(f)
+    # The bend waves: one edge per bendable point, between its row and
+    # column intervals.
+    corners = np.flatnonzero(corner_h)
+    edge_h, edge_v = lab[0][corners], lab[1][to_v[corners]]
+    wave_h, wave_v = waves
     level = 0
     while True:
-        to_v = edge_v[wave_h[edge_h] == level]
-        to_v = to_v[wave_v[to_v] == _UNREACHED]
-        to_h = edge_h[wave_v[edge_v] == level]
-        to_h = to_h[wave_h[to_h] == _UNREACHED]
-        if not (to_v.size or to_h.size):
+        up_v = edge_v[wave_h[edge_h] == level]
+        up_v = up_v[wave_v[up_v] == _UNREACHED]
+        up_h = edge_h[wave_v[edge_v] == level]
+        up_h = up_h[wave_h[up_h] == _UNREACHED]
+        if not (up_v.size or up_h.size):
             break
         level += 1
-        wave_v[to_v] = level
-        wave_h[to_h] = level
-    run_h = wave_h[lab_h]
-    run_v = wave_v[lab_v]
-    # A state may also bend where it stands onto the other axis.
-    exact_h = np.where(bendable, np.minimum(run_h, run_v + 1), run_h)
-    exact_v = np.where(bendable, np.minimum(run_v, run_h + 1), run_v)
-    return (
-        np.where(exact_h < _UNREACHED, exact_h, -1).tolist(),
-        np.where(exact_v < _UNREACHED, exact_v, -1).tolist(),
-    )
+        wave_v[up_v] = level
+        wave_h[up_h] = level
+    # Lay each axis out by wave once: a stable sort keeps every interval
+    # contiguous and in line order within its wave, so each wave's sweep
+    # reads slices.  ``rank[a][f]`` is the sorted position of point ``f``.
+    point_wave = [w[labels] for w, labels in zip(waves, lab)]
+    key_type = np.int16 if level < np.iinfo(np.int16).max else np.int32
+    order, bounds, rank = [], [], []
+    for pw in point_wave:
+        key = np.minimum(pw, level + 1).astype(key_type)
+        o = np.argsort(key, kind="stable")
+        r = np.empty(n, dtype=np.int32)
+        r[o] = np.arange(n, dtype=np.int32)
+        b = np.searchsorted(key[o], np.arange(level + 2)).tolist()
+        order.append(o[: b[-1]])
+        bounds.append(b)
+        rank.append(r)
+    # One offset span per call, wider than every entry of every sweep:
+    # each interval's entries are offset by its label times the span, so
+    # a running minimum never crosses into the next interval.  Seeds are
+    # optimal completions, whose components are at most ``cap``.
+    reach = max(int(a.max()) for a in incl) if n else 0
+    none = (cap << shift) + cap + 2 * reach + 1  # above every candidate
+    span = none + reach + 1
+    wide = max(n_lab) * span + none >= _INT64_LIMIT
+    sweeps = []
+    for a in (0, 1):
+        o = order[a]
+        other = perm[a][o]
+        # Which wave's other-axis state seeds each point: a bendable
+        # point's, or -1 (seeding wave 0) at an accepted target.
+        seeded_by = np.where(corner[a][o], point_wave[1 - a][other], -2)
+        seeded_by[rank[a][targets[a]]] = -1
+        offset = lab[a][o].astype(np.int64) * span
+        before, upto = excl[a][o], incl[a][o]
+        if wide:
+            offset, before, upto = (x.astype(object) for x in (offset, before, upto))
+        sweeps.append((seeded_by, rank[1 - a][other], offset, before, upto))
+    value = (np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
+    for k in range(level + 1):
+        for a in (0, 1):
+            lo, hi = bounds[a][k], bounds[a][k + 1]
+            if lo == hi:
+                continue
+            seeded_by, at_other, offset, before, upto = (x[lo:hi] for x in sweeps[a])
+            seeds = np.flatnonzero(seeded_by == k - 1)
+            value[a][lo:hi] = _sweep(
+                seeds,
+                value[1 - a][at_other[seeds]] if k else 0,
+                offset,
+                before,
+                upto,
+                none,
+            )
+    field = np.full((2, n), -1, dtype=np.int64)
+    for a in (0, 1):
+        o = order[a]
+        field[a][o] = (point_wave[a][o] << (2 * shift)) + value[a][: o.size]
+    field[1] = field[1][to_v]
+    return field.reshape(2, ny, nx), shift
+
+
+def _sweep(
+    seeds: np.ndarray,
+    seed_value: np.ndarray | int,
+    offset: np.ndarray,
+    excl: np.ndarray,
+    incl: np.ndarray,
+    none: int,
+) -> np.ndarray:
+    """Min over the seeds ``b`` of each point's interval of
+    ``seed_value`` at ``b`` plus the packed cost of the straight run to
+    ``b``, for points given as whole intervals in line order: running
+    left from ``p`` to ``b`` costs ``excl[p] - excl[b]``, running right
+    costs ``incl[b] - incl[p]``.  ``seeds`` are the seed positions.
+
+    A segmented prefix-min and suffix-min do it.  ``offset`` (ascending
+    per interval, a span apart) keeps each running minimum inside its
+    interval; ``none`` stands in for a missing seed and stays above every
+    real candidate, and every interval holds a seed."""
+    left = none - offset
+    left[seeds] = seed_value - excl[seeds] - offset[seeds]
+    np.minimum.accumulate(left, out=left)
+    left += offset
+    left += excl
+    right = none + offset
+    right[seeds] = seed_value + incl[seeds] + offset[seeds]
+    right = np.minimum.accumulate(right[::-1])[::-1]
+    right -= offset
+    right -= incl
+    return np.minimum(left, right)
 
 
 def route_connection(
@@ -226,7 +355,6 @@ def route_connection(
     *,
     allow: frozenset[Point] = frozenset(),
     cost_order: CostOrder = CostOrder.BENDS_CROSSINGS_LENGTH,
-    bidirectional: bool = False,
     stats: SearchStats | None = None,
 ) -> RouteResult | None:
     """Find the best path of ``net`` from ``start`` to any target point.
@@ -548,6 +676,17 @@ def route_connection(
             off_line = tx1 != qx or tx2 != qx
         return (2 if off_line else 3), 0, hl
 
+    def heur_key(qx: int, qy: int, di: int) -> tuple[int, int, int]:
+        """:func:`heur` in the ``-s`` key order."""
+        hb, hc, hl = heur(qx, qy, di)
+        return hb, hl, hc
+
+    # Every bound below is in key order, like the costs it is added to.
+    geometric = heur if crossings_first else heur_key
+    # Heap entries are (f, -length so far, push counter, g, state): among
+    # equal f the state with the longer path so far pops first, so
+    # plateaus of equal-cost states are walked depth-first instead of
+    # breadth-first, and the push counter keeps the order deterministic.
     counter = 0
     heap: list = []
     # state key: (x, y, dir_index) -> best cost-so-far tuple (key order)
@@ -562,11 +701,10 @@ def route_connection(
         state = (sx, sy, di)
         best[state] = zero
         parents[state] = None
-        hb, hc, hl = heur(sx, sy, di)
-        f = (hb, hc, hl) if crossings_first else (hb, hl, hc)
+        f = geometric(sx, sy, di)
         if initial_bound is None or f < initial_bound:
             initial_bound = f
-        heapq.heappush(heap, (f, counter, zero, state))
+        heapq.heappush(heap, (f, 0, counter, zero, state))
         counter += 1
 
     expanded = 0
@@ -575,54 +713,29 @@ def route_connection(
     goal_cost = None
     heappush, heappop = heapq.heappush, heapq.heappop
 
-    if bidirectional:
-        return _route_bidirectional(
-            heap,
-            best,
-            parents,
-            counter,
-            target_dirs,
-            heur,
-            (_stops_row, _stops_col, _hrange, _vrange),
-            (sx, sy),
-            frozenset(_DIR_INDEX[d] for d in start_directions),
-            allow,
-            view,
-            crossings_first,
-            cost_order,
-            stats,
-        )
-
-    # -- escalation: exact bend-distance lower bound --------------------
+    # -- escalation: exact lexicographic cost-to-go ---------------------
     # Most connections finish in a few hundred pops under the geometric
-    # bound, but its bend component saturates at 3 while congested
-    # connections need 4-11 bends, so the search degenerates towards
-    # uniform-cost on the expensive tail.  Such a connection escalates:
-    # :func:`bend_distance` computes the *exact* minimum remaining bends
-    # of every state (relaxed only by ignoring U-turn bans) and the
-    # search restarts under the stronger bound.  Expansions spent before
-    # the restart stay counted; the budget keeps that waste small
-    # against the tail it removes.
-    exact_h: list[list[int]] = []
-    exact_v: list[list[int]] = []
+    # bound, but its bend component saturates at 3 and its crossing
+    # component at the nearest target, while congested connections need
+    # 4-11 bends, so the search floods plateaus of equal-bend states.
+    # Such a connection escalates: :func:`cost_to_go` computes the
+    # *exact* (bends, crossings, length) cost-to-go of every state
+    # (relaxed only by ignoring U-turn bans) and the search restarts
+    # under it.  Expansions spent before the restart stay counted; the
+    # budget keeps that waste small against the tail it removes.
+    field = memoryview(b"")
+    plane_cells = nx = s1 = s2 = mask = 0
 
     def heur_exact(qx: int, qy: int, di: int) -> tuple[int, int, int] | None:
-        """The geometric/crossover bound upgraded by the exact bend
-        distance; ``None`` prunes states no relaxed completion reaches
-        (then no real completion exists either)."""
-        cand = (exact_h if _DIR_STEPS[di][2] else exact_v)[qy - y1][qx - x1]
-        if cand < 0:
+        """The field's cost-to-go in key order; ``None`` prunes states no
+        relaxed completion reaches (then no real completion exists
+        either)."""
+        v = field[(di >> 1) * plane_cells + (qy - y1) * nx + qx - x1]
+        if v < 0:
             return None
-        if cand >= 4:
-            # The geometric bend bound never exceeds 3, so it cannot
-            # win; only its length component is needed.
-            return cand, 0, max(tx1 - qx, 0, qx - tx2) + max(ty1 - qy, 0, qy - ty2)
-        hb, hc, hl = heur(qx, qy, di)
-        if cand > hb:
-            return cand, 0, hl
-        return hb, hc, hl
+        return v >> s2, (v >> s1) & mask, v & mask
 
-    cur_heur: object = heur
+    cur_heur: object = geometric
     escalated = False
     # Search-footprint hull: every read the search performs stays within
     # the expanded states (plus one for push-time probes) and the
@@ -633,7 +746,10 @@ def route_connection(
     while heap:
         if not escalated and expanded >= _ESCALATE_AFTER:
             escalated = True
-            exact_h, exact_v = bend_distance(view, target_dirs)
+            grid, s1 = cost_to_go(view, target_dirs, cost_order)
+            field = memoryview(grid.reshape(-1))
+            plane_cells, nx = grid.shape[1] * grid.shape[2], grid.shape[2]
+            s2, mask = 2 * s1, (1 << s1) - 1
             cur_heur = heur_exact
             counters.inc("route.heur_escalations")
             if stats is not None:
@@ -652,18 +768,16 @@ def route_connection(
                 if not (x1 <= sx <= x2 and y1 <= sy <= y2) or view_stops(
                     start, not _DIR_STEPS[di][2]
                 ):
-                    hbl = heur(sx, sy, di)
+                    f = geometric(sx, sy, di)
                 else:
-                    hbl = heur_exact(sx, sy, di)
-                    if hbl is None:
+                    f = heur_exact(sx, sy, di)
+                    if f is None:
                         continue
-                hb, hc, hl = hbl
-                f = (hb, hc, hl) if crossings_first else (hb, hl, hc)
-                heappush(heap, (f, counter, zero, state))
+                heappush(heap, (f, 0, counter, zero, state))
                 counter += 1
             if not heap:
                 break
-        _f, _, cost, state = heappop(heap)
+        _f, _, _, cost, state = heappop(heap)
         if cost != best.get(state):
             pruned += 1  # stale entry, superseded by a better push
             continue
@@ -708,24 +822,25 @@ def route_connection(
             cross = cross_tot[axis].get(q, 0)
             if cross:
                 cross -= own_cross[axis].get(q, 0)
+            n0 = c0 + turning
             if crossings_first:
-                ncost = (c0 + turning, c1 + cross, c2 + 1)
+                n1, n2 = c1 + cross, c2 + 1
+                depth = -n2
             else:
-                ncost = (c0 + turning, c1 + 1, c2 + cross)
+                n1, n2 = c1 + 1, c2 + cross
+                depth = -n1
+            ncost = (n0, n1, n2)
             nstate = (qx, qy, ndi)
             old = best.get(nstate)
             if old is None or ncost < old:
-                hhl = cur_heur(qx, qy, ndi)
-                if hhl is None:
+                h = cur_heur(qx, qy, ndi)
+                if h is None:
                     continue
                 best[nstate] = ncost
                 parents[nstate] = state
-                hb, hc, hl = hhl
-                if crossings_first:
-                    f = (ncost[0] + hb, ncost[1] + hc, ncost[2] + hl)
-                else:
-                    f = (ncost[0] + hb, ncost[1] + hl, ncost[2] + hc)
-                heappush(heap, (f, counter, ncost, nstate))
+                h0, h1, h2 = h
+                f = (n0 + h0, n1 + h1, n2 + h2)
+                heappush(heap, (f, depth, counter, ncost, nstate))
                 counter += 1
 
     found = goal_state is not None and goal_cost is not None
@@ -790,357 +905,7 @@ def route_connection(
     )
 
 
-def _route_bidirectional(
-    heap: list,
-    best: dict[tuple[int, int, int], tuple[int, int, int]],
-    parents: dict[tuple[int, int, int], tuple[int, int, int] | None],
-    counter: int,
-    target_dirs: dict[tuple[int, int], frozenset[int] | None],
-    heur,
-    helpers,
-    start_xy: tuple[int, int],
-    start_dir_set: frozenset[int],
-    allow: frozenset[Point],
-    view,
-    crossings_first: bool,
-    cost_order: CostOrder,
-    stats: SearchStats | None,
-) -> RouteResult | None:
-    """Meet-in-the-middle continuation of :func:`route_connection`.
-
-    The forward search (seeded ``heap``/``best``/``parents``) keeps its
-    semantics; a backward search grows path *suffixes* from every
-    acceptable goal state towards the start.  Backward states share the
-    forward state space — ``(point, entry direction)`` — and a backward
-    cost deliberately *excludes* the entry cost at its own point (the
-    forward cost-so-far pays it), so meeting on an identical state sums
-    to exactly the full path cost with nothing double-counted.
-
-    A meet candidate ``mu`` is recorded (and its path snapshotted — later
-    reopenings may rewire parent chains) whenever a popped state exists
-    on the other side.  Termination is sound per side: every undiscovered
-    path must still thread an open state on *each* side with ``f`` at
-    most its cost, so once either side's minimum ``f`` reaches ``mu`` no
-    cheaper path remains.  Both sides stay exhaustive — ``None`` is
-    returned only when no connection exists."""
-    x1, y1 = view.x1, view.y1
-    x2, y2 = view.x2, view.y2
-    hard_blocked = view.blocked
-    hard_claims = view.claims
-    blocked = (view.blocked_h, view.blocked_v)
-    unblock = (view.unblock_h, view.unblock_v)
-    cross_tot = (view.cross_h, view.cross_v)
-    own_cross = (view.own_cross_h, view.own_cross_v)
-    occ_pts = view.occ_pts
-    self_clear = view.self_clear
-    sx, sy = start_xy
-    zero = (0, 0, 0)
-    heappush, heappop = heapq.heappush, heapq.heappop
-
-    stops_row, stops_col, hrange, vrange = helpers
-
-    def _hfree(y: int, a: int, b: int) -> bool:
-        lst = stops_row(y)
-        i = bisect_left(lst, a)
-        return i >= len(lst) or lst[i] > b
-
-    def _vfree(x: int, a: int, b: int) -> bool:
-        lst = stops_col(x)
-        i = bisect_left(lst, a)
-        return i >= len(lst) or lst[i] > b
-
-    def _bend_ok(x: int, y: int) -> bool:
-        return (x, y) not in occ_pts or (x, y) in self_clear
-
-    def heur_b(qx: int, qy: int, di: int) -> tuple[int, int, int]:
-        """Admissible (bends, crossings, length) bound on any forward
-        prefix from the start to state ``((qx, qy), di)``.
-
-        The backward side enjoys what the forward side lacks: a single
-        "target" (the start) and a fixed arrival direction, so the
-        0-bend and 1-bend prefix candidates are *unique* straight runs
-        whose feasibility (stop lists) and crossing price (range sums,
-        including the entry crossing at ``q`` itself — the forward half
-        of a meet pays it) are read off exactly.  Feasibility may only
-        over-approximate, which weakens the bound without breaking
-        admissibility: a claimed ``(0, c, l)`` stays lexicographically
-        below every >=1-bend prefix regardless of ``c``."""
-        hl = abs(qx - sx) + abs(qy - sy)
-        if di == 0:  # entered moving LEFT: start right of q for cheap prefixes
-            if sy == qy:
-                if sx >= qx:
-                    if _hfree(qy, qx + 1, sx - 1):
-                        return 0, hrange(qy, qx, sx - 1), hl
-                    return 2, 0, hl
-                return 3, 0, hl
-            if sx > qx and _bend_ok(sx, qy):
-                lo, hi = (sy + 1, qy) if qy > sy else (qy, sy - 1)
-                if _vfree(sx, lo, hi) and _hfree(qy, qx + 1, sx - 1):
-                    return 1, vrange(sx, lo, hi) + hrange(qy, qx, sx - 1), hl
-            return 2, 0, hl
-        if di == 1:  # entered moving RIGHT
-            if sy == qy:
-                if sx <= qx:
-                    if _hfree(qy, sx + 1, qx - 1):
-                        return 0, hrange(qy, sx + 1, qx), hl
-                    return 2, 0, hl
-                return 3, 0, hl
-            if sx < qx and _bend_ok(sx, qy):
-                lo, hi = (sy + 1, qy) if qy > sy else (qy, sy - 1)
-                if _vfree(sx, lo, hi) and _hfree(qy, sx + 1, qx - 1):
-                    return 1, vrange(sx, lo, hi) + hrange(qy, sx + 1, qx), hl
-            return 2, 0, hl
-        if di == 2:  # entered moving UP (+y): start below q
-            if sx == qx:
-                if sy <= qy:
-                    if _vfree(qx, sy + 1, qy - 1):
-                        return 0, vrange(qx, sy + 1, qy), hl
-                    return 2, 0, hl
-                return 3, 0, hl
-            if sy < qy and _bend_ok(qx, sy):
-                lo, hi = (sx + 1, qx) if qx > sx else (qx, sx - 1)
-                if _hfree(sy, lo, hi) and _vfree(qx, sy + 1, qy - 1):
-                    return 1, hrange(sy, lo, hi) + vrange(qx, sy + 1, qy), hl
-            return 2, 0, hl
-        # entered moving DOWN (-y): start above q
-        if sx == qx:
-            if sy >= qy:
-                if _vfree(qx, qy + 1, sy - 1):
-                    return 0, vrange(qx, qy, sy - 1), hl
-                return 2, 0, hl
-            return 3, 0, hl
-        if sy > qy and _bend_ok(qx, sy):
-            lo, hi = (sx + 1, qx) if qx > sx else (qx, sx - 1)
-            if _hfree(sy, lo, hi) and _vfree(qx, qy + 1, sy - 1):
-                return 1, hrange(sy, lo, hi) + vrange(qx, qy, sy - 1), hl
-        return 2, 0, hl
-
-    # Backward seeds: exactly the forward goal-acceptance rule — a
-    # terminable (foreign-free) target, an allowed arrival direction,
-    # and a legal entry along it.
-    heap_b: list = []
-    best_b: dict[tuple[int, int, int], tuple[int, int, int]] = {}
-    parents_b: dict[tuple[int, int, int], tuple[int, int, int] | None] = {}
-    counter_b = 0
-    for pk, dirs in target_dirs.items():
-        if pk in occ_pts and pk not in self_clear:
-            continue
-        if (pk in hard_blocked or pk in hard_claims) and pk not in allow:
-            continue
-        tx, ty = pk
-        for di in range(4) if dirs is None else dirs:
-            axis = 0 if _DIR_STEPS[di][2] else 1
-            if pk in blocked[axis] and pk not in unblock[axis]:
-                continue
-            st = (tx, ty, di)
-            best_b[st] = zero
-            parents_b[st] = None
-            hbb, hcb, hlb = heur_b(tx, ty, di)
-            fb = (hbb, hcb, hlb) if crossings_first else (hbb, hlb, hcb)
-            heappush(heap_b, (fb, counter_b, zero, st))
-            counter_b += 1
-
-    expanded = 0
-    pruned = 0
-    mu: tuple[int, int, int] | None = None
-    mu_path: list[Point] | None = None
-    # Search-footprint hull over both fronts (see RouteResult.footprint).
-    fx1 = fx2 = sx
-    fy1 = fy2 = sy
-    for tx, ty in target_dirs:
-        if tx < fx1:
-            fx1 = tx
-        elif tx > fx2:
-            fx2 = tx
-        if ty < fy1:
-            fy1 = ty
-        elif ty > fy2:
-            fy2 = ty
-
-    def snapshot(state: tuple[int, int, int]) -> list[Point]:
-        pts: list[Point] = []
-        cur: tuple[int, int, int] | None = state
-        while cur is not None:
-            pts.append(Point(cur[0], cur[1]))
-            cur = parents[cur]
-        pts.reverse()  # start .. meet point
-        cur = parents_b[state]
-        while cur is not None:
-            pts.append(Point(cur[0], cur[1]))
-            cur = parents_b[cur]
-        return pts
-
-    while True:
-        if mu is not None and (
-            not heap
-            or heap[0][0] >= mu
-            or not heap_b
-            or heap_b[0][0] >= mu
-        ):
-            break
-        if not heap or not heap_b:
-            break  # a side exhausted with no meet: no connection exists
-        if heap[0][0] <= heap_b[0][0]:
-            _f, _, cost, state = heappop(heap)
-            if cost != best.get(state):
-                pruned += 1
-                continue
-            expanded += 1
-            other = best_b.get(state)
-            if other is not None:
-                cand = (
-                    cost[0] + other[0],
-                    cost[1] + other[1],
-                    cost[2] + other[2],
-                )
-                if mu is None or cand < mu:
-                    mu = cand
-                    mu_path = snapshot(state)
-            px, py, di = state
-            if px < fx1:
-                fx1 = px
-            elif px > fx2:
-                fx2 = px
-            if py < fy1:
-                fy1 = py
-            elif py > fy2:
-                fy2 = py
-            point_key = (px, py)
-            can_turn = point_key not in occ_pts or point_key in self_clear
-            c0, c1, c2 = cost
-            for ndi in range(4):
-                if ndi == _OPPOSITE[di]:
-                    continue
-                turning = ndi != di
-                if turning and not can_turn:
-                    continue
-                dx, dy, moves_h = _DIR_STEPS[ndi]
-                qx, qy = px + dx, py + dy
-                if not (x1 <= qx <= x2 and y1 <= qy <= y2):
-                    continue
-                q = (qx, qy)
-                if (q in hard_blocked or q in hard_claims) and q not in allow:
-                    continue
-                axis = 0 if moves_h else 1
-                if q in blocked[axis] and q not in unblock[axis]:
-                    continue
-                cross = cross_tot[axis].get(q, 0)
-                if cross:
-                    cross -= own_cross[axis].get(q, 0)
-                if crossings_first:
-                    ncost = (c0 + turning, c1 + cross, c2 + 1)
-                else:
-                    ncost = (c0 + turning, c1 + 1, c2 + cross)
-                nstate = (qx, qy, ndi)
-                old = best.get(nstate)
-                if old is None or ncost < old:
-                    best[nstate] = ncost
-                    parents[nstate] = state
-                    hb, hc, hl = heur(qx, qy, ndi)
-                    if crossings_first:
-                        f = (ncost[0] + hb, ncost[1] + hc, ncost[2] + hl)
-                    else:
-                        f = (ncost[0] + hb, ncost[1] + hl, ncost[2] + hc)
-                    heappush(heap, (f, counter, ncost, nstate))
-                    counter += 1
-        else:
-            _f, _, cost, state = heappop(heap_b)
-            if cost != best_b.get(state):
-                pruned += 1
-                continue
-            expanded += 1
-            other = best.get(state)
-            if other is not None:
-                cand = (
-                    cost[0] + other[0],
-                    cost[1] + other[1],
-                    cost[2] + other[2],
-                )
-                if mu is None or cand < mu:
-                    mu = cand
-                    mu_path = snapshot(state)
-            px, py, di = state
-            if px < fx1:
-                fx1 = px
-            elif px > fx2:
-                fx2 = px
-            if py < fy1:
-                fy1 = py
-            elif py > fy2:
-                fy2 = py
-            dx, dy, moves_h = _DIR_STEPS[di]
-            qx, qy = px - dx, py - dy
-            if not (x1 <= qx <= x2 and y1 <= qy <= y2):
-                continue
-            q = (qx, qy)
-            q_is_start = qx == sx and qy == sy
-            q_hard = (q in hard_blocked or q in hard_claims) and q not in allow
-            can_turn_q = q not in occ_pts or q in self_clear
-            # The meet point's entry cost belongs to the forward side;
-            # moving the frontier from p to q charges p's entry here.
-            axis_p = 0 if moves_h else 1
-            cross_p = cross_tot[axis_p].get(state[:2], 0)
-            if cross_p:
-                cross_p -= own_cross[axis_p].get(state[:2], 0)
-            c0, c1, c2 = cost
-            for ndi in range(4):
-                if ndi == _OPPOSITE[di]:
-                    continue
-                turning = ndi != di
-                if turning and not can_turn_q:
-                    continue
-                if not (q_is_start and ndi in start_dir_set):
-                    # The untraversed start state is never *entered*, so
-                    # its entry legality is moot — exactly like the
-                    # forward side's initial states.
-                    if q_hard:
-                        continue
-                    axis_q = 0 if _DIR_STEPS[ndi][2] else 1
-                    if q in blocked[axis_q] and q not in unblock[axis_q]:
-                        continue
-                if crossings_first:
-                    ncost = (c0 + turning, c1 + cross_p, c2 + 1)
-                else:
-                    ncost = (c0 + turning, c1 + 1, c2 + cross_p)
-                nstate = (qx, qy, ndi)
-                old = best_b.get(nstate)
-                if old is None or ncost < old:
-                    best_b[nstate] = ncost
-                    parents_b[nstate] = state
-                    hbb, hcb, hlb = heur_b(qx, qy, ndi)
-                    if crossings_first:
-                        fb = (ncost[0] + hbb, ncost[1] + hcb, ncost[2] + hlb)
-                    else:
-                        fb = (ncost[0] + hbb, ncost[1] + hlb, ncost[2] + hcb)
-                    heappush(heap_b, (fb, counter_b, ncost, nstate))
-                    counter_b += 1
-
-    if stats is not None:
-        stats.states_expanded += expanded
-        stats.pruned += pruned
-        stats.routes += 1
-        if mu is None:
-            stats.failures += 1
-    counters.inc("route.connections")
-    counters.inc("route.expansions", expanded)
-    counters.inc("route.astar_pruned", pruned)
-    counters.observe("route.expansions_per_connection", expanded)
-    if mu is None or mu_path is None:
-        counters.inc("route.connection_failures")
-        return None
-    bends, crossings, length = _unkey(mu, cost_order)
-    return RouteResult(
-        path=normalize_path(mu_path),
-        bends=bends,
-        crossings=crossings,
-        length=length,
-        states_expanded=expanded,
-        footprint=(fx1 - 1, fy1 - 1, fx2 + 1, fy2 + 1),
-    )
-
-
 _MISSING = object()
-_INF = (1 << 60, 1 << 60, 1 << 60)
 
 
 def _unkey(

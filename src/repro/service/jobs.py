@@ -121,8 +121,7 @@ def pablo_from_dict(data: dict) -> PabloOptions:
 #: Router options that change how the work is *executed*, never what it
 #: produces: serialized for round-tripping but excluded from the job
 #: digest, so e.g. a ``parallel_nets`` run shares its cache entry with
-#: the serial run it is guaranteed to match.  ``bidirectional`` is NOT
-#: here — it may pick different equal-cost tie-break paths.
+#: the serial run it is guaranteed to match.
 _EXECUTION_ONLY_OPTIONS = ("parallel_nets",)
 
 
@@ -135,17 +134,22 @@ def router_to_dict(options: RouterOptions) -> dict:
         "retry_failed": options.retry_failed,
         "net_order": options.net_order,
         "engine": options.engine,
-        "bidirectional": options.bidirectional,
+        # The bidirectional engine is gone; the key stays at the one value
+        # the router implements, so the digests of existing jobs, cache
+        # entries and journals stay valid.
+        "bidirectional": False,
         "parallel_nets": options.parallel_nets,
     }
 
 
 def router_from_dict(data: dict) -> RouterOptions:
+    d = dict(data)
+    if d.pop("bidirectional", False) is not False:
+        raise JobError("eureka option bidirectional is no longer supported")
     known = {f.name for f in fields(RouterOptions)}
-    unknown = set(data) - known
+    unknown = set(d) - known
     if unknown:
         raise JobError(f"unknown eureka option(s): {sorted(unknown)}")
-    d = dict(data)
     try:
         if "cost_order" in d:
             d["cost_order"] = CostOrder[d["cost_order"]]

@@ -703,6 +703,46 @@ class TestGatewayDrain:
         assert "draining" in out and "stopped" in out
         assert [json.loads(line)["kind"] for line in runlog.read_text().splitlines()] == ["serve"]
 
+    def test_sigterm_to_a_worker_keeps_daemon_serving(self):
+        """A worker owns its signals: SIGTERM kills that worker only, and
+        the supervisor respawns it while the daemon keeps serving."""
+        code = (
+            "import sys; from repro.cli import artwork_serve_main; "
+            "sys.exit(artwork_serve_main(['--port','0','--workers','1']))"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        env.pop("ARTWORK_FAULTS", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+        )
+        try:
+            banner = proc.stdout.readline()
+            assert "listening" in banner, banner
+            port = int(banner.rsplit(":", 1)[1].split()[0])
+            with HttpClient("127.0.0.1", port) as c:
+                (victim,) = [w["pid"] for w in c.get("/healthz").json()["pool"]["workers"]]
+                os.kill(victim, signal.SIGTERM)
+                deadline = time.monotonic() + 20
+                while True:
+                    pool = c.get("/healthz").json()["pool"]
+                    pids = [w["pid"] for w in pool["workers"] if w["alive"]]
+                    if pool["worker_restarts"] >= 1 and pids and victim not in pids:
+                        break
+                    assert time.monotonic() < deadline, pool
+                    time.sleep(0.1)
+                final = submit_and_wait(c, spec_for(seed=12))
+                assert final["status"] == "ok"
+            assert proc.poll() is None
+            proc.send_signal(signal.SIGTERM)
+            out, _ = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, out
+        assert out.count("draining") == 1, out
+
 
 # -- protocol odds and ends ------------------------------------------------
 

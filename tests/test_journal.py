@@ -23,6 +23,16 @@ def spec_for(seed: int = 0, *, modules: int = 5) -> JobSpec:
     return JobSpec.from_network(random_network(modules=modules, seed=seed))
 
 
+def _alive(pid: int) -> bool:
+    """Is ``pid`` a running process (zombies awaiting a reaper count as
+    gone)?"""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 # -- JobJournal unit --------------------------------------------------------
 
 
@@ -257,6 +267,7 @@ class TestRestartRecovery:
                 posted = c.post("/v1/jobs", spec.to_dict())
                 assert posted.status == 202, posted.body
                 job_id = posted.json()["id"]
+                workers = [w["pid"] for w in c.get("/healthz").json()["pool"]["workers"]]
             time.sleep(0.3)  # let the pool dispatch into the stall
             proc.send_signal(signal.SIGKILL)
             # Don't communicate(): the orphaned worker child still holds
@@ -267,6 +278,12 @@ class TestRestartRecovery:
                 proc.kill()
                 proc.wait(timeout=10)
             proc.stdout.close()
+
+        # The orphaned worker follows its dead parent, stall or not.
+        deadline = time.monotonic() + 5
+        while any(_alive(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not [pid for pid in workers if _alive(pid)]
 
         # The accepted record survived the kill.
         _, summary = read_journal(journal)

@@ -134,3 +134,33 @@ class TestOccupied:
         assert p.occupied(Point(1, 1))
         p.add_net_path("n", [Point(2, 2), Point(3, 2)])
         assert p.occupied(Point(2, 2))
+
+
+class TestLifetime:
+    def test_routed_plane_freed_without_cycle_collector(self, monkeypatch):
+        # The plane owns its index; the index must not own the plane back,
+        # or every finished plane waits for the cycle collector.
+        import gc
+        import weakref
+
+        from repro.route import line_expansion
+
+        monkeypatch.setattr(line_expansion, "_ESCALATE_AFTER", 0)
+        p = _plane()
+        p.block_rect(Rect(8, 0, 2, 15))
+        p.add_net_path("other", [Point(0, 17), Point(20, 17)])
+        assert p.add_claim(Point(15, 10), "c")
+        r = line_expansion.route_connection(
+            p, "n", Point(2, 2), list(Direction), [Point(18, 2)]
+        )
+        assert r is not None
+        p.add_net_path("n", r.path)
+        ref = weakref.ref(p)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del p
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()

@@ -10,10 +10,11 @@ Two layers of evidence:
 * behavioural — the indexed A* returns the same optimum cost tuple
   (bends, crossings, length) as the snapshot-rebuilding reference
   Dijkstra on randomized scenes, under both tie-break orders, also when
-  every connection escalates to the interval-sweep bend bound, and that
-  bound equals a per-point line expansion.
+  every connection escalates to the interval-sweep cost-to-go, and that
+  field equals a per-state Dijkstra on the U-turn relaxation.
 """
 
+import heapq
 import random
 
 import numpy as np
@@ -24,7 +25,7 @@ from repro.route.index import PlaneIndex
 from repro.route.line_expansion import (
     CostOrder,
     SearchStats,
-    bend_distance,
+    cost_to_go,
     route_connection,
 )
 from repro.route.plane import Plane
@@ -70,8 +71,9 @@ def assert_index_matches_rebuild(plane: Plane) -> None:
         assert live.sorted_row(y) == fresh.sorted_row(y)
     for x in set(live._cols) | set(fresh._cols):
         assert live.sorted_col(x) == fresh.sorted_col(x)
-    # The dense grids mirror the line sets and occ_pts inside the bounds.
-    for name in ("stop_h", "stop_v", "occ_grid"):
+    # The dense grids mirror the line sets, occ_pts and the crossing
+    # counts inside the bounds.
+    for name in ("stop_h", "stop_v", "occ_grid", "cross_h_grid", "cross_v_grid"):
         assert np.array_equal(getattr(live, name), getattr(fresh, name)), name
     b = plane.bounds
     assert _grid_points(live.stop_h, b) == {
@@ -85,6 +87,10 @@ def assert_index_matches_rebuild(plane: Plane) -> None:
     assert _grid_points(live.occ_grid, b) == {
         p for p in live.occ_pts if b.contains(p)
     }
+    for grid, counts in ((live.cross_h_grid, live.cross_h), (live.cross_v_grid, live.cross_v)):
+        assert {
+            p: int(grid[p.y - b.y, p.x - b.x]) for p in _grid_points(grid, b)
+        } == {p: c for p, c in counts.items() if b.contains(p)}
 
 
 def assert_view_matches_snapshot(plane: Plane, net: str, allow=frozenset()) -> None:
@@ -318,11 +324,14 @@ class TestAStarMatchesReference:
         assert total_a < total_b
 
 
-def _reference_bend_bounds(view, target_dirs):
-    """Per-point line expansion from the targets, folded into per-state
-    bounds: a state may run on along its axis or bend where it stands.
-    Returns ``bound(x, y, axis)`` (axis 0 horizontal, 1 vertical), or
-    ``None`` where no completion exists."""
+def _reference_cost_to_go(view, target_dirs, cost_order):
+    """Per-state Dijkstra, backwards from the goal states, on the U-turn
+    relaxation: a state ``(x, y, axis)`` (axis 0 horizontal, 1 vertical)
+    may run on along its axis in either sense, paying each entered
+    point's crossings and one length, or bend where it stands for one
+    bend.  Goal states follow the search's acceptance rule.  Returns
+    ``{state: key-order cost tuple}`` for every state with a
+    completion."""
     x1, y1, x2, y2 = view.x1, view.y1, view.x2, view.y2
 
     def stops(x, y, axis):
@@ -332,54 +341,59 @@ def _reference_bend_bounds(view, target_dirs):
     def bendable(x, y):
         return not view.foreign_at(Point(x, y))
 
-    dist = ({}, {})
-    cur = ([], [])
+    def entry(x, y, axis):
+        cross = view.crossings_at(Point(x, y), axis == 0)
+        return cost_order.key(0, cross, 1)
+
+    dist = {}
+    heap = []
     for (tx, ty), dirs in target_dirs.items():
         if not bendable(tx, ty):
             continue
         for di in range(4) if dirs is None else dirs:
             axis = 0 if di < 2 else 1  # LEFT, RIGHT move horizontally
             if not stops(tx, ty, axis):
-                cur[axis].append((tx, ty))
-    level = 0
-    while cur[0] or cur[1]:
-        nxt = ([], [])
-        for axis in (0, 1):
+                heapq.heappush(heap, ((0, 0, 0), (tx, ty, axis)))
+    while heap:
+        cost, state = heapq.heappop(heap)
+        if state in dist:
+            continue
+        dist[state] = cost
+        x, y, axis = state
+        preds = []
+        if not stops(x, y, axis):
+            # Entering (x, y) along the axis from either neighbour.
+            c = entry(x, y, axis)
             dx, dy = (1, 0) if axis == 0 else (0, 1)
-            for px, py in cur[axis]:
-                if (px, py) in dist[axis]:
-                    continue
-                run = [(px, py)]
-                for sgn in (1, -1):
-                    x, y = px + sgn * dx, py + sgn * dy
-                    while not stops(x, y, axis):
-                        run.append((x, y))
-                        x, y = x + sgn * dx, y + sgn * dy
-                for key in run:
-                    dist[axis][key] = level
-                    if key not in dist[1 - axis] and bendable(*key):
-                        nxt[1 - axis].append(key)
-        cur = nxt
-        level += 1
+            for px, py in ((x - dx, y - dy), (x + dx, y + dy)):
+                if x1 <= px <= x2 and y1 <= py <= y2:
+                    preds.append(((px, py, axis), c))
+        if bendable(x, y):
+            preds.append(((x, y, 1 - axis), (1, 0, 0)))
+        for pred, c in preds:
+            if pred not in dist:
+                heapq.heappush(
+                    heap, ((cost[0] + c[0], cost[1] + c[1], cost[2] + c[2]), pred)
+                )
+    return dist
 
-    def bound(x, y, axis):
-        best = dist[axis].get((x, y))
-        turn = dist[1 - axis].get((x, y))
-        if turn is not None and bendable(x, y):
-            if best is None or turn + 1 < best:
-                best = turn + 1
-        return best
 
-    return bound
+def _decode(value: int, shift: int):
+    if value < 0:
+        return None
+    mask = (1 << shift) - 1
+    return value >> (2 * shift), (value >> shift) & mask, value & mask
 
 
 class TestBendDistance:
-    """The interval sweep equals the per-point line expansion for own,
-    foreign and fresh nets, with ``allow`` points and claims in play."""
+    """The escalation bound's interval sweep (:func:`cost_to_go`) equals
+    a per-state Dijkstra on the U-turn relaxation — bends, crossings and
+    length — for own, foreign and fresh nets, with ``allow`` points and
+    claims in play, under both cost orders."""
 
     def _check(self, plane: Plane, rng: random.Random) -> int:
-        """Compare every state of a 23x23 plane; return the deepest
-        finite bound seen."""
+        """Compare every state of a 23x23 plane; return the most bends
+        a finite cost-to-go needs."""
         grid = [Point(x, y) for x in range(23) for y in range(23)]
         hard = sorted(set(plane.blocked) | set(plane.claims))
         deepest = 0
@@ -393,14 +407,22 @@ class TestBendDistance:
             allow = frozenset([*targets, *rng.sample(hard, min(len(hard), 3))])
             view = plane.index.view(net, allow)
             target_dirs = {(p.x, p.y): d for p, d in targets.items()}
-            run_h, run_v = bend_distance(view, target_dirs)
-            want = _reference_bend_bounds(view, target_dirs)
-            for x, y in grid:
-                for axis, got in ((0, run_h[y][x]), (1, run_v[y][x])):
-                    got = None if got < 0 else got
-                    assert got == want(x, y, axis), (net, x, y, axis)
-                    if got is not None:
-                        deepest = max(deepest, got)
+            for order in CostOrder:
+                field, shift = cost_to_go(view, target_dirs, order)
+                want = _reference_cost_to_go(view, target_dirs, order)
+                for x, y in grid:
+                    for axis in (0, 1):
+                        got = _decode(int(field[axis][y][x]), shift)
+                        if view._stops(Point(x, y), axis == 1):
+                            # Never entered: the search bounds a start
+                            # there itself.
+                            assert got is None, (net, order, x, y, axis)
+                            continue
+                        assert got == want.get((x, y, axis)), (
+                            net, order, x, y, axis, got, want.get((x, y, axis))
+                        )
+                        if got is not None:
+                            deepest = max(deepest, got[0])
         return deepest
 
     def test_matches_per_point_expansion(self):
@@ -418,6 +440,41 @@ class TestBendDistance:
         assert plane.add_claim(Point(10, 12), "c0")
         rng = random.Random(3)
         assert max(self._check(plane, rng) for _ in range(8)) >= 6
+
+    def test_exact_beyond_int64(self, monkeypatch):
+        # Sweeps whose offsets would leave int64 run on Python integers
+        # and return the same field.
+        plane = _random_scene(4)
+        view = plane.index.view("f0", frozenset({Point(3, 3), Point(19, 17)}))
+        target_dirs = {(3, 3): None, (19, 17): frozenset({2})}
+        for order in CostOrder:
+            want, shift = cost_to_go(view, target_dirs, order)
+            monkeypatch.setattr(line_expansion, "_INT64_LIMIT", 1)
+            got, got_shift = cost_to_go(view, target_dirs, order)
+            monkeypatch.undo()
+            assert got.dtype == np.int64 and got_shift == shift
+            assert np.array_equal(got, want)
+
+
+class TestEscalatedSearch:
+    def test_z_route_pops_at_most_twice_its_length(self, monkeypatch):
+        # Under the exact cost-to-go an escalated search on an open plane
+        # walks one of its equal-cost optima instead of flooding the
+        # plateau around them.
+        monkeypatch.setattr(line_expansion, "_ESCALATE_AFTER", 0)
+        plane = Plane(bounds=Rect(0, 0, 40, 40))
+        stats = SearchStats()
+        r = route_connection(
+            plane,
+            "mine",
+            Point(0, 0),
+            [Direction.RIGHT],
+            {Point(40, 20): frozenset({Direction.RIGHT})},
+            stats=stats,
+        )
+        assert r is not None and (r.bends, r.crossings, r.length) == (2, 0, 60)
+        assert stats.escalations == 1
+        assert stats.states_expanded <= 2 * r.length
 
 
 class TestZeroLengthAcceptance:

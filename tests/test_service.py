@@ -83,6 +83,22 @@ class TestJobSpec:
             != JobSpec.from_network(base, eureka=RouterOptions(claimpoints=False)).digest
         )
 
+    def test_default_digest_is_stable(self):
+        # Computed before the bidirectional engine was removed: specs and
+        # journal entries still carry ``"bidirectional": false``, and their
+        # digests (cache keys, journal ids) must not move.
+        spec = JobSpec.from_network(random_network(modules=5, seed=1))
+        digest = "520b7babcf5a8ba53e7c0cf81c8ae60f12c539e4c5a6cf95c1513a34d2bb89ea"
+        assert spec.digest == digest
+        assert spec.to_dict()["eureka"]["bidirectional"] is False
+        assert JobSpec.from_dict(spec.to_dict()).digest == digest
+
+    def test_retired_bidirectional_option(self):
+        data = JobSpec.from_network(random_network(modules=4, seed=2)).to_dict()
+        data["eureka"]["bidirectional"] = True
+        with pytest.raises(JobError, match="bidirectional"):
+            JobSpec.from_dict(data)
+
     def test_name_does_not_enter_digest(self):
         net = random_network(modules=4, seed=3)
         assert (
