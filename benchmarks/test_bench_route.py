@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import copy
 import json
-import os
-import sys
 import time
 from pathlib import Path
 
@@ -35,7 +33,6 @@ from repro.route import RouterOptions, route_diagram
 from repro.route.plane import Plane
 from repro.route.reference import ReferenceSnapshot
 from repro.workloads import (
-    datapath_grid_diagram,
     datapath_network,
     example1_string,
     example2_controller,
@@ -55,13 +52,6 @@ MIN_WALL_RATIO = 2.0
 #: at least halve the datapath workload's expanded states vs the 56,261
 #: the plain geometric bound needed.
 MAX_DATAPATH_STATES = 28_130
-
-#: The parallel-scaling gate only bites where threads can actually run
-#: in parallel: ≥4 visible cores on a free-threaded interpreter.  Under
-#: the GIL the bench still enforces the much stronger property — the
-#: parallel router's output is byte-identical to the serial one.
-MIN_PARALLEL_SPEEDUP = 1.5
-SCALING_LANES, SCALING_STAGES = 10, 25
 
 
 def _workloads():
@@ -228,53 +218,6 @@ def test_bench_route_verified_examples(benchmark, experiment_store):
         assert row["mismatches"] == 0, row
 
 
-def test_bench_route_parallel_scaling(benchmark, experiment_store):
-    """Speculative parallel routing at scale: a ~500-net datapath, serial
-    vs ``parallel_nets``.  Identity of the routed output is a hard gate
-    everywhere; the wall-clock speedup gate only applies where threads
-    can run in parallel (≥4 cores, free-threaded interpreter)."""
-    base = datapath_grid_diagram(lanes=SCALING_LANES, stages=SCALING_STAGES)
-
-    def run():
-        reg = counters.get_registry()
-        serial, serial_report, serial_wall = _route_once(base, RouterOptions())
-        w0 = reg.get("route.parallel.waves")
-        c0 = reg.get("route.parallel.conflicts")
-        parallel, par_report, par_wall = _route_once(
-            base, RouterOptions(parallel_nets=True)
-        )
-        identical = set(serial.routes) == set(parallel.routes) and all(
-            serial.routes[n].paths == parallel.routes[n].paths
-            for n in serial.routes
-        )
-        return {
-            "nets": serial_report.nets_total,
-            "routed_serial": serial_report.nets_routed,
-            "routed_parallel": par_report.nets_routed,
-            "serial_wall_s": round(serial_wall, 3),
-            "parallel_wall_s": round(par_wall, 3),
-            "speedup": round(serial_wall / max(1e-9, par_wall), 2),
-            "waves": reg.get("route.parallel.waves") - w0,
-            "conflicts": reg.get("route.parallel.conflicts") - c0,
-            "identical_routes": identical,
-            "cores": os.cpu_count() or 1,
-            "gil": getattr(sys, "_is_gil_enabled", lambda: True)(),
-        }
-
-    row = once(benchmark, run)
-    print_table("parallel net routing at ~500 nets", [row])
-    experiment_store["route_scaling"] = row
-
-    assert row["nets"] >= 500
-    assert row["identical_routes"], "parallel routing diverged from serial"
-    assert row["routed_parallel"] == row["routed_serial"]
-    if row["cores"] >= 4 and not row["gil"]:
-        assert row["speedup"] >= MIN_PARALLEL_SPEEDUP, (
-            f"parallel speedup {row['speedup']}x on {row['cores']} cores "
-            f"(need >= {MIN_PARALLEL_SPEEDUP}x)"
-        )
-
-
 def test_bench_route_profile_attribution(benchmark, experiment_store):
     """Sampler-measured cost attribution: route the datapath workload
     under a high-hz sampling profiler and report the hottest self-time
@@ -340,7 +283,6 @@ def test_bench_route_summary(experiment_store):
                 "engines": engines,
                 "random_nets_speedup": experiment_store.get("route_ratios"),
                 "datapath_speedup": experiment_store.get("route_datapath_ratios"),
-                "parallel_scaling": experiment_store.get("route_scaling"),
                 "per_connection_view": experiment_store.get("route_view_cost"),
                 "verified_examples": experiment_store.get("route_verified"),
                 "profile": experiment_store.get("route_profile"),

@@ -245,13 +245,6 @@ def _eureka_args(parser: argparse.ArgumentParser, *, short_swap: bool = True) ->
     )
     parser.add_argument("--no-claims", action="store_true", help="disable claimpoints")
     parser.add_argument("--margin", type=int, default=4, help="routing border margin")
-    parser.add_argument(
-        "--parallel-nets",
-        action="store_true",
-        dest="parallel_nets",
-        help="route conflict-unlikely waves of nets concurrently "
-        "(identical output to serial routing)",
-    )
 
 
 def _eureka_options(args: argparse.Namespace) -> RouterOptions:
@@ -272,7 +265,6 @@ def _eureka_options(args: argparse.Namespace) -> RouterOptions:
         cost_order=order,
         margin=args.margin,
         fixed_sides=frozenset(fixed),
-        parallel_nets=args.parallel_nets,
     )
 
 

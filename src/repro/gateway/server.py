@@ -1388,10 +1388,6 @@ class ArtworkGateway:
                     "service.cache_hits",
                     "service.cache_misses",
                     "route.heur_escalations",
-                    "route.parallel.waves",
-                    "route.parallel.commits",
-                    "route.parallel.conflicts",
-                    "route.parallel.rollbacks",
                 )
             },
         }

@@ -16,8 +16,8 @@ serves, so daemon traffic shows up alongside batch and bench runs —
 * ``flame``   — render a run's shipped profile windows as a standalone
   flamegraph HTML page,
 * ``explain`` — the router's search introspection for one net: pops vs.
-  the initial bound estimate, escalations, footprint area, and any
-  parallel-wave conflicts/rollbacks that involved it,
+  the initial bound estimate, escalations, search area and the cost
+  each connection found,
 * ``diff``    — metric deltas between two runs,
 * ``report``  — self-contained HTML diagnostics report for a run,
 * ``regress`` — compare the latest (or freshly captured) run per workload
@@ -344,17 +344,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             "\n(no per-connection rows persisted for this net — only the "
             f"top {len(search.get('connections') or [])} by pops are kept)"
         )
-    events = [
-        e for e in (search.get("parallel") or []) if e.get("net") == args.net
-    ]
-    if events:
-        print("\nparallel-wave events:")
-        for event in events:
-            rollback = " (rolled back committed paths)" if event.get("rollback") else ""
-            print(
-                f"  wave {event.get('wave', '?')}: {event.get('outcome', '?')} — "
-                f"{event.get('cause', '?')}{rollback}"
-            )
     return 0
 
 

@@ -22,6 +22,14 @@ from dataclasses import dataclass, field
 RESERVOIR_SIZE = 256
 
 
+def percentile(ordered: list[float], q: float) -> float:
+    """Nearest-rank percentile of an already-sorted sample (q in 0..1)."""
+    if not ordered:
+        return 0.0
+    k = max(0, min(len(ordered) - 1, math.ceil(q * len(ordered)) - 1))
+    return ordered[k]
+
+
 @dataclass
 class Histogram:
     """Streaming summary of an observed value.
@@ -69,11 +77,7 @@ class Histogram:
 
     def percentile(self, q: float) -> float:
         """Nearest-rank percentile estimate from the reservoir (q in 0..1)."""
-        if not self.samples:
-            return 0.0
-        ordered = sorted(self.samples)
-        k = max(0, min(len(ordered) - 1, math.ceil(q * len(ordered)) - 1))
-        return ordered[k]
+        return percentile(sorted(self.samples), q)
 
     def as_dict(self) -> dict:
         if not self.count:
@@ -81,15 +85,16 @@ class Histogram:
                 "count": 0, "total": 0.0, "min": 0.0, "max": 0.0, "mean": 0.0,
                 "p50": 0.0, "p95": 0.0, "p99": 0.0, "samples": [],
             }
+        ordered = sorted(self.samples)
         return {
             "count": self.count,
             "total": round(self.total, 6),
             "min": self.min,
             "max": self.max,
             "mean": round(self.mean, 6),
-            "p50": round(self.percentile(0.50), 6),
-            "p95": round(self.percentile(0.95), 6),
-            "p99": round(self.percentile(0.99), 6),
+            "p50": round(percentile(ordered, 0.50), 6),
+            "p95": round(percentile(ordered, 0.95), 6),
+            "p99": round(percentile(ordered, 0.99), 6),
             "samples": [round(v, 6) for v in self.samples],
         }
 

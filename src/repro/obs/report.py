@@ -268,7 +268,7 @@ def _search_section(record: RunRecord) -> str:
     parts = [
         '<table><tr><th class="key">net</th><th>connections</th>'
         "<th>pops</th><th>bound est.</th><th>escalations</th>"
-        "<th>footprint area</th><th>seconds</th>"
+        "<th>search area</th><th>seconds</th>"
         f'<th class="key">outcome</th></tr>{rows}</table>'
     ]
     if len(ordered) > 40:
@@ -287,21 +287,6 @@ def _search_section(record: RunRecord) -> str:
             "per connection — 1.0 means the bound was exact):</p>"
             '<table><tr><th class="key">tightness</th><th>connections</th>'
             f"</tr>{trows}</table>"
-        )
-    parallel = search.get("parallel", [])
-    if parallel:
-        prows = "\n".join(
-            f'<tr><td class="key">{_esc(ev.get("net", "?"))}</td>'
-            f"<td>{_esc(ev.get('wave', '?'))}</td>"
-            f'<td class="key">{_esc(ev.get("outcome", "?"))}</td>'
-            f'<td class="key">{_esc(ev.get("cause", "—"))}</td></tr>'
-            for ev in parallel[:40]
-        )
-        parts.append(
-            "<p>speculative-wave outcomes (conflicts/rollbacks only):</p>"
-            '<table><tr><th class="key">net</th><th>wave</th>'
-            '<th class="key">outcome</th><th class="key">cause</th></tr>'
-            f"{prows}</table>"
         )
     return "".join(parts)
 

@@ -25,6 +25,8 @@ import threading
 import time
 from typing import Callable, Iterable
 
+from .counters import percentile
+
 #: The default reporting windows: label -> trailing seconds.
 WINDOWS: dict[str, float] = {"1m": 60.0, "5m": 300.0, "15m": 900.0}
 
@@ -39,14 +41,6 @@ _ZERO = {
     "p95": 0.0,
     "max": 0.0,
 }
-
-
-def _percentile(ordered: list[float], q: float) -> float:
-    """Nearest-rank percentile of an already-sorted sample (q in 0..1)."""
-    if not ordered:
-        return 0.0
-    k = max(0, min(len(ordered) - 1, math.ceil(q * len(ordered)) - 1))
-    return ordered[k]
 
 
 class _Bucket:
@@ -157,8 +151,8 @@ class RollingWindow:
                     "qps": round(count / window_s, 6),
                     "error_ratio": round(errors / count, 6),
                     "mean": round(total / count, 6),
-                    "p50": round(_percentile(samples, 0.50), 6),
-                    "p95": round(_percentile(samples, 0.95), 6),
+                    "p50": round(percentile(samples, 0.50), 6),
+                    "p95": round(percentile(samples, 0.95), 6),
                     "max": round(peak, 6),
                 }
         return out

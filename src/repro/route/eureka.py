@@ -17,14 +17,12 @@ every net:
 from __future__ import annotations
 
 import enum
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Literal
 
 from ..core.diagram import Diagram, RoutedNet
-from ..core.geometry import Direction, Point, Side, normalize_path, path_points
+from ..core.geometry import Direction, Point, Side
 from ..core.netlist import Net, Pin
 from ..obs import counters, get_logger, span
 from ..obs.congestion import snapshot as congestion_snapshot
@@ -57,11 +55,6 @@ class RouterOptions:
     #: crossing-first tie-break only); "reference" = the pre-index
     #: snapshot-rebuilding Dijkstra, kept for benchmarks and verification.
     engine: Engine = "state"
-    #: Route conflict-unlikely waves of nets concurrently on threads over
-    #: read-only plane views, commit in net order, re-route conflicted
-    #: nets serially.  Guaranteed identical output to the serial router —
-    #: excluded from the job digest.
-    parallel_nets: bool = False
     #: Cross-check every connection against the reference engine and
     #: count cost-tuple mismatches under ``route.verify_mismatch`` (slow;
     #: for tests and the routing bench).
@@ -137,14 +130,11 @@ class RoutingReport:
     #: (:meth:`repro.obs.congestion.CongestionMap.to_dict` shape) — this
     #: is what makes congestion observable per run without a plane rescan.
     congestion: dict = field(default_factory=dict)
-    #: Speculative-wave outcomes worth explaining: one dict per conflict
-    #: (``{net, wave, outcome, cause, rollback}``) under ``parallel_nets``.
-    parallel_events: list[dict] = field(default_factory=list)
     #: Search introspection built from :attr:`search`: per-net aggregates,
-    #: the noisiest per-connection rows, a bound-tightness histogram and
-    #: the parallel-wave events — the JSON-able payload a
-    #: :class:`~repro.obs.runlog.RunRecord` stores under ``extra.search``
-    #: and ``artwork-inspect explain`` reads back.
+    #: the noisiest per-connection rows and a bound-tightness histogram —
+    #: the JSON-able payload a :class:`~repro.obs.runlog.RunRecord`
+    #: stores under ``extra.search`` and ``artwork-inspect explain`` reads
+    #: back.
     search_detail: dict = field(default_factory=dict)
 
     @property
@@ -192,26 +182,15 @@ def route_diagram(
         first_pass: dict[str, FailureReason] = {}
         claims_seen: dict[str, bool] = {}
         with span("eureka.first_pass", nets=len(todo)):
-            if (
-                options.parallel_nets
-                and options.engine == "state"
-                and len(todo) > 1
-            ):
-                _first_pass_parallel(
-                    plane, diagram, todo, options, report, first_pass, claims_seen
-                )
-            else:
-                for net_name in todo:
-                    net = diagram.network.nets[net_name]
-                    claimpoints.release_net_claims(plane, net_name, net.pins)
-                    with span("eureka.net", net=net_name) as net_span:
-                        reason = _route_net(
-                            plane, diagram, net, options, report.search
-                        )
-                        if reason is not None:
-                            net_span.set(failed=reason.value)
-                            first_pass[net_name] = reason
-                            claims_seen[net_name] = bool(plane.claims)
+            for net_name in todo:
+                net = diagram.network.nets[net_name]
+                claimpoints.release_net_claims(plane, net_name, net.pins)
+                with span("eureka.net", net=net_name) as net_span:
+                    reason = _route_net(plane, diagram, net, options, report.search)
+                    if reason is not None:
+                        net_span.set(failed=reason.value)
+                        first_pass[net_name] = reason
+                        claims_seen[net_name] = bool(plane.claims)
 
         plane.release_all_claims()
         failed: list[NetFailure] = []
@@ -355,7 +334,6 @@ def _search_detail(report: RoutingReport) -> dict:
         "nets": nets,
         "connections": detail_rows,
         "bound_tightness": tightness,
-        "parallel": list(report.parallel_events),
         "summary": {
             "connections": len(connections),
             "pops": report.search.states_expanded,
@@ -488,15 +466,8 @@ def _route_pin_to_targets(
     start = diagram.pin_position(pin)
     if start in targets:
         # Abutting terminals: the pins already share a point; the net is a
-        # zero-length connection there.  Nothing on the plane was read, so
-        # the footprint is just the point itself.
-        return RouteResult(
-            path=[start],
-            bends=0,
-            crossings=0,
-            length=0,
-            footprint=(start.x, start.y, start.x, start.y),
-        )
+        # zero-length connection there.
+        return RouteResult(path=[start], bends=0, crossings=0, length=0)
     side = diagram.pin_side(pin)
     dirs = start_directions_for(side.outward if side is not None else None)
     if not targets:
@@ -570,310 +541,3 @@ def _commit(plane: Plane, route: RoutedNet, net_name: str, result: RouteResult) 
 
 def _distance_to_set(p: Point, points: Iterable[Point]) -> int:
     return min((p.manhattan(q) for q in points), default=1 << 30)
-
-
-# -- speculative parallel first pass -------------------------------------
-#
-# ``parallel_nets`` routes conflict-unlikely waves of nets concurrently on
-# threads, then commits the results serially in net order.  The output is
-# guaranteed identical to the serial router:
-#
-# * During a wave the plane is read-only (lazy index caches may fill, but
-#   concurrent fills compute identical entries from identical inputs, so
-#   the race is value-idempotent).  A net's own accumulating geometry
-#   lives in a thread-local overlay; the "all minus own" NetView
-#   semantics make registering own geometry in the index a no-op for the
-#   search, so only the target set needs the overlay.
-# * Claim points the serial order would already have released are added
-#   to ``allow`` instead.  Claim points are never blocked/used (``
-#   add_claim`` refuses such points) and carry no usage, so allowing one
-#   is indistinguishable from releasing it.
-# * At commit time a net's speculative result is kept only if no wave
-#   mate committed geometry inside the net's search *footprint* (the
-#   hull of every plane point its searches read).  Outside the
-#   footprint, the plane state the speculation saw equals the state the
-#   serial router would have seen, and ``route_connection`` is a
-#   deterministic function of what it reads — so the kept result is
-#   byte-for-byte the serial one.  Conflicted nets are re-routed
-#   serially on the spot, in order.
-
-_WAVE_LIMIT = 8
-#: Inflation of the pin bounding boxes used to *group* nets into waves.
-#: Purely a conflict-likelihood heuristic — correctness comes from the
-#: footprint check at commit time, never from this margin.
-_WAVE_MARGIN = 4
-
-
-@dataclass
-class _SpecOutcome:
-    """What one speculatively routed net produced, staged for commit."""
-
-    paths: list[list[Point]] = field(default_factory=list)
-    failed_pins: list[Pin] = field(default_factory=list)
-    reason: FailureReason | None = None
-    stats: SearchStats = field(default_factory=SearchStats)
-    # Union hull of every connection's search footprint.  ``unbounded``
-    # when any search failed or escalated to the exact cost-to-go field —
-    # those may read the whole reachable plane.
-    x1: int = 1 << 60
-    y1: int = 1 << 60
-    x2: int = -(1 << 60)
-    y2: int = -(1 << 60)
-    unbounded: bool = False
-
-    def add_footprint(self, fp: tuple[int, int, int, int] | None) -> None:
-        if fp is None:
-            self.unbounded = True
-            return
-        a, b, c, d = fp
-        if a < self.x1:
-            self.x1 = a
-        if b < self.y1:
-            self.y1 = b
-        if c > self.x2:
-            self.x2 = c
-        if d > self.y2:
-            self.y2 = d
-
-    def conflicts_with(self, committed: Iterable[Point]) -> bool:
-        """Did any wave mate commit geometry this net's searches read?"""
-        if self.unbounded:
-            return any(True for _ in committed)
-        x1, y1, x2, y2 = self.x1, self.y1, self.x2, self.y2
-        return any(x1 <= p.x <= x2 and y1 <= p.y <= y2 for p in committed)
-
-
-def _merge_stats(into: SearchStats, other: SearchStats) -> None:
-    into.states_expanded += other.states_expanded
-    into.routes += other.routes
-    into.failures += other.failures
-    into.pruned += other.pruned
-    into.escalations += other.escalations
-    for row in other.connections:
-        into.record_connection(row)
-
-
-def _route_net_speculative(
-    plane: Plane,
-    diagram: Diagram,
-    net: Net,
-    options: RouterOptions,
-    allow_claims: frozenset[Point],
-) -> _SpecOutcome:
-    """Run exactly the computation :func:`_route_net` would run at the
-    current plane state, but commit nothing: paths, failed pins and the
-    failure reason are staged in a :class:`_SpecOutcome`.
-
-    ``allow_claims`` neutralises the claim points the serial order would
-    already have released (the net's own and its earlier wave mates')."""
-    outcome = _SpecOutcome()
-    allow = (
-        frozenset(diagram.pin_position(p) for p in net.pins) | allow_claims
-    )
-    own = set(plane.net_points(net.name))
-
-    def record(result: RouteResult) -> None:
-        outcome.paths.append(result.path)
-        own.update(path_points(normalize_path(result.path)))
-        outcome.add_footprint(result.footprint)
-
-    pending = [p for p in net.pins if diagram.pin_position(p) not in own]
-
-    if not own:
-        # INIT_NET, staged: same pair order, same first-success commit.
-        pairs = sorted(
-            (
-                (i, j)
-                for i in range(len(pending))
-                for j in range(i + 1, len(pending))
-            ),
-            key=lambda ij: diagram.pin_position(pending[ij[0]]).manhattan(
-                diagram.pin_position(pending[ij[1]])
-            ),
-        )
-        connected = False
-        for i, j in pairs:
-            a, b = pending[i], pending[j]
-            target = diagram.pin_position(b)
-            arrival = _arrival_directions(diagram, b)
-            result = _route_pin_to_targets(
-                plane,
-                diagram,
-                net,
-                a,
-                {target: arrival},
-                allow,
-                options,
-                outcome.stats,
-            )
-            if result is not None:
-                record(result)
-                pending = [p for k, p in enumerate(pending) if k not in (i, j)]
-                connected = True
-                break
-            # A failed search explores everything reachable: unbounded.
-            outcome.unbounded = True
-        if not connected:
-            outcome.failed_pins = list(pending)
-            outcome.reason = FailureReason.NO_INITIAL_PATH
-            return outcome
-
-    failed: list[Pin] = []
-    while pending:
-        pending.sort(key=lambda p: _distance_to_set(diagram.pin_position(p), own))
-        pin = pending.pop(0)
-        result = _route_pin_to_targets(
-            plane,
-            diagram,
-            net,
-            pin,
-            {q: None for q in own},
-            allow,
-            options,
-            outcome.stats,
-        )
-        if result is None:
-            outcome.unbounded = True
-            failed.append(pin)
-        else:
-            record(result)
-    outcome.failed_pins = failed
-    outcome.reason = FailureReason.EXPANSION_EXHAUSTED if failed else None
-    return outcome
-
-
-def _boxes_overlap(
-    a: tuple[int, int, int, int], b: tuple[int, int, int, int]
-) -> bool:
-    return not (a[2] < b[0] or b[2] < a[0] or a[3] < b[1] or b[3] < a[1])
-
-
-def _conflict_unlikely_waves(
-    diagram: Diagram, todo: list[str]
-) -> list[list[str]]:
-    """Split the net order into order-contiguous waves whose inflated pin
-    bounding boxes are pairwise disjoint.  Contiguity keeps the commit
-    order equal to the serial net order; disjointness only makes commit
-    conflicts *unlikely* (short nets rarely search far past their pins),
-    the footprint check at commit time makes them *harmless*."""
-    boxes = []
-    for name in todo:
-        pts = [
-            diagram.pin_position(p) for p in diagram.network.nets[name].pins
-        ]
-        xs = [p.x for p in pts]
-        ys = [p.y for p in pts]
-        boxes.append(
-            (
-                min(xs) - _WAVE_MARGIN,
-                min(ys) - _WAVE_MARGIN,
-                max(xs) + _WAVE_MARGIN,
-                max(ys) + _WAVE_MARGIN,
-            )
-        )
-    waves: list[list[str]] = []
-    i = 0
-    while i < len(todo):
-        members = [i]
-        j = i + 1
-        while j < len(todo) and len(members) < _WAVE_LIMIT:
-            if any(_boxes_overlap(boxes[k], boxes[j]) for k in members):
-                break
-            members.append(j)
-            j += 1
-        waves.append([todo[k] for k in members])
-        i = j
-    return waves
-
-
-def _first_pass_parallel(
-    plane: Plane,
-    diagram: Diagram,
-    todo: list[str],
-    options: RouterOptions,
-    report: RoutingReport,
-    first_pass: dict[str, FailureReason],
-    claims_seen: dict[str, bool],
-) -> None:
-    """The first pass of :func:`route_diagram`, waves of nets at a time.
-
-    Produces exactly the serial pass's diagram, plane, report and
-    counters (``route.parallel.*`` aside); see the module-level design
-    note above for why."""
-    nets = diagram.network.nets
-    waves = _conflict_unlikely_waves(diagram, todo)
-    counters.inc("route.parallel.waves", len(waves))
-    workers = min(_WAVE_LIMIT, os.cpu_count() or 1)
-    with ThreadPoolExecutor(
-        max_workers=workers, thread_name_prefix="eureka-wave"
-    ) as pool:
-        for wave_index, wave in enumerate(waves):
-            outcomes: list[_SpecOutcome | None]
-            if len(wave) == 1:
-                outcomes = [None]  # nothing to overlap with: route serially
-            else:
-                # Net k speculates as if the claims of wave[0..k] were
-                # already released — exactly the serial environment.
-                released: set[Point] = set()
-                futures = []
-                for name in wave:
-                    released |= plane.claim_points(
-                        claimpoints.claim_owner(name, pin)
-                        for pin in nets[name].pins
-                    )
-                    futures.append(
-                        pool.submit(
-                            _route_net_speculative,
-                            plane,
-                            diagram,
-                            nets[name],
-                            options,
-                            frozenset(released),
-                        )
-                    )
-                # The plane stays untouched until every future resolves.
-                outcomes = [f.result() for f in futures]
-
-            committed: set[Point] = set()
-            for name, outcome in zip(wave, outcomes):
-                net = nets[name]
-                claimpoints.release_net_claims(plane, name, net.pins)
-                with span("eureka.net", net=name) as net_span:
-                    if outcome is None or outcome.conflicts_with(committed):
-                        if outcome is not None:
-                            # The speculative work is discarded but was
-                            # really done: keep its stats honest.
-                            counters.inc("route.parallel.conflicts")
-                            if outcome.paths:
-                                counters.inc("route.parallel.rollbacks")
-                            report.parallel_events.append(
-                                {
-                                    "net": name,
-                                    "wave": wave_index,
-                                    "outcome": "conflict",
-                                    "cause": (
-                                        "unbounded_footprint"
-                                        if outcome.unbounded
-                                        else "footprint_overlap"
-                                    ),
-                                    "rollback": bool(outcome.paths),
-                                }
-                            )
-                            _merge_stats(report.search, outcome.stats)
-                        reason = _route_net(
-                            plane, diagram, net, options, report.search
-                        )
-                    else:
-                        counters.inc("route.parallel.commits")
-                        _merge_stats(report.search, outcome.stats)
-                        route = diagram.route_for(name)
-                        for path in outcome.paths:
-                            route.add_path(path)
-                            plane.add_net_path(name, path)
-                        route.failed_pins = list(outcome.failed_pins)
-                        reason = outcome.reason
-                    if reason is not None:
-                        net_span.set(failed=reason.value)
-                        first_pass[name] = reason
-                        claims_seen[name] = bool(plane.claims)
-                committed |= plane.net_points(name)

@@ -241,7 +241,7 @@ class PlaneIndex:
     def remove_net(self, net: str) -> None:
         """Unwind every contribution of ``net`` in O(own net), leaving
         the index identical to one rebuilt from scratch off a plane that
-        never saw the net (the speculative-rollback requirement)."""
+        never saw the net."""
         cmap = self.contrib.pop(net, None)
         if not cmap:
             return

@@ -138,7 +138,6 @@ def route_connection_intervals(
         bends=max(0, len(norm) - 2),
         crossings=crossings,
         length=length,
-        states_expanded=expanded,
     )
 
 

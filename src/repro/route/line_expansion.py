@@ -88,15 +88,6 @@ class RouteResult:
     bends: int
     crossings: int
     length: int
-    states_expanded: int = 0
-    #: Inclusive (x1, y1, x2, y2) hull of every plane point the search
-    #: read — expanded states inflated by one (push-time neighbor and
-    #: heuristic probes) unioned with the start and target boxes.  A
-    #: foreign wire added strictly outside this hull cannot have changed
-    #: the result, which is what speculative parallel routing checks
-    #: before committing.  ``None`` means unbounded (the escalated
-    #: cost-to-go field reads the whole plane).
-    footprint: tuple[int, int, int, int] | None = None
 
 
 #: Per-connection telemetry rows kept on one :class:`SearchStats` —
@@ -117,7 +108,7 @@ class SearchStats:
     #: Connections that escalated to the exact cost-to-go bound.
     escalations: int = 0
     #: Per-connection introspection rows ("why was this net slow") —
-    #: pops vs the initial bound estimate, escalation, footprint area,
+    #: pops vs the initial bound estimate, escalation, search area,
     #: final cost.  Bounded by :data:`MAX_CONNECTION_ROWS`.
     connections: list[dict] = field(default_factory=list)
 
@@ -368,8 +359,7 @@ def route_connection(
     accepts any arrival direction.
 
     ``allow`` exempts points from the module/terminal/claim blocks (the
-    net's own terminals; speculative parallel routing adds claim points
-    the serial order would already have released).
+    net's own terminals).
 
     Returns ``None`` when no connection exists — and only then.
     """
@@ -387,13 +377,7 @@ def route_connection(
         if (
             dirs is None or any(d in dirs for d in start_directions)
         ) and not view.foreign_at(start):
-            return RouteResult(
-                path=[start],
-                bends=0,
-                crossings=0,
-                length=0,
-                footprint=(start.x - 1, start.y - 1, start.x + 1, start.y + 1),
-            )
+            return RouteResult(path=[start], bends=0, crossings=0, length=0)
 
     # Arrival constraints plus the target geometry the heuristic needs:
     # bounding box and sorted per-row/per-column target coordinates.
@@ -737,9 +721,8 @@ def route_connection(
 
     cur_heur: object = geometric
     escalated = False
-    # Search-footprint hull: every read the search performs stays within
-    # the expanded states (plus one for push-time probes) and the
-    # start/target hull the heuristic ranges towards.
+    # Search-area hull for the telemetry row: the expanded states and the
+    # start/target box the heuristic ranges towards.
     fx1, fy1 = min(sx, tx1), min(sy, ty1)
     fx2, fy2 = max(sx, tx2), max(sy, ty2)
 
@@ -859,12 +842,13 @@ def route_connection(
             "targets": len(target_dirs),
             "pops": expanded,
             "pruned": pruned,
-            "bound": list(initial_bound) if initial_bound else None,
+            "bound": (
+                list(_unkey(initial_bound, cost_order)) if initial_bound else None
+            ),
             "cost": list(final_cost) if final_cost else None,
             "escalated": escalated,
             "found": found,
             "area": (fx2 - fx1 + 1) * (fy2 - fy1 + 1),
-            "unbounded": escalated,
             "seconds": round(time.perf_counter() - t_search, 6),
         }
         stats.record_connection(row)
@@ -892,16 +876,7 @@ def route_connection(
     path.reverse()
     bends, crossings, length = final_cost
     return RouteResult(
-        path=normalize_path(path),
-        bends=bends,
-        crossings=crossings,
-        length=length,
-        states_expanded=expanded,
-        footprint=(
-            None
-            if escalated
-            else (fx1 - 1, fy1 - 1, fx2 + 1, fy2 + 1)
-        ),
+        path=normalize_path(path), bends=bends, crossings=crossings, length=length
     )
 
 

@@ -134,13 +134,6 @@ class Plane:
                 released += 1
         return released
 
-    def claim_points(self, owners: Iterable[Hashable]) -> frozenset[Point]:
-        """Points currently claimed by the given owners (O(owned))."""
-        points: set[Point] = set()
-        for owner in owners:
-            points |= self._claims_by_owner.get(owner, set())
-        return frozenset(points)
-
     def release_all_claims(self) -> int:
         released = len(self.claims)
         for point in list(self.claims):
@@ -177,10 +170,9 @@ class Plane:
 
     def remove_net(self, net: str) -> None:
         """Erase every trace of ``net`` from the plane in O(own net):
-        usage entries, node points and the index contribution — the
-        speculative-routing rollback primitive.  Afterwards the plane
-        (and its index) is indistinguishable from one that never routed
-        the net."""
+        usage entries, node points and the index contribution.  Afterwards
+        the plane (and its index) is indistinguishable from one that never
+        routed the net."""
         for p in self.index.net_points(net):
             here = self.usage.get(p)
             if here is not None and net in here:

@@ -214,9 +214,5 @@ def route_connection_reference(
     path.reverse()
     bends, crossings, length = _unkey(goal_cost, cost_order)
     return RouteResult(
-        path=normalize_path(path),
-        bends=bends,
-        crossings=crossings,
-        length=length,
-        states_expanded=expanded,
+        path=normalize_path(path), bends=bends, crossings=crossings, length=length
     )

@@ -118,13 +118,6 @@ def pablo_from_dict(data: dict) -> PabloOptions:
     return PabloOptions(**d)
 
 
-#: Router options that change how the work is *executed*, never what it
-#: produces: serialized for round-tripping but excluded from the job
-#: digest, so e.g. a ``parallel_nets`` run shares its cache entry with
-#: the serial run it is guaranteed to match.
-_EXECUTION_ONLY_OPTIONS = ("parallel_nets",)
-
-
 def router_to_dict(options: RouterOptions) -> dict:
     return {
         "claimpoints": options.claimpoints,
@@ -138,7 +131,6 @@ def router_to_dict(options: RouterOptions) -> dict:
         # the router implements, so the digests of existing jobs, cache
         # entries and journals stay valid.
         "bidirectional": False,
-        "parallel_nets": options.parallel_nets,
     }
 
 
@@ -146,6 +138,10 @@ def router_from_dict(data: dict) -> RouterOptions:
     d = dict(data)
     if d.pop("bidirectional", False) is not False:
         raise JobError("eureka option bidirectional is no longer supported")
+    # Older specs and journal entries may ask for thread-parallel
+    # routing.  That option never changed a job's output, so either value
+    # is accepted and ignored: the job gets the routing it always got.
+    d.pop("parallel_nets", None)
     known = {f.name for f in fields(RouterOptions)}
     unknown = set(d) - known
     if unknown:
@@ -198,16 +194,13 @@ class JobSpec:
 
     @property
     def digest(self) -> str:
-        """Stable content address of the work (network + options, not name
-        or execution-strategy options that cannot change the output)."""
-        eureka = router_to_dict(self.eureka)
-        for key in _EXECUTION_ONLY_OPTIONS:
-            eureka.pop(key, None)
+        """Stable content address of the work: network and options, not
+        the name."""
         blob = json.dumps(
             {
                 "network": json.loads(self.network_json),
                 "pablo": pablo_to_dict(self.pablo),
-                "eureka": eureka,
+                "eureka": router_to_dict(self.eureka),
             },
             sort_keys=True,
             separators=(",", ":"),

@@ -11,7 +11,7 @@ from .life import (
 from .random_nets import RandomNetworkSpec, random_network
 from .batch import BatchWorkloadSpec, batch_networks, workload_from_dict
 from .congestion import facing_pairs_diagram
-from .datapath import datapath_grid_diagram, datapath_network, datapath_sizes
+from .datapath import datapath_network, datapath_sizes
 from .stdlib import TEMPLATES, instantiate, make_module
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "batch_networks",
     "workload_from_dict",
     "facing_pairs_diagram",
-    "datapath_grid_diagram",
     "datapath_network",
     "datapath_sizes",
     "TEMPLATES",

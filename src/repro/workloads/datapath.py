@@ -68,37 +68,3 @@ def datapath_sizes(points: list[tuple[int, int]] | None = None) -> list[Network]
     points = points or [(1, 4), (2, 4), (2, 8), (3, 8)]
     return [datapath_network(lanes=lanes, stages=stages) for lanes, stages in points]
 
-
-def datapath_grid_diagram(*, lanes: int = 2, stages: int = 3) -> "Diagram":
-    """A datapath placed on its natural (stage, lane) grid.
-
-    PABLO placement of a many-hundred-net datapath takes minutes and
-    scatters the pipeline; the *routing* scaling benchmarks instead
-    place registers by their pipeline coordinates — muxes between
-    stages, controller and system terminals on the borders — so every
-    net routes and the measured time is routing, not placement."""
-    from ..core.diagram import Diagram
-    from ..core.geometry import Point
-
-    net = datapath_network(lanes=lanes, stages=stages)
-    diagram = Diagram(net)
-    reg = net.modules["r0_0"]
-    mux = net.modules["m0_0"]
-    ctl = net.modules["ctl"]
-    px = reg.width + mux.width + 14
-    py = max(reg.height, mux.height) + 10
-    for lane in range(lanes):
-        for stage in range(stages):
-            diagram.place_module(f"r{lane}_{stage}", Point(stage * px, lane * py))
-        for stage in range(stages - 1):
-            diagram.place_module(
-                f"m{lane}_{stage}", Point(stage * px + reg.width + 7, lane * py)
-            )
-    diagram.place_module("ctl", Point(-ctl.width - 16, (lanes * py) // 2))
-    diagram.place_system_terminal("start", Point(-ctl.width - 24, (lanes * py) // 2))
-    for lane in range(lanes):
-        diagram.place_system_terminal(f"in{lane}", Point(-14, lane * py + 1))
-        diagram.place_system_terminal(
-            f"out{lane}", Point((stages - 1) * px + reg.width + 10, lane * py + 1)
-        )
-    return diagram

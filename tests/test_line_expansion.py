@@ -139,3 +139,23 @@ class TestStats:
         assert stats.routes == 1
         assert stats.states_expanded > 0
         assert stats.failures == 0
+
+    def test_row_bound_and_cost_in_one_order(self):
+        # A straight run crossing one foreign wire: under either cost
+        # order the row gives bound and cost as (bends, crossings, length).
+        for order in CostOrder:
+            p = _plane()
+            p.add_net_path("other", [Point(10, 0), Point(10, 20)])
+            stats = SearchStats()
+            r = _route(
+                p,
+                Point(2, 5),
+                [Point(20, 5)],
+                net="mine",
+                dirs=[Direction.RIGHT],
+                cost_order=order,
+                stats=stats,
+            )
+            assert (r.bends, r.crossings, r.length) == (0, 1, 18)
+            [row] = stats.connections
+            assert row["bound"] == row["cost"] == [0, 1, 18], order

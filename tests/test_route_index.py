@@ -14,13 +14,16 @@ Two layers of evidence:
   field equals a per-state Dijkstra on the U-turn relaxation.
 """
 
+import copy
 import heapq
 import random
 
 import numpy as np
 
 from repro.core.geometry import Direction, Orientation, Point, Rect
+from repro.place.pablo import PabloOptions, place_network
 from repro.route import line_expansion
+from repro.route.eureka import RouterOptions, route_diagram
 from repro.route.index import PlaneIndex
 from repro.route.line_expansion import (
     CostOrder,
@@ -30,6 +33,7 @@ from repro.route.line_expansion import (
 )
 from repro.route.plane import Plane
 from repro.route.reference import ReferenceSnapshot, route_connection_reference
+from repro.workloads import example1_string, random_network
 
 
 def _fresh_index(plane: Plane) -> PlaneIndex:
@@ -42,9 +46,10 @@ def _fresh_index(plane: Plane) -> PlaneIndex:
 
 
 def _lines(d: dict) -> dict:
-    """Row/column sets with emptied entries dropped (removals leave empty
-    sets behind in the live index; that is not a semantic difference)."""
-    return {k: set(v) for k, v in d.items() if v}
+    """Per-line sets or counts with emptied entries dropped (removals leave
+    empty entries behind in the live index; that is not a semantic
+    difference)."""
+    return {k: v for k, v in d.items() if v}
 
 
 def _grid_points(grid: np.ndarray, bounds: Rect) -> set[Point]:
@@ -67,6 +72,9 @@ def assert_index_matches_rebuild(plane: Plane) -> None:
     }
     assert _lines(live._rows) == _lines(fresh._rows)
     assert _lines(live._cols) == _lines(fresh._cols)
+    # The per-line crossing counts behind the range-crossing prefix sums.
+    assert _lines(live._cross_by_row) == _lines(fresh._cross_by_row)
+    assert _lines(live._cross_by_col) == _lines(fresh._cross_by_col)
     for y in set(live._rows) | set(fresh._rows):
         assert live.sorted_row(y) == fresh.sorted_row(y)
     for x in set(live._cols) | set(fresh._cols):
@@ -214,6 +222,40 @@ class TestIncrementalConsistency:
             expected = {q for q, nets in p.usage.items() if net in nets}
             assert p.net_points(net) == expected
         assert p.net_points("missing") == set()
+
+
+class TestRemoveNet:
+    """``Plane.remove_net`` erases a routed net in O(own net), leaving the
+    plane and its index as if the net had never been routed."""
+
+    def test_matches_fresh_rebuild(self):
+        network = random_network(modules=14, extra_nets=6, seed=7)
+        diagram, _ = place_network(network, PabloOptions())
+        report = route_diagram(diagram, RouterOptions())
+        routed = sorted(n for n, r in diagram.routes.items() if r.paths)
+        assert report.nets_routed and routed
+        plane = Plane.for_diagram(diagram)
+        victim = routed[len(routed) // 2]
+        assert plane.net_points(victim)
+
+        plane.remove_net(victim)
+
+        assert_index_matches_rebuild(plane)
+        assert victim not in plane.nodes
+        assert not plane.net_points(victim)
+        assert all(victim not in nets for nets in plane.usage.values())
+
+    def test_unknown_net_is_a_noop(self):
+        diagram, _ = place_network(example1_string(), PabloOptions())
+        route_diagram(diagram, RouterOptions())
+        plane = Plane.for_diagram(diagram)
+        usage, nodes = copy.deepcopy(plane.usage), copy.deepcopy(plane.nodes)
+        assert usage
+
+        plane.remove_net("no-such-net")
+
+        assert plane.usage == usage and plane.nodes == nodes
+        assert_index_matches_rebuild(plane)
 
 
 class TestRunStop:

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro.cli import artwork_batch_main
+from repro.cli import artwork_batch_main, artwork_main
 from repro.core.netlist import Network, Pin, TermType
 from repro.place.pablo import PabloOptions
 from repro.route.eureka import RouterOptions
@@ -98,6 +98,28 @@ class TestJobSpec:
         data["eureka"]["bidirectional"] = True
         with pytest.raises(JobError, match="bidirectional"):
             JobSpec.from_dict(data)
+
+    def test_retired_parallel_nets_option(self):
+        # The option never changed a job's output, so specs and journal
+        # entries carrying either value keep the digest that
+        # test_default_digest_is_stable pins.
+        spec = JobSpec.from_network(random_network(modules=5, seed=1))
+        assert "parallel_nets" not in spec.to_dict()["eureka"]
+        for value in (True, False):
+            data = spec.to_dict()
+            data["eureka"]["parallel_nets"] = value
+            assert JobSpec.from_dict(data).digest == spec.digest
+
+    def test_retired_parallel_nets_flag(self, tmp_path, capsys):
+        from repro.formats.netlist_files import save_network_files
+        from repro.workloads.examples import example1_string
+
+        paths = save_network_files(example1_string(), tmp_path)
+        args = [str(paths[k]) for k in ("netlist", "call", "io")]
+        with pytest.raises(SystemExit) as exc:
+            artwork_main(args + ["--parallel-nets", "-o", str(tmp_path / "x.svg")])
+        assert exc.value.code == 2
+        assert "--parallel-nets" in capsys.readouterr().err
 
     def test_name_does_not_enter_digest(self):
         net = random_network(modules=4, seed=3)

@@ -9,7 +9,8 @@ import json
 
 import pytest
 
-from repro.obs.window import WINDOWS, RollingWindow, _percentile
+from repro.obs.counters import percentile as _percentile
+from repro.obs.window import WINDOWS, RollingWindow
 from repro.top import render_dashboard
 
 
