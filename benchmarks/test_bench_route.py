@@ -29,7 +29,7 @@ from conftest import once, print_table
 
 from repro.obs import counters
 from repro.place.pablo import PabloOptions, place_network
-from repro.route import RouterOptions, route_diagram
+from repro.route import RouterOptions, line_expansion, route_diagram
 from repro.route.plane import Plane
 from repro.route.reference import ReferenceSnapshot
 from repro.workloads import (
@@ -48,9 +48,9 @@ MIN_STATE_RATIO = 3.0
 MIN_WALL_RATIO = 2.0
 
 #: Acceptance ceiling for the heuristic tentpole (ISSUE 9): the
-#: crossover-aware bound plus the escalated exact bend-distance BFS must
-#: at least halve the datapath workload's expanded states vs the 56,261
-#: the plain geometric bound needed.
+#: crossover-aware bound plus the escalated searches' exact cost-to-go
+#: field must at least halve the datapath workload's expanded states vs
+#: the 56,261 the plain geometric bound needed.
 MAX_DATAPATH_STATES = 28_130
 
 
@@ -184,30 +184,41 @@ def test_bench_snapshot_vs_view(benchmark, experiment_store):
     assert warm < cold, "index overlay failed to beat the snapshot rebuild"
 
 
-def test_bench_route_verified_examples(benchmark, experiment_store):
+def test_bench_route_verified_examples(benchmark, experiment_store, monkeypatch):
     """Every connection of the example netlists must have the exact
-    reference optimum: identical (bends, crossings, length) per net."""
+    reference optimum: identical (bends, crossings, length) per net, at
+    the default escalation threshold and with every connection escalated
+    to the cost-to-go field."""
     examples = {
         "example1_string": example1_string(),
         "example2_controller": example2_controller(),
+    }
+    placed = {
+        name: place_network(network, PabloOptions())[0]
+        for name, network in examples.items()
     }
 
     def run():
         reg = counters.get_registry()
         out = []
-        for name, network in examples.items():
-            placed, _ = place_network(network, PabloOptions())
-            v0 = reg.get("route.verified_connections")
-            m0 = reg.get("route.verify_mismatch")
-            _, report, _ = _route_once(placed, RouterOptions(verify_optimum=True))
-            out.append(
-                {
-                    "netlist": name,
-                    "verified": reg.get("route.verified_connections") - v0,
-                    "mismatches": reg.get("route.verify_mismatch") - m0,
-                    "routed": f"{report.nets_routed}/{report.nets_total}",
-                }
-            )
+        for escalate_after in (line_expansion._ESCALATE_AFTER, 0):
+            monkeypatch.setattr(line_expansion, "_ESCALATE_AFTER", escalate_after)
+            for name, diagram in placed.items():
+                v0 = reg.get("route.verified_connections")
+                m0 = reg.get("route.verify_mismatch")
+                e0 = reg.get("route.heur_escalations")
+                _, report, _ = _route_once(diagram, RouterOptions(verify_optimum=True))
+                out.append(
+                    {
+                        "netlist": name,
+                        "escalate_after": escalate_after,
+                        "verified": reg.get("route.verified_connections") - v0,
+                        "escalated": reg.get("route.heur_escalations") - e0,
+                        "mismatches": reg.get("route.verify_mismatch") - m0,
+                        "routed": f"{report.nets_routed}/{report.nets_total}",
+                    }
+                )
+            monkeypatch.undo()
         return out
 
     rows = once(benchmark, run)
@@ -216,6 +227,8 @@ def test_bench_route_verified_examples(benchmark, experiment_store):
     for row in rows:
         assert row["verified"] > 0, row
         assert row["mismatches"] == 0, row
+        if row["escalate_after"] == 0:
+            assert row["escalated"] == row["verified"], row
 
 
 def test_bench_route_profile_attribution(benchmark, experiment_store):

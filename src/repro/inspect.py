@@ -16,8 +16,8 @@ serves, so daemon traffic shows up alongside batch and bench runs —
 * ``flame``   — render a run's shipped profile windows as a standalone
   flamegraph HTML page,
 * ``explain`` — the router's search introspection for one net: pops vs.
-  the initial bound estimate, escalations, search area and the cost
-  each connection found,
+  the initial bound estimate, seconds spent on the cost-to-go field,
+  escalations, search area and the cost each connection found,
 * ``diff``    — metric deltas between two runs,
 * ``report``  — self-contained HTML diagnostics report for a run,
 * ``regress`` — compare the latest (or freshly captured) run per workload
@@ -289,6 +289,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
                 "net": net,
                 "conns": agg.get("connections", 0),
                 "pops": agg.get("pops", 0),
+                "field_s": f"{agg.get('field_s', 0.0):.4f}",
                 "bound_est": agg.get("bound_est", 0),
                 "escalations": agg.get("escalations", 0),
                 "area": agg.get("area", 0),
@@ -315,9 +316,10 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             f"(nets include: {sample}{'...' if len(nets) > 8 else ''})"
         )
     print(f"net {args.net} ({record.run_id}/{record.name}): {agg.get('outcome', '?')}")
-    for key in ("connections", "pops", "pruned", "bound_est",
+    for key in ("connections", "pops", "field_s", "pruned", "bound_est",
                 "escalations", "failures", "area"):
-        print(f"  {key:<14}{agg.get(key, 0)}")
+        value = agg.get(key, 0)
+        print(f"  {key:<14}{value:.4f}" if key == "field_s" else f"  {key:<14}{value}")
     print(f"  {'seconds':<14}{agg.get('seconds', 0.0):.4f}")
     detail = [
         row for row in (search.get("connections") or [])
@@ -329,6 +331,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
                 "start": f"{row.get('start', ['?', '?'])}",
                 "targets": row.get("targets", 0),
                 "pops": row.get("pops", 0),
+                "field_s": f"{row.get('field_s', 0.0):.4f}",
                 "pruned": row.get("pruned", 0),
                 "bound": f"{row.get('bound') or '—'}",
                 "cost": f"{row.get('cost') or '—'}",

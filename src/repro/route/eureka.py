@@ -301,6 +301,7 @@ def _search_detail(report: RoutingReport) -> dict:
                 "escalations": 0,
                 "area": 0,
                 "seconds": 0.0,
+                "field_s": 0.0,
                 "failures": 0,
             },
         )
@@ -312,6 +313,7 @@ def _search_detail(report: RoutingReport) -> dict:
         agg["escalations"] += 1 if row.get("escalated") else 0
         agg["area"] = max(agg["area"], int(row.get("area") or 0))
         agg["seconds"] += float(row.get("seconds", 0.0))
+        agg["field_s"] += float(row.get("field_s", 0.0))
         agg["failures"] += 0 if row.get("found") else 1
         cost = row.get("cost")
         if row.get("found") and bound and cost:
@@ -324,6 +326,7 @@ def _search_detail(report: RoutingReport) -> dict:
             tightness[bucket] = tightness.get(bucket, 0) + 1
     for name, agg in nets.items():
         agg["seconds"] = round(agg["seconds"], 6)
+        agg["field_s"] = round(agg["field_s"], 6)
         agg["outcome"] = "failed" if name in failed else "routed"
     if not nets:
         return {}

@@ -36,10 +36,16 @@ Like the paper's algorithm (section 5.5.4) the search stays exhaustive: a
 connection is found whenever one exists.
 
 A connection that is still searching after ``_ESCALATE_AFTER`` pops
-escalates to :func:`cost_to_go`: the exact lexicographic cost of every
-state on the problem with only the U-turn ban lifted, computed as the
-paper's segment wavefront with costs attached, and the search restarts
-under that bound.  Among states of equal ``f`` the one with the longer
+escalates to :func:`cost_to_go`: the exact lexicographic cost on the
+problem with only the U-turn ban lifted, computed as the paper's segment
+wavefront with costs attached, and the search restarts under that bound.
+The field is exact on the start's *corridor* — the intervals that some
+minimum-bend relaxed path from the start passes — and elsewhere carries
+only a bend count that already exceeds the relaxed optimum, so states
+off the corridor are never popped.  When start-direction or arrival
+constraints make the real optimum bendier than the relaxed one, the
+field widens once to every interval a target reaches and the search
+restarts again.  Among states of equal ``f`` the one with the longer
 path so far pops first, so plateaus of equal-cost states are walked
 depth-first.
 
@@ -142,46 +148,63 @@ def cost_to_go(
     view: NetView,
     target_dirs: Mapping[tuple[int, int], frozenset[int] | None],
     cost_order: CostOrder,
-) -> tuple[np.ndarray, int]:
-    """Exact lexicographic cost-to-go of every in-bounds state of the
-    view's net towards the targets, relaxed only by ignoring U-turn bans
-    (the admissible direction).
+    start: tuple[int, int] | None = None,
+    start_dirs: Iterable[int] = range(4),
+) -> tuple[np.ndarray, int, int | None]:
+    """Lexicographic cost-to-go of the view's net towards the targets,
+    relaxed only by ignoring U-turn bans (the admissible direction):
+    exact wherever a search from ``start`` can pop, a lower bound
+    elsewhere.
 
     ``target_dirs`` maps target points to their accepted arrival
     direction indices (``None`` for any), as the search's goal test reads
-    them.  Returns ``(field, shift)``: ``field[0][y - y1][x - x1]`` is the
+    them; ``start_dirs`` are the start's direction indices.  Returns
+    ``(field, shift, budget)``: ``field[0][y - y1][x - x1]`` is the
     cost-to-go of a state at ``(x, y)`` travelling horizontally,
     ``field[1]`` of one travelling vertically, packed into one int64 as
     ``(bends << 2 * shift) + (first << shift) + second``, where
     ``(first, second)`` is ``(crossings, length)`` — or
     ``(length, crossings)`` under the ``-s`` order — so packed values
-    compare like :meth:`CostOrder.key` tuples.  ``-1`` marks states from
-    which no completion exists, and states on a stop of their own axis
-    (never entered; the search bounds starts there itself).
+    compare like :meth:`CostOrder.key` tuples.  ``-1`` marks states on a
+    stop of their own axis (never entered; the search bounds starts there
+    itself).
 
     This is the paper's line expansion run backwards from the targets,
     with costs attached to the segment wavefront.  Wave ``k`` holds every
     free interval (maximal stop-free run of a row or column) some target
-    reaches with ``k`` bends.  Intervals are labelled by a cumulative sum
-    along each line, and each wave is found as whole intervals: a
-    bendable point joins its row interval to its column interval one
-    bend apart.  Then, wave by wave, every point of a wave-``k`` interval
-    takes the cheapest seed of its interval plus the straight run to it.
-    Wave-0 seeds are the accepted targets (value 0); wave-``k`` seeds are
-    the interval's bendable points whose other-axis state is on wave
-    ``k - 1``, with that state's value.  A bendable point is free on
+    reaches with ``k`` bends: a breadth-first search over the interval
+    graph, whose edges are the bendable points joining a row interval to
+    a column interval.  Then, wave by wave, every point of a wave-``k``
+    interval takes the cheapest seed of its interval plus the straight
+    run to it.  Wave-0 seeds are the accepted targets (value 0); wave-``k``
+    seeds are the interval's bendable points whose other-axis state is on
+    wave ``k - 1``, with that state's value.  A bendable point is free on
     both axes or on neither, so these seeds also cover a state bending
     where it stands.
+
+    Without a ``start`` — or with one outside the plane or on a stop of
+    an axis it may leave on, which has no interval to start from — every
+    interval a target reaches is swept, the rest are ``-1`` and
+    ``budget`` is ``None``.  With one, only the *corridor* is swept.  The
+    budget ``B`` is the least wave of the start's intervals on its
+    allowed axes, its exact relaxed bend count; ``u`` is the forward bend
+    wave from those intervals, and the corridor holds every interval
+    with ``u + wave <= B``: every state a minimum-bend relaxed path from
+    the start passes.  The seeds of a wave-``k`` corridor interval lie on
+    wave-``k - 1`` intervals one forward wave away at most, so inside the
+    corridor too, and every corridor state gets the exact value above.
+    Any other state gets ``(min(wave, B + 1), 0, 0)``: its bends are
+    exact up to the budget, and a search that has spent ``g`` bends on
+    reaching it has ``g >= u`` and so ``g + wave > B``.  When no start
+    interval is reached at all, every state is ``-1``.
     """
     stop_h, stop_v, bendable, cross_h, cross_v = view.grids()
     ny, nx = stop_h.shape
     n = ny * nx
     # Both axes as flat arrays in line order: rows for horizontal travel,
-    # columns for vertical.  ``to_v[f]`` is where the point at index
-    # ``f`` of the row order sits in the column order; ``to_h`` inverts.
-    to_v = np.arange(n, dtype=np.int32).reshape(nx, ny).T.ravel()
-    to_h = np.arange(n, dtype=np.int32).reshape(ny, nx).T.ravel()
-    perm = (to_v, to_h)
+    # columns for vertical.  ``lines[a]`` is axis ``a``'s (lines, points
+    # per line); :func:`_transposed` maps positions between the orders.
+    lines = ((ny, nx), (nx, ny))
     # Both cost components of any candidate — an optimal completion,
     # which enters each state at most once, plus one straight run — fit
     # in ``shift`` bits, so packed sums never carry between them.
@@ -189,33 +212,52 @@ def cost_to_go(
     shift = cap.bit_length()
     unit = 1 << shift
     crossings_first = cost_order is CostOrder.BENDS_CROSSINGS_LENGTH
-    lab, n_lab, excl, incl = [], [], [], []
-    for stop, cross in ((stop_h, cross_h), (stop_v.T, cross_v.T)):
+    lab, n_lab, runs, segments = [], [], [], []
+    for stop in (stop_h, stop_v.T):
         stop = np.ascontiguousarray(stop)
         # A free point starts an interval when the point before it on its
-        # line is a stop or the plane border.  Counting starts in line
-        # order numbers the intervals; every line's first free point is a
-        # start, so no label spans two lines.  Stops get the sentinel
-        # label, whose wave stays unreached.
+        # line is a stop or the plane border, and ends one when the point
+        # after it is.  Intervals are numbered in line order, and the
+        # order alternates runs of stops and intervals: ``label`` and
+        # ``size`` list those runs, stops under the sentinel label
+        # ``count``, whose wave stays unreached.
         first = ~stop
         first[:, 1:] &= stop[:, :-1]
-        labels = np.cumsum(first.ravel(), dtype=np.int32)
-        labels -= 1
-        count = int(labels[-1]) + 1 if n else 0
-        labels[stop.ravel()] = count
-        lab.append(labels)
+        last = ~stop
+        last[:, :-1] &= stop[:, 1:]
+        begin = np.flatnonzero(first)
+        end = np.flatnonzero(last) + 1
+        count = begin.size
+        label = np.full(2 * count + 1, count, dtype=np.int32)
+        label[1::2] = np.arange(count)
+        size = np.empty(2 * count + 1, dtype=np.int64)
+        size[0] = begin[0] if count else n
+        size[1::2] = end - begin
+        size[2::2] = np.append(begin[1:], n) - end
+        lab.append(np.repeat(label, size))
         n_lab.append(count)
-        # Packed cost of entering each point, summed along the line up to
-        # and excluding / including the point: a straight run from ``p``
-        # to ``b`` costs ``excl[p] - excl[b]`` leftwards and
-        # ``incl[b] - incl[p]`` rightwards.
-        step = cross * unit + 1 if crossings_first else cross + unit
-        total = np.cumsum(step, axis=1)
-        incl.append(total.ravel())
-        excl.append((total - step).ravel())
-    corner_h = ~stop_h.ravel() & ~stop_v.ravel() & bendable.ravel()
-    corner = (corner_h, corner_h[to_h])
-    waves = [np.full(c + 1, _UNREACHED) for c in n_lab]
+        runs.append((begin, end - begin))
+        segments.append((label, size))
+    # The interval graph: a node per interval of either axis, axis 1's
+    # numbered after axis 0's and each axis's sentinel, and an edge per
+    # bendable point, joining its row interval to its column interval.
+    # A line order meets the points in label order, so a node's edges
+    # are one slice, ``adj[ptr[i]:ptr[i + 1]]``.
+    corner = ~stop_h & ~stop_v & bendable
+    corner_v = np.ascontiguousarray(corner.T)
+    first_id = (0, n_lab[0] + 1)
+    grid_lab = (lab[0].reshape(lines[0]), lab[1].reshape(lines[1]))
+    adj = np.concatenate(
+        (grid_lab[1].T[corner] + first_id[1], grid_lab[0].T[corner_v])
+    )
+    degree = [
+        np.add.reduceat(grid.ravel(), run[0], dtype=np.int64)
+        for grid, run in ((corner, runs[0]), (corner_v, runs[1]))
+    ]
+    degree = np.concatenate((degree[0], [0], degree[1], [0]))  # sentinels: none
+    ptr = np.concatenate(([0], np.cumsum(degree)))
+    wave = np.full(degree.size, _UNREACHED, dtype=np.int64)
+    waves = (wave[: first_id[1]], wave[first_id[1]:])
     # Seeds mirror the goal-acceptance rule, per arrival axis, so every
     # acceptable goal state reads cost 0.
     targets: tuple[list[int], list[int]] = ([], [])
@@ -230,80 +272,162 @@ def cost_to_go(
             if lab[axis][f] < n_lab[axis]:
                 waves[axis][lab[axis][f]] = 0
                 targets[axis].append(f)
-    # The bend waves: one edge per bendable point, between its row and
-    # column intervals.
-    corners = np.flatnonzero(corner_h)
-    edge_h, edge_v = lab[0][corners], lab[1][to_v[corners]]
-    wave_h, wave_v = waves
+    # The start's interval on each axis it may leave on, if it has one.
+    entry = None
+    if start is not None:
+        i, j = start[1] - y1, start[0] - x1
+        if 0 <= i < ny and 0 <= j < nx:
+            axes = {d >> 1 for d in start_dirs}
+            at = [int(lab[a][i * nx + j if a == 0 else j * ny + i]) for a in axes]
+            if axes and all(s < n_lab[a] for a, s in zip(axes, at)):
+                entry = [first_id[a] + s for a, s in zip(axes, at)]
+    # The bend waves, frontier by frontier; with an entry they stop at
+    # the first wave holding one of its intervals.
+    front = np.flatnonzero(wave == 0)
     level = 0
+    budget = None
     while True:
-        up_v = edge_v[wave_h[edge_h] == level]
-        up_v = up_v[wave_v[up_v] == _UNREACHED]
-        up_h = edge_h[wave_v[edge_v] == level]
-        up_h = up_h[wave_h[up_h] == _UNREACHED]
-        if not (up_v.size or up_h.size):
+        if entry is not None and wave[entry].min() <= level:
+            budget = level
+            break
+        front = _frontier(_neighbours(front, ptr, adj), wave == _UNREACHED)
+        if not front.size:
             break
         level += 1
-        wave_v[up_v] = level
-        wave_h[up_h] = level
-    # Lay each axis out by wave once: a stable sort keeps every interval
-    # contiguous and in line order within its wave, so each wave's sweep
-    # reads slices.  ``rank[a][f]`` is the sorted position of point ``f``.
-    point_wave = [w[labels] for w, labels in zip(waves, lab)]
-    key_type = np.int16 if level < np.iinfo(np.int16).max else np.int32
-    order, bounds, rank = [], [], []
-    for pw in point_wave:
-        key = np.minimum(pw, level + 1).astype(key_type)
-        o = np.argsort(key, kind="stable")
-        r = np.empty(n, dtype=np.int32)
-        r[o] = np.arange(n, dtype=np.int32)
-        b = np.searchsorted(key[o], np.arange(level + 2)).tolist()
-        order.append(o[: b[-1]])
-        bounds.append(b)
-        rank.append(r)
-    # One offset span per call, wider than every entry of every sweep:
-    # each interval's entries are offset by its label times the span, so
+        wave[front] = level
+    if entry is None:
+        member = wave < _UNREACHED
+    elif budget is None:
+        return np.full((2, ny, nx), -1, dtype=np.int64), shift, None
+    else:
+        # The corridor, as forward waves from the entry that only enter
+        # intervals with room left for their backward wave: every
+        # interval on a shortest forward path to a corridor interval is
+        # in the corridor itself.
+        member = np.zeros(wave.size, dtype=bool)
+        front = np.array([s for s in entry if wave[s] == budget])
+        member[front] = True
+        for room in range(budget - 1, -1, -1):
+            front = _frontier(_neighbours(front, ptr, adj), ~member & (wave <= room))
+            member[front] = True
+        level = budget
+    members = (member[: first_id[1]], member[first_id[1]:])
+    # Lay each axis's swept intervals out by wave, in line order within a
+    # wave, so each wave's sweep reads slices.  A swept point ``f`` of
+    # axis ``a`` sits at ``to_layout[a][lab[a][f]] + f`` in the layout.
+    points, bounds, to_layout, sweeps = [], [], [], []
+    for a in (0, 1):
+        ids = np.flatnonzero(members[a])
+        ids = ids[np.argsort(waves[a][ids], kind="stable")]
+        begin, size = runs[a][0][ids], runs[a][1][ids]
+        at = _ranges(begin, size)
+        other = _ranges(_transposed(begin, lines[a]), size, lines[a][0])
+        ends = np.concatenate(([0], np.cumsum(size)))
+        points.append(at)
+        wave_ends = np.searchsorted(waves[a][ids], np.arange(level + 2))
+        bounds.append(ends[wave_ends].tolist())
+        to = np.empty(n_lab[a] + 1, dtype=np.int64)
+        to[ids] = ends[:-1] - begin
+        to_layout.append(to)
+        at_h = at if a == 0 else other
+        # Which wave's other-axis state seeds each point: a bendable
+        # point's, or -1 (seeding wave 0) at an accepted target.
+        seeded_by = np.where(
+            corner.ravel()[at_h], waves[1 - a][lab[1 - a][other]], -2
+        )
+        swept = [to[lab[a][f]] + f for f in targets[a] if members[a][lab[a][f]]]
+        seeded_by[swept] = -1
+        # Packed cost of entering each point, summed over the layout up
+        # to and excluding / including the point: within an interval a
+        # straight run from ``p`` to ``b`` costs ``excl[p] - excl[b]``
+        # leftwards and ``incl[b] - incl[p]`` rightwards.
+        cross = (cross_h if a == 0 else cross_v).ravel()[at_h]
+        step = cross * unit + 1 if crossings_first else cross + unit
+        incl = np.cumsum(step)
+        # Each interval's place in the layout, to offset its entries by.
+        place = np.repeat(np.arange(ids.size), size)
+        sweeps.append([seeded_by, other, place, incl - step, incl])
+    # One offset span per call, wider than every entry of every sweep, so
     # a running minimum never crosses into the next interval.  Seeds are
     # optimal completions, whose components are at most ``cap``.
-    reach = max(int(a.max()) for a in incl) if n else 0
+    reach = max((int(sw[4][-1]) for sw in sweeps if sw[4].size), default=0)
     none = (cap << shift) + cap + 2 * reach + 1  # above every candidate
     span = none + reach + 1
     wide = max(n_lab) * span + none >= _INT64_LIMIT
-    sweeps = []
-    for a in (0, 1):
-        o = order[a]
-        other = perm[a][o]
-        # Which wave's other-axis state seeds each point: a bendable
-        # point's, or -1 (seeding wave 0) at an accepted target.
-        seeded_by = np.where(corner[a][o], point_wave[1 - a][other], -2)
-        seeded_by[rank[a][targets[a]]] = -1
-        offset = lab[a][o].astype(np.int64) * span
-        before, upto = excl[a][o], incl[a][o]
+    for sweep in sweeps:
+        sweep[2] = sweep[2] * span
         if wide:
-            offset, before, upto = (x.astype(object) for x in (offset, before, upto))
-        sweeps.append((seeded_by, rank[1 - a][other], offset, before, upto))
-    value = (np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
+            sweep[2:] = (x.astype(object) for x in sweep[2:])
+    value = [np.zeros(at.size, dtype=np.int64) for at in points]
     for k in range(level + 1):
         for a in (0, 1):
             lo, hi = bounds[a][k], bounds[a][k + 1]
             if lo == hi:
                 continue
-            seeded_by, at_other, offset, before, upto = (x[lo:hi] for x in sweeps[a])
+            seeded_by, other, offset, before, upto = (x[lo:hi] for x in sweeps[a])
             seeds = np.flatnonzero(seeded_by == k - 1)
+            seed_value = 0
+            if k:
+                at = other[seeds]
+                seed_value = value[1 - a][at + to_layout[1 - a][lab[1 - a][at]]]
             value[a][lo:hi] = _sweep(
                 seeds,
-                value[1 - a][at_other[seeds]] if k else 0,
+                seed_value,
                 offset,
                 before,
                 upto,
                 none,
             )
-    field = np.full((2, n), -1, dtype=np.int64)
+    # Every state of an unswept interval carries its wave, capped at one
+    # past the budget; stops, and without a budget every unreached
+    # interval, carry -1.
+    field = np.empty((2, ny, nx), dtype=np.int64)
     for a in (0, 1):
-        o = order[a]
-        field[a][o] = (point_wave[a][o] << (2 * shift)) + value[a][: o.size]
-    field[1] = field[1][to_v]
-    return field.reshape(2, ny, nx), shift
+        base = waves[a].copy()
+        if budget is None:
+            missing = base == _UNREACHED
+            base[missing] = 0
+        else:
+            np.minimum(base, budget + 1, out=base)
+            missing = -1
+        base <<= 2 * shift
+        base[missing] = -1
+        line = np.repeat(base[segments[a][0]], segments[a][1])
+        line[points[a]] += value[a]
+        field[a] = line.reshape(lines[a]) if a == 0 else line.reshape(lines[a]).T
+    return field, shift, budget
+
+
+def _transposed(f: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Positions of C-order points ``f`` of a ``shape`` array in its
+    transpose's C order."""
+    q, r = np.divmod(f, shape[1])
+    return r * shape[0] + q
+
+
+def _ranges(begin: np.ndarray, size: np.ndarray, stride: int = 1) -> np.ndarray:
+    """The runs ``begin[i] + stride * t`` for ``t < size[i]``,
+    concatenated."""
+    total = np.cumsum(size)
+    steps = np.arange(int(total[-1]) if total.size else 0)
+    if stride != 1:
+        steps *= stride
+    return np.repeat(begin - (total - size) * stride, size) + steps
+
+
+def _neighbours(front: np.ndarray, ptr: np.ndarray, adj: np.ndarray) -> np.ndarray:
+    """Every adjacency entry of the frontier's intervals."""
+    lo = ptr[front]
+    return adj[_ranges(lo, ptr[front + 1] - lo)]
+
+
+def _frontier(ids: np.ndarray, admit: np.ndarray) -> np.ndarray:
+    """The distinct ``ids`` the interval mask ``admit`` allows, in
+    order."""
+    mark = np.zeros(admit.size, dtype=bool)
+    mark[ids] = True
+    mark &= admit
+    return np.flatnonzero(mark)
 
 
 def _sweep(
@@ -703,12 +827,21 @@ def route_connection(
     # component at the nearest target, while congested connections need
     # 4-11 bends, so the search floods plateaus of equal-bend states.
     # Such a connection escalates: :func:`cost_to_go` computes the
-    # *exact* (bends, crossings, length) cost-to-go of every state
-    # (relaxed only by ignoring U-turn bans) and the search restarts
-    # under it.  Expansions spent before the restart stay counted; the
-    # budget keeps that waste small against the tail it removes.
+    # *exact* (bends, crossings, length) cost-to-go (relaxed only by
+    # ignoring U-turn bans) of every state a search from the start can
+    # pop while its bends stay within the start's relaxed bend count,
+    # ``budget``, and the search restarts under it.  When start-direction
+    # or arrival constraints make the optimum bendier than that, the
+    # heap's minimum outgrows the budget before any goal pops: the field
+    # widens once to every interval a target reaches and the search
+    # restarts again.
+    # Expansions spent before a restart stay counted; the escalation
+    # threshold keeps that waste small against the tail it removes.
     field = memoryview(b"")
     plane_cells = nx = s1 = s2 = mask = 0
+    budget: int | None = None
+    field_s = 0.0
+    dir_indices = [_DIR_INDEX[d] for d in start_directions]
 
     def heur_exact(qx: int, qy: int, di: int) -> tuple[int, int, int] | None:
         """The field's cost-to-go in key order; ``None`` prunes states no
@@ -727,21 +860,28 @@ def route_connection(
     fx2, fy2 = max(sx, tx2), max(sy, ty2)
 
     while heap:
-        if not escalated and expanded >= _ESCALATE_AFTER:
-            escalated = True
-            grid, s1 = cost_to_go(view, target_dirs, cost_order)
+        widen = budget is not None and heap[0][0][0] > budget
+        if widen or (not escalated and expanded >= _ESCALATE_AFTER):
+            t_field = time.perf_counter()
+            grid, s1, budget = cost_to_go(
+                view, target_dirs, cost_order, None if widen else (sx, sy), dir_indices
+            )
+            field_s += time.perf_counter() - t_field
             field = memoryview(grid.reshape(-1))
             plane_cells, nx = grid.shape[1] * grid.shape[2], grid.shape[2]
             s2, mask = 2 * s1, (1 << s1) - 1
             cur_heur = heur_exact
-            counters.inc("route.heur_escalations")
-            if stats is not None:
-                stats.escalations += 1
+            if widen:
+                counters.inc("route.field_widenings")
+            else:
+                escalated = True
+                counters.inc("route.heur_escalations")
+                if stats is not None:
+                    stats.escalations += 1
             heap = []
             best = {}
             parents = {}
-            for d in start_directions:
-                di = _DIR_INDEX[d]
+            for di in dir_indices:
                 state = (sx, sy, di)
                 best[state] = zero
                 parents[state] = None
@@ -847,6 +987,7 @@ def route_connection(
             ),
             "cost": list(final_cost) if final_cost else None,
             "escalated": escalated,
+            "field_s": round(field_s, 6),
             "found": found,
             "area": (fx2 - fx1 + 1) * (fy2 - fy1 + 1),
             "seconds": round(time.perf_counter() - t_search, 6),

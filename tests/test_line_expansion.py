@@ -1,6 +1,10 @@
 """Unit tests for the line-expansion router core."""
 
+import pytest
+
 from repro.core.geometry import Direction, Point, Rect, path_bends, path_length
+from repro.obs import counters
+from repro.route import line_expansion
 from repro.route.line_expansion import (
     CostOrder,
     SearchStats,
@@ -8,6 +12,7 @@ from repro.route.line_expansion import (
     start_directions_for,
 )
 from repro.route.plane import Plane
+from repro.route.reference import route_connection_reference
 
 
 def _plane(w=30, h=30) -> Plane:
@@ -113,19 +118,32 @@ class TestObstacleSemantics:
 
 
 class TestTargetDirections:
-    def test_arrival_direction_respected(self):
+    @pytest.mark.parametrize(
+        "escalate_after",
+        [line_expansion._ESCALATE_AFTER, 0],
+        ids=["default", "forced"],
+    )
+    def test_arrival_direction_respected(self, monkeypatch, escalate_after):
+        # Leaving upwards and arriving rightwards costs 3 bends, but the
+        # U-turn relaxation's budget from the start is 1: an escalated
+        # search outgrows its corridor and widens the field exactly once.
+        monkeypatch.setattr(line_expansion, "_ESCALATE_AFTER", escalate_after)
+        reg = counters.get_registry()
+        widened = reg.get("route.field_widenings")
         p = _plane()
         target = Point(10, 10)
-        r = route_connection(
-            p,
-            "n",
-            Point(10, 0),
-            [Direction.UP],
-            {target: frozenset({Direction.RIGHT})},
-        )
+        arrive_right = {target: frozenset({Direction.RIGHT})}
+        args = (p, "n", Point(10, 0), [Direction.UP], arrive_right)
+        r = route_connection(*args)
+        ref = route_connection_reference(*args)
         assert r is not None
+        assert (r.bends, r.crossings, r.length) == (
+            ref.bends, ref.crossings, ref.length
+        )
+        assert r.bends == 3
         # Last move into the target must be rightward.
         assert r.path[-2].y == target.y and r.path[-2].x < target.x
+        assert reg.get("route.field_widenings") - widened == (escalate_after == 0)
 
     def test_start_directions_for(self):
         assert start_directions_for(None) == list(Direction)

@@ -11,9 +11,11 @@ Two layers of evidence:
   (bends, crossings, length) as the snapshot-rebuilding reference
   Dijkstra on randomized scenes, under both tie-break orders, also when
   every connection escalates to the interval-sweep cost-to-go, and that
-  field equals a per-state Dijkstra on the U-turn relaxation.
+  field equals a per-state Dijkstra on the U-turn relaxation: at every
+  state without a start, on the start's corridor with one.
 """
 
+import collections
 import copy
 import heapq
 import random
@@ -21,6 +23,7 @@ import random
 import numpy as np
 
 from repro.core.geometry import Direction, Orientation, Point, Rect
+from repro.obs import counters
 from repro.place.pablo import PabloOptions, place_network
 from repro.route import line_expansion
 from repro.route.eureka import RouterOptions, route_diagram
@@ -344,10 +347,16 @@ class TestAStarMatchesReference:
         # Escalating at the first pop runs every connection under the
         # exact bend bound, starts on a foreign wire included: the search
         # only has to leave such a start, so it must not be pruned.
+        # Start-direction and arrival constraints can make the optimum
+        # bendier than the relaxation's budget from the start, so some
+        # connections must widen the field to the whole plane.
         monkeypatch.setattr(line_expansion, "_ESCALATE_AFTER", 0)
+        reg = counters.get_registry()
+        widened = reg.get("route.field_widenings")
         for order in CostOrder:
             for seed in range(60):
                 self._compare(seed, order)
+        assert reg.get("route.field_widenings") > widened
 
     def test_astar_never_expands_more(self):
         # The admissible heuristic may only prune, never add, expansions
@@ -366,14 +375,11 @@ class TestAStarMatchesReference:
         assert total_a < total_b
 
 
-def _reference_cost_to_go(view, target_dirs, cost_order):
-    """Per-state Dijkstra, backwards from the goal states, on the U-turn
-    relaxation: a state ``(x, y, axis)`` (axis 0 horizontal, 1 vertical)
-    may run on along its axis in either sense, paying each entered
-    point's crossings and one length, or bend where it stands for one
-    bend.  Goal states follow the search's acceptance rule.  Returns
-    ``{state: key-order cost tuple}`` for every state with a
-    completion."""
+def _relaxation(view):
+    """The U-turn relaxation's point rules for a view: whether a state
+    ``(x, y, axis)`` (axis 0 horizontal, 1 vertical) sits on a stop of
+    its axis or outside the plane, and whether ``(x, y)`` admits a
+    bend."""
     x1, y1, x2, y2 = view.x1, view.y1, view.x2, view.y2
 
     def stops(x, y, axis):
@@ -382,6 +388,19 @@ def _reference_cost_to_go(view, target_dirs, cost_order):
 
     def bendable(x, y):
         return not view.foreign_at(Point(x, y))
+
+    return stops, bendable
+
+
+def _reference_cost_to_go(view, target_dirs, cost_order):
+    """Per-state Dijkstra, backwards from the goal states, on the U-turn
+    relaxation: a state ``(x, y, axis)`` may run on along its axis in
+    either sense, paying each entered point's crossings and one length,
+    or bend where it stands for one bend.  Goal states follow the
+    search's acceptance rule.  Returns ``{state: key-order cost tuple}``
+    for every state with a completion."""
+    x1, y1, x2, y2 = view.x1, view.y1, view.x2, view.y2
+    stops, bendable = _relaxation(view)
 
     def entry(x, y, axis):
         cross = view.crossings_at(Point(x, y), axis == 0)
@@ -420,6 +439,30 @@ def _reference_cost_to_go(view, target_dirs, cost_order):
     return dist
 
 
+def _reference_forward_bends(view, start, start_dirs):
+    """Per-state 0-1 BFS, forwards from the start's states on the axes
+    of ``start_dirs``, on the same relaxation: the fewest bends that
+    reach each state."""
+    stops, bendable = _relaxation(view)
+    dist = {}
+    queue = collections.deque(
+        (0, (*start, axis)) for axis in {d >> 1 for d in start_dirs}
+    )
+    while queue:
+        bends, state = queue.popleft()
+        if state in dist:
+            continue
+        dist[state] = bends
+        x, y, axis = state
+        dx, dy = (1, 0) if axis == 0 else (0, 1)
+        for qx, qy in ((x - dx, y - dy), (x + dx, y + dy)):
+            if not stops(qx, qy, axis):
+                queue.appendleft((bends, (qx, qy, axis)))
+        if bendable(x, y) and not stops(x, y, 1 - axis):
+            queue.append((bends + 1, (x, y, 1 - axis)))
+    return dist
+
+
 def _decode(value: int, shift: int):
     if value < 0:
         return None
@@ -431,7 +474,9 @@ class TestBendDistance:
     """The escalation bound's interval sweep (:func:`cost_to_go`) equals
     a per-state Dijkstra on the U-turn relaxation — bends, crossings and
     length — for own, foreign and fresh nets, with ``allow`` points and
-    claims in play, under both cost orders."""
+    claims in play, under both cost orders: at every state without a
+    start, and with one on the start's corridor, staying admissible with
+    exact bends up to the budget everywhere else."""
 
     def _check(self, plane: Plane, rng: random.Random) -> int:
         """Compare every state of a 23x23 plane; return the most bends
@@ -450,7 +495,8 @@ class TestBendDistance:
             view = plane.index.view(net, allow)
             target_dirs = {(p.x, p.y): d for p, d in targets.items()}
             for order in CostOrder:
-                field, shift = cost_to_go(view, target_dirs, order)
+                field, shift, budget = cost_to_go(view, target_dirs, order)
+                assert budget is None
                 want = _reference_cost_to_go(view, target_dirs, order)
                 for x, y in grid:
                     for axis in (0, 1):
@@ -465,7 +511,49 @@ class TestBendDistance:
                         )
                         if got is not None:
                             deepest = max(deepest, got[0])
+                for _ in range(3):
+                    start = rng.choice(grid)
+                    dirs = rng.sample(range(4), rng.randrange(1, 5))
+                    self._check_corridor(
+                        view, target_dirs, order, start, dirs, field, want
+                    )
         return deepest
+
+    def _check_corridor(self, view, target_dirs, order, start, dirs, whole, want):
+        """The field from ``start`` against the references: exact on every
+        state whose forward plus backward relaxed bends equal the start's
+        budget, ``(min(bends, budget + 1), 0, 0)`` elsewhere."""
+        field, shift, budget = cost_to_go(
+            view, target_dirs, order, (start.x, start.y), dirs
+        )
+        axes = {d >> 1 for d in dirs}
+        if any(view._stops(start, axis == 1) for axis in axes):
+            # No start interval: the whole-plane field.
+            assert budget is None and np.array_equal(field, whole)
+            return
+        states = [(start.x, start.y, axis) for axis in axes]
+        reached = [want[s][0] for s in states if s in want]
+        if not reached:
+            assert budget is None and (field == -1).all()
+            return
+        assert budget == min(reached)
+        forward = _reference_forward_bends(view, (start.x, start.y), dirs)
+        context = (order, start, dirs)
+        for x in range(23):
+            for y in range(23):
+                for axis in (0, 1):
+                    got = _decode(int(field[axis][y][x]), shift)
+                    if view._stops(Point(x, y), axis == 1):
+                        assert got is None, (*context, x, y, axis)
+                        continue
+                    exact = want.get((x, y, axis))
+                    bends = budget + 1 if exact is None else exact[0]
+                    if forward.get((x, y, axis), budget + 1) + bends == budget:
+                        assert got == exact, (*context, x, y, axis, got, exact)
+                    else:
+                        cheap = (min(bends, budget + 1), 0, 0)
+                        assert got == cheap, (*context, x, y, axis, got, cheap)
+                    assert exact is None or got <= exact, (*context, x, y, axis)
 
     def test_matches_per_point_expansion(self):
         for seed in range(30):
@@ -485,17 +573,20 @@ class TestBendDistance:
 
     def test_exact_beyond_int64(self, monkeypatch):
         # Sweeps whose offsets would leave int64 run on Python integers
-        # and return the same field.
+        # and return the same field, whole-plane and corridor alike.
         plane = _random_scene(4)
         view = plane.index.view("f0", frozenset({Point(3, 3), Point(19, 17)}))
         target_dirs = {(3, 3): None, (19, 17): frozenset({2})}
         for order in CostOrder:
-            want, shift = cost_to_go(view, target_dirs, order)
-            monkeypatch.setattr(line_expansion, "_INT64_LIMIT", 1)
-            got, got_shift = cost_to_go(view, target_dirs, order)
-            monkeypatch.undo()
-            assert got.dtype == np.int64 and got_shift == shift
-            assert np.array_equal(got, want)
+            for start in (None, (19, 3)):
+                args = (view, target_dirs, order, start, [0, 2])
+                want, shift, budget = cost_to_go(*args)
+                monkeypatch.setattr(line_expansion, "_INT64_LIMIT", 1)
+                got, got_shift, got_budget = cost_to_go(*args)
+                monkeypatch.undo()
+                assert got.dtype == np.int64 and got_shift == shift
+                assert got_budget == budget and (budget is None) == (start is None)
+                assert np.array_equal(got, want)
 
 
 class TestEscalatedSearch:

@@ -18,6 +18,7 @@ from repro.obs.runlog import (
     diff_records,
     stages_from_spans,
 )
+from repro.route import line_expansion
 from repro.service.jobs import JobSpec
 from repro.service.scheduler import BatchScheduler
 from repro.workloads.examples import example1_string
@@ -240,6 +241,28 @@ class TestInspectCli:
         assert rc == 0
         text = svg.read_text()
         assert "#d9534f" in text  # congestion underlay cells present
+
+    def test_explain_shows_field_time(
+        self, tmp_path, network_files, capsys, registry, monkeypatch
+    ):
+        # Every connection escalates, so every net spends time on the
+        # cost-to-go field; explain reports it per net next to the pops.
+        monkeypatch.setattr(line_expansion, "_ESCALATE_AFTER", 0)
+        log = str(tmp_path / "runs.jsonl")
+        assert inspect_main(["record"] + _net_args(network_files) + ["--runlog", log]) == 0
+        record = RunLog(log).load()[0]
+        search = record.extra["search"]
+        net, agg = max(search["nets"].items(), key=lambda kv: kv[1]["field_s"])
+        rows = [row for row in search["connections"] if row["net"] == net]
+        assert agg["field_s"] > 0
+        assert agg["field_s"] == pytest.approx(
+            sum(row["field_s"] for row in rows), abs=1e-5
+        )
+        capsys.readouterr()
+        assert inspect_main(["explain", record.run_id, net, "--runlog", log]) == 0
+        out = capsys.readouterr().out
+        assert f"field_s       {agg['field_s']:.4f}" in out
+        assert "per-connection search detail" in out
 
     def test_unknown_run_id_is_usage_error(self, tmp_path, capsys):
         log = RunLog(tmp_path / "runs.jsonl")
