@@ -2,7 +2,7 @@
 
 The gateway's reason to exist is cold-start elimination: a forked-once
 pool with warm imports should push a 12-job batch through at a multiple
-of what per-batch ``ProcessPoolExecutor`` spin-up allows.  These rows
+of what a per-run ``WorkerPool`` spin-up allows.  These rows
 land next to the cold/warm batch numbers in ``BENCH_service.json``
 (mode ``serve``), together with HTTP p50/p95 request latencies read off
 the gateway's own ``gateway.request_s`` histogram.
@@ -46,7 +46,8 @@ def _specs() -> list[JobSpec]:
 
 @pytest.fixture(scope="module")
 def cold_reference() -> dict:
-    """Cold 4-worker executor batch, measured once: the daemon's rival."""
+    """Cold 4-worker batch on a pool opened for the run, measured once:
+    the daemon's rival."""
     specs = _specs()
     sched = BatchScheduler(max_workers=4, serial_threshold=None)
     started = time.perf_counter()
@@ -165,8 +166,8 @@ def test_bench_gateway_summary(experiment_store, cold_reference):
 
     # Structural wins that hold on any hardware: the serial fast path and
     # a single warm worker both eliminate per-batch spawn cost, so
-    # neither may lose to the cold 4-worker executor outright (0.9 slack
-    # absorbs run-to-run executor variance, which is large).
+    # neither may lose to the cold 4-worker batch outright (0.9 slack
+    # absorbs its run-to-run variance, which is large).
     assert serial >= 0.9 * cold_jps, (
         f"serial fast path ({serial}/s) lost to cold batch ({cold_jps}/s) — "
         "the cold-start regression is back"

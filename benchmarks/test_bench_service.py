@@ -32,9 +32,9 @@ def test_bench_cold_batch(benchmark, experiment_store, tmp_path, workers):
     specs = _specs()
 
     def cold():
-        # serial_threshold=None forces the per-batch executor so "cold"
-        # keeps measuring pool spin-up (the daemon/serial rows in
-        # test_bench_gateway.py measure the warm alternatives).
+        # serial_threshold=None forces a WorkerPool opened for this run
+        # so "cold" keeps measuring pool spin-up (the daemon/serial rows
+        # in test_bench_gateway.py measure the warm alternatives).
         sched = BatchScheduler(
             max_workers=workers,
             cache=ResultCache(tmp_path / "c"),

@@ -10,10 +10,11 @@ The first four mirror the paper's programs (Appendices B, E and F):
 
 ``artwork-batch`` runs the pipeline as a service over JSON manifests of
 many networks (file triples and/or a generated workload), fanning jobs
-across a process pool with a content-addressed result cache, and emits
-per-job SVG/ESCHER outputs plus an aggregate Table-6.1-style report.
-With ``--keep-warm`` the pool is forked once and reused across
-manifests; tiny batches short-circuit to an in-process serial path.
+across the supervised worker pool (:mod:`repro.gateway.pool`) with a
+content-addressed result cache, and emits per-job SVG/ESCHER outputs
+plus an aggregate Table-6.1-style report.  Each manifest forks its own
+pool unless ``--keep-warm`` forks one and reuses it across manifests;
+tiny batches short-circuit to an in-process serial path.
 
 ``artwork-serve`` keeps the whole pipeline resident: a stdlib asyncio
 HTTP + WebSocket gateway (:mod:`repro.gateway`) over the same warm

@@ -1,18 +1,15 @@
 """Persistent worker pool: fork once, keep imports and caches warm.
 
-``BENCH_service.json`` showed the per-batch :class:`ProcessPoolExecutor`
-does not scale — pool spin-up and per-job pickling dominate sub-30ms
-jobs (42.5 jobs/s at 1 worker vs 38.3 at 4).  :class:`WorkerPool` fixes
-the structural half of that: worker processes are forked **once** (so
-the ``repro`` imports, module library and interned geometry all arrive
-warm via copy-on-write), live for the pool's lifetime, and take jobs
-one at a time from per-worker inboxes under parent-side dispatch.
+Worker processes are forked **once** (so the ``repro`` imports, module
+library and interned geometry all arrive warm via copy-on-write), live
+for the pool's lifetime, and take jobs one at a time from per-worker
+inboxes under parent-side dispatch.
 
 Parent-side, one-at-a-time dispatch buys exact failure attribution: the
 parent always knows which job a dead worker was holding, so a crashed
 worker (segfault, ``os._exit``, OOM kill) is replaced with a fresh fork
-and its job is retried once — no poisoned-pool collateral like the
-executor rounds had.  Per-job timeouts are enforced inside the worker
+and its job is retried once — a sibling's death never takes a healthy
+job down with it.  Per-job timeouts are enforced inside the worker
 via ``SIGALRM`` (:func:`repro.service.scheduler.run_with_timeout`) with
 a parent-side hard kill as the backstop for workers stuck outside the
 interpreter.  Results travel over **per-worker pipes** — one writer per
@@ -37,7 +34,8 @@ worker clamps its ``SIGALRM`` budget to the remaining time, so a
 client's patience bounds the compute spent on its behalf end to end.
 
 The pool is consumer-agnostic: :class:`~repro.service.scheduler.
-BatchScheduler` borrows it for ``artwork-batch --keep-warm``, and the
+BatchScheduler` runs every fanned-out batch on one (its own for the
+run, or a borrowed one under ``artwork-batch --keep-warm``), and the
 ``artwork-serve`` gateway (:mod:`repro.gateway.server`) drives it from
 an asyncio loop via the completion callbacks (which fire on the pool's
 collector thread — hop loops before touching loop state).
@@ -65,7 +63,7 @@ from ..service.scheduler import execute_job, run_with_timeout
 #: Sentinel for "use the pool's default timeout" in :meth:`WorkerPool.submit`.
 _DEFAULT = object()
 
-#: Message tags on the shared results queue (worker -> parent).
+#: Message tags on a worker's result pipe (worker -> parent).
 _MSG_DONE = "done"
 _MSG_EVENT = "event"
 
@@ -350,7 +348,6 @@ class WorkerPool:
         *,
         worker: Callable[..., dict] = execute_job,
         timeout: float | None = None,
-        retry_crashed: bool = True,
         poll_interval: float = 0.1,
         kill_grace: float = 2.0,
         start_method: str | None = None,
@@ -363,7 +360,6 @@ class WorkerPool:
         self.size = workers
         self.worker_fn = worker
         self.timeout = timeout
-        self.retry_crashed = retry_crashed
         self.poll_interval = poll_interval
         self.kill_grace = kill_grace
         self.restart_backoff = restart_backoff
@@ -548,7 +544,8 @@ class WorkerPool:
                 except OSError:  # a conn was closed mid-wait by a reaper
                     ready = []
             else:
-                time.sleep(self.poll_interval)
+                # close() sets the event: no worker pipe is left to wake us.
+                self._stopped.wait(self.poll_interval)
                 ready = []
             for conn in ready:
                 self._pump(conn)
@@ -722,7 +719,7 @@ class WorkerPool:
                 )
                 if timed_out:
                     ticket.attempts = MAX_ATTEMPTS  # a kill is not retried
-                elif self.retry_crashed and ticket.attempts < MAX_ATTEMPTS:
+                elif ticket.attempts < MAX_ATTEMPTS:
                     self._backlog.append(ticket)
                     continue
                 status = "timeout" if timed_out else "crashed"

@@ -81,7 +81,7 @@ from ..obs.window import WINDOWS, RollingWindow
 from ..render.svg import render_svg
 from ..service.cache import ResultCache
 from ..service.jobs import JobError, JobSpec
-from ..service.scheduler import BatchScheduler
+from ..service.scheduler import JobOutcome, record_outcome
 from .auth import TokenAuth
 from .journal import JobJournal
 from .pool import PoolClosedError, WorkerPool
@@ -1003,34 +1003,25 @@ class ArtworkGateway:
         )
 
     def _record_job(self, job: ServedJob) -> None:
-        """Fold one finished job into obs state, the result cache and the
-        run registry — the daemon twin of ``BatchScheduler._record``."""
+        """Fold one finished job into obs state and the run registry (via
+        :func:`~repro.service.scheduler.record_outcome`, which batch runs
+        share) and into the result cache."""
         payload = job.payload or {}
-        wall = float(payload.get("seconds", 0.0) or 0.0)
-        for reg in (self.registry, get_registry()):
-            reg.inc("service.jobs")
-            reg.inc(f"service.status.{job.status}")
-            reg.inc("service.cache_hits" if job.from_cache else "service.cache_misses")
-            if not job.from_cache:
-                reg.observe("service.job_wall_s", wall)
-        worker_counters = payload.get("counters")
-        if worker_counters and not job.from_cache:
-            self.registry.merge(worker_counters)
-            get_registry().merge(worker_counters)
+        record_outcome(
+            JobOutcome(job.spec, job.status, payload,
+                       from_cache=job.from_cache, attempts=job.attempts),
+            kind="serve",
+            registry=self.registry,
+            runlog=self.config.runlog,
+            extra={"job_id": job.id, "trace_id": job.trace_id},
+        )
         if (
             self.config.cache is not None
             and job.status == "ok"
             and not job.from_cache
         ):
             try:
-                self.config.cache.put(
-                    job.spec,
-                    {
-                        k: v
-                        for k, v in payload.items()
-                        if k not in BatchScheduler.TRANSIENT_KEYS
-                    },
-                )
+                self.config.cache.put(job.spec, payload)
             except OSError as exc:
                 # A full/broken disk costs the cache entry, not the job.
                 self._inc("gateway.cache_errors")
@@ -1038,34 +1029,6 @@ class ArtworkGateway:
                     "cache write failed",
                     extra={"fields": {"job": job.id, "error": str(exc)}},
                 )
-        if self.config.runlog is not None:
-            self.config.runlog.record(
-                kind="serve",
-                name=job.spec.name,
-                wall_seconds=wall,
-                spec_digest=job.digest,
-                stages=stages_from_spans(payload.get("trace") or []),
-                counters=worker_counters or {"counters": {}, "histograms": {}},
-                metrics=dict(payload.get("metrics", {}) or {}),
-                failures={
-                    net: {"reason": reason}
-                    for net, reason in (payload.get("failure_reasons") or {}).items()
-                },
-                congestion=dict(payload.get("congestion", {}) or {}),
-                profile="",
-                profile_windows=list(payload.get("profile") or []),
-                extra={
-                    "status": job.status,
-                    "from_cache": job.from_cache,
-                    "attempts": job.attempts,
-                    "job_id": job.id,
-                    "trace_id": job.trace_id,
-                    **(
-                        {"search": payload["search"]}
-                        if payload.get("search") else {}
-                    ),
-                },
-            )
         if job.status != "ok":
             self.log.warning(
                 "served job did not finish ok",

@@ -3,7 +3,8 @@
 The service layer turns the blocking one-network ``generate()`` call into
 a job-oriented pipeline: hashable :class:`JobSpec` s, a disk-backed
 :class:`ResultCache` keyed on the spec digest, and a
-:class:`BatchScheduler` that fans batches across a process pool.  The
+:class:`BatchScheduler` that fans batches across the supervised
+:class:`~repro.gateway.pool.WorkerPool`.  The
 ``artwork-batch`` CLI front end lives in :mod:`repro.cli`.
 """
 

@@ -32,6 +32,11 @@ RESULT_FILE = "result.json"
 #: result.json keys every valid entry must carry.
 _REQUIRED_KEYS = ("status", "metrics", "timing")
 
+#: Payload keys that describe *how* a run went, not *what* it made.
+#: :meth:`ResultCache.put` leaves them out, so a warm hit never replays
+#: the original run's spans, counters, trace id or profile windows.
+TRANSIENT_KEYS = ("trace", "counters", "trace_id", "profile")
+
 
 @dataclass
 class CacheStats:
@@ -116,10 +121,15 @@ class ResultCache:
     # -- write --------------------------------------------------------
 
     def put(self, spec: JobSpec, payload: dict) -> Path:
-        """Persist a result payload; returns the entry directory."""
+        """Persist a result payload, less its :data:`TRANSIENT_KEYS`;
+        returns the entry directory."""
         entry = self.entry_dir(spec.digest)
         entry.mkdir(parents=True, exist_ok=True)
-        sidecar = {k: v for k, v in payload.items() if k != "escher"}
+        sidecar = {
+            k: v
+            for k, v in payload.items()
+            if k != "escher" and k not in TRANSIENT_KEYS
+        }
         sidecar.setdefault("name", spec.name)
         sidecar["digest"] = spec.digest
         fault("cache.write")  # injectable disk-full / IO error

@@ -1,4 +1,4 @@
-"""Batch scheduler: fan jobs across a process-pool worker fleet.
+"""Batch scheduler: fan jobs across the supervised worker pool.
 
 The unit of work is :func:`execute_job` — a module-level (hence picklable)
 function that rebuilds the canonical network from a :class:`JobSpec`
@@ -6,27 +6,28 @@ payload, runs the full PABLO→EUREKA pipeline and returns a plain-dict
 result (ESCHER text + metrics + timing), which is also exactly what the
 :class:`~repro.service.cache.ResultCache` persists.
 
-The scheduler guarantees:
+Every job a cache hit or the serial fast path does not absorb runs on a
+:class:`~repro.gateway.pool.WorkerPool` — a borrowed one, or one opened
+for the run and closed before it returns — so batch runs get the same
+crash safety as the gateway.  The scheduler guarantees:
 
 * **deterministic ordering** — outcomes come back in submission order
   whatever the completion order or worker count;
 * **per-job timeouts** — enforced *inside* the worker with ``SIGALRM``,
-  so a slow job dies cleanly without poisoning the pool;
-* **retry-once on worker crash** — a job whose process died (segfault,
-  ``os._exit``, OOM kill) is resubmitted once on a fresh pool, because a
-  crash may be collateral damage from a sibling breaking the pool;
+  with the pool's parent-side kill as the backstop;
+* **retry-once on worker crash** — the pool replaces a dead worker and
+  runs its job once more; a second death is reported as ``crashed``;
 * **progress streaming** — an optional callback fires as each job reaches
-  its final outcome.
+  its final outcome, in completion order.
 """
 
 from __future__ import annotations
 
 import os
+import queue
 import signal
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -69,6 +70,17 @@ class JobOutcome:
     from_cache: bool = False
     attempts: int = 0
     error: str | None = None
+
+    @classmethod
+    def from_payload(cls, spec: JobSpec, payload: dict, attempts: int) -> "JobOutcome":
+        """The outcome a worker's result payload reports."""
+        return cls(
+            spec,
+            payload.get("status", "error"),
+            payload,
+            attempts=attempts,
+            error=payload.get("error"),
+        )
 
     @property
     def ok(self) -> bool:
@@ -194,9 +206,65 @@ def run_with_timeout(worker, timeout: float | None, payload: dict) -> dict:
         signal.signal(signal.SIGALRM, previous)
 
 
+def record_outcome(
+    outcome: JobOutcome,
+    *,
+    kind: str,
+    registry: Registry,
+    runlog: RunLog | None,
+    extra: dict,
+) -> None:
+    """Fold one finished job into the ``service.*`` counters and append
+    its run record.
+
+    Batch runs (``kind="job"``) and the gateway (``kind="serve"``) share
+    this: the counters land in the caller's ``registry`` and in the
+    process-global one, fresh jobs also merge their worker-side counters
+    there, and ``extra`` carries the caller's own record fields.
+    """
+    payload = outcome.payload or {}
+    job_wall = float(payload.get("seconds", 0.0) or 0.0)
+    worker_counters = payload.get("counters")
+    for reg in (registry, get_registry()):
+        reg.inc("service.jobs")
+        reg.inc(f"service.status.{outcome.status}")
+        reg.inc("service.cache_hits" if outcome.from_cache else "service.cache_misses")
+        if not outcome.from_cache:
+            # Job wall time as a histogram so percentiles land in the
+            # run registry, not just the human-readable report dict.
+            reg.observe("service.job_wall_s", job_wall)
+            if worker_counters:
+                reg.merge(worker_counters)
+    if runlog is None:
+        return
+    runlog.record(
+        kind=kind,
+        name=outcome.spec.name,
+        wall_seconds=job_wall,
+        spec_digest=outcome.spec.digest,
+        stages=stages_from_spans(payload.get("trace") or []),
+        counters=worker_counters or {"counters": {}, "histograms": {}},
+        metrics=outcome.metrics,
+        failures={
+            net: {"reason": reason}
+            for net, reason in (payload.get("failure_reasons") or {}).items()
+        },
+        congestion=dict(payload.get("congestion", {}) or {}),
+        profile="",
+        profile_windows=list(payload.get("profile") or []),
+        extra={
+            "status": outcome.status,
+            "from_cache": outcome.from_cache,
+            "attempts": outcome.attempts,
+            **extra,
+            **({"search": payload["search"]} if payload.get("search") else {}),
+        },
+    )
+
+
 @dataclass
 class BatchScheduler:
-    """Fan a batch of :class:`JobSpec` s over a process pool.
+    """Fan a batch of :class:`JobSpec` s over a worker pool.
 
     ``worker`` must be a picklable module-level callable taking the job
     payload dict and returning a result dict — :func:`execute_job` unless
@@ -206,7 +274,6 @@ class BatchScheduler:
     max_workers: int = field(default_factory=lambda: os.cpu_count() or 1)
     timeout: float | None = None
     cache: ResultCache | None = None
-    retry_crashed: bool = True
     worker: Callable[[dict], dict] = execute_job
     #: Aggregate of every fresh job's worker-side counters, merged as the
     #: outcomes land (cache hits contribute nothing — no work was done).
@@ -215,10 +282,10 @@ class BatchScheduler:
     #: land (the workers never touch the registry file themselves).
     runlog: RunLog | None = None
     #: A warm :class:`~repro.gateway.pool.WorkerPool` to dispatch on
-    #: instead of spinning up a fresh ``ProcessPoolExecutor`` per round.
-    #: The pool is *borrowed*: its worker/timeout/retry settings govern
-    #: execution and the caller owns its lifecycle (``artwork-batch
-    #: --keep-warm`` reuses one pool across manifests this way).
+    #: instead of opening one per :meth:`run`.  The pool is *borrowed*:
+    #: its worker/timeout settings govern execution and the caller owns
+    #: its lifecycle (``artwork-batch --keep-warm`` reuses one pool
+    #: across manifests this way).
     pool: "WorkerPool | None" = None
     #: Jobs whose first (probe) execution finishes within this budget are
     #: presumed spawn-dominated and the whole batch runs serially in the
@@ -226,12 +293,6 @@ class BatchScheduler:
     #: four workers are never slower than one.  Set to 0/None to always
     #: fan out.  Only engages for the stock :func:`execute_job` worker.
     serial_threshold: float | None = 0.03
-
-    #: Payload keys that describe *how* a run went, not *what* it made —
-    #: merged into the parent's telemetry on arrival and kept out of the
-    #: result cache (a warm hit must not replay the original run's spans
-    #: or claim its profile windows).
-    TRANSIENT_KEYS = ("trace", "counters", "trace_id", "profile")
 
     def __post_init__(self) -> None:
         if self.max_workers < 1:
@@ -258,14 +319,7 @@ class BatchScheduler:
                 and not outcome.from_cache
             ):
                 try:
-                    self.cache.put(
-                        specs[index],
-                        {
-                            k: v
-                            for k, v in outcome.payload.items()
-                            if k not in self.TRANSIENT_KEYS
-                        },
-                    )
+                    self.cache.put(specs[index], outcome.payload)
                 except OSError:
                     # A failed store costs the cache entry, not the batch.
                     self.counters.inc("service.cache_errors")
@@ -284,82 +338,36 @@ class BatchScheduler:
                 else:
                     pending.append(i)
 
-            attempt = 0
-            while pending:
-                attempt += 1
-                if self.pool is not None:
-                    crashed = self._run_round_pool(specs, pending, attempt, finish)
-                else:
-                    if attempt == 1:
-                        pending = self._serial_fast_path(specs, pending, finish)
-                        if not pending:
-                            break
-                    crashed = self._run_round(specs, pending, attempt, finish)
-                if not crashed or not self.retry_crashed or attempt >= 2:
-                    for i in crashed:
-                        finish(
-                            i,
-                            JobOutcome(
-                                specs[i],
-                                "crashed",
-                                attempts=attempt,
-                                error="worker process died",
-                            ),
-                        )
-                    break
-                pending = crashed  # one fresh-pool retry round
+            if self.pool is not None:
+                self._run_on_pool(self.pool, specs, pending, finish)
+            else:
+                pending = self._serial_fast_path(specs, pending, finish)
+                if pending:
+                    # Imported here: the gateway package imports this module.
+                    from ..gateway.pool import WorkerPool
+
+                    with WorkerPool(
+                        min(self.max_workers, len(pending)),
+                        worker=self.worker,
+                        timeout=self.timeout,
+                    ) as pool:
+                        self._run_on_pool(pool, specs, pending, finish)
 
         assert all(o is not None for o in outcomes)
         return outcomes  # type: ignore[return-value]
 
     def _record(self, outcome: JobOutcome) -> None:
         """Fold one outcome's telemetry into the parent-process obs state:
-        worker spans are re-parented into the live trace, worker counters
-        merge into both the scheduler's and the global registry."""
-        registry = get_registry()
+        counters and the run record via :func:`record_outcome`, and worker
+        spans re-parented into the live trace."""
+        record_outcome(
+            outcome,
+            kind="job",
+            registry=self.counters,
+            runlog=self.runlog,
+            extra={"error": outcome.error or ""},
+        )
         payload = outcome.payload or {}
-        job_wall = float(payload.get("seconds", 0.0) or 0.0)
-        for reg in (self.counters, registry):
-            reg.inc("service.jobs")
-            reg.inc(f"service.status.{outcome.status}")
-            reg.inc(
-                "service.cache_hits" if outcome.from_cache else "service.cache_misses"
-            )
-            if not outcome.from_cache:
-                # Job wall time as a histogram so percentiles land in the
-                # run registry, not just the human-readable report dict.
-                reg.observe("service.job_wall_s", job_wall)
-        worker_counters = payload.get("counters")
-        if worker_counters and not outcome.from_cache:
-            self.counters.merge(worker_counters)
-            registry.merge(worker_counters)
-        if self.runlog is not None:
-            self.runlog.record(
-                kind="job",
-                name=outcome.spec.name,
-                wall_seconds=job_wall,
-                spec_digest=outcome.spec.digest,
-                stages=stages_from_spans(payload.get("trace") or []),
-                counters=worker_counters or {"counters": {}, "histograms": {}},
-                metrics=outcome.metrics,
-                failures={
-                    net: {"reason": reason}
-                    for net, reason in outcome.failure_reasons.items()
-                },
-                congestion=dict(payload.get("congestion", {}) or {}),
-                profile="",
-                profile_windows=list(payload.get("profile") or []),
-                extra={
-                    "status": outcome.status,
-                    "from_cache": outcome.from_cache,
-                    "attempts": outcome.attempts,
-                    "error": outcome.error or "",
-                    **(
-                        {"search": payload["search"]}
-                        if payload.get("search") else {}
-                    ),
-                },
-            )
         tracer = get_tracer()
         if tracer.enabled:
             job_label = f"job:{outcome.spec.name}"
@@ -383,56 +391,35 @@ class BatchScheduler:
                 },
             )
 
-    def _run_round(
+    def _run_on_pool(
         self,
+        pool: "WorkerPool",
         specs: Sequence[JobSpec],
         indices: list[int],
-        attempt: int,
         finish: Callable[[int, JobOutcome], None],
-    ) -> list[int]:
-        """Run one pool round; returns indices whose worker crashed."""
-        crashed: list[int] = []
-        workers = min(self.max_workers, len(indices))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures: dict[Future, int] = {
-                pool.submit(
-                    run_with_timeout, self.worker, self.timeout, specs[i].to_dict()
-                ): i
-                for i in indices
-            }
-            remaining = set(futures)
-            while remaining:
-                finished, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    i = futures[future]
-                    try:
-                        payload = future.result()
-                    except BrokenProcessPool:
-                        crashed.append(i)
-                        continue
-                    except Exception as exc:  # pool plumbing failure
-                        finish(
-                            i,
-                            JobOutcome(
-                                specs[i],
-                                "error",
-                                attempts=attempt,
-                                error=f"{type(exc).__name__}: {exc}",
-                            ),
-                        )
-                        continue
-                    finish(
-                        i,
-                        JobOutcome(
-                            specs[i],
-                            payload.get("status", "error"),
-                            payload,
-                            attempts=attempt,
-                            error=payload.get("error"),
-                        ),
-                    )
-        crashed.sort()
-        return crashed
+    ) -> None:
+        """Run ``indices`` on ``pool``, finishing each job as it lands.
+
+        The pool owns timeouts and crash retry: a job whose worker died
+        on both attempts comes back as a ``status: "crashed"`` payload.
+        Its completion callbacks fire on the pool's collector thread and
+        only hand results over, so cache writes, run records and trace
+        adoption stay on the calling thread.
+        """
+        landed: queue.SimpleQueue[tuple[int, dict, int]] = queue.SimpleQueue()
+        # Without a budget of our own, defer to the pool's configured one.
+        budget = {} if self.timeout is None else {"timeout": self.timeout}
+        for i in indices:
+            pool.submit(
+                specs[i].to_dict(),
+                callback=lambda payload, attempts, i=i: landed.put(
+                    (i, payload, attempts)
+                ),
+                **budget,
+            )
+        for _ in indices:
+            i, payload, attempts = landed.get()
+            finish(i, JobOutcome.from_payload(specs[i], payload, attempts))
 
     def _run_inline(self, payload: dict) -> dict:
         """Run one job in the parent process (the serial fast path).
@@ -470,78 +457,12 @@ class BatchScheduler:
             started = time.perf_counter()
             payload = self._run_inline(specs[probe].to_dict())
             probe_wall = time.perf_counter() - started
-        finish(
-            probe,
-            JobOutcome(
-                specs[probe],
-                payload.get("status", "error"),
-                payload,
-                attempts=1,
-                error=payload.get("error"),
-            ),
-        )
+        finish(probe, JobOutcome.from_payload(specs[probe], payload, 1))
         if probe_wall > self.serial_threshold:
             return rest  # real work: fan the remainder out to processes
         for reg in (self.counters, get_registry()):
             reg.inc("service.serial_fast_path")
         for i in rest:
             payload = self._run_inline(specs[i].to_dict())
-            finish(
-                i,
-                JobOutcome(
-                    specs[i],
-                    payload.get("status", "error"),
-                    payload,
-                    attempts=1,
-                    error=payload.get("error"),
-                ),
-            )
-        return []
-
-    def _run_round_pool(
-        self,
-        specs: Sequence[JobSpec],
-        indices: list[int],
-        attempt: int,
-        finish: Callable[[int, JobOutcome], None],
-    ) -> list[int]:
-        """Dispatch one round on the borrowed persistent pool.
-
-        The pool already owns crash-retry and timeout semantics (crashed
-        jobs come back as ``status: "crashed"`` payloads after its own
-        retry), so this round never reports crashes for re-dispatch.
-        """
-        results: dict[int, tuple[dict, int]] = {}
-        all_done = threading.Event()
-        lock = threading.Lock()
-
-        def make_callback(i: int) -> Callable[[dict, int], None]:
-            def callback(payload: dict, attempts: int) -> None:
-                with lock:
-                    results[i] = (payload, attempts)
-                    if len(results) == len(indices):
-                        all_done.set()
-
-            return callback
-
-        for i in indices:
-            if self.timeout is not None:
-                self.pool.submit(
-                    specs[i].to_dict(), timeout=self.timeout, callback=make_callback(i)
-                )
-            else:  # defer to the pool's own configured budget
-                self.pool.submit(specs[i].to_dict(), callback=make_callback(i))
-        all_done.wait()
-        for i in indices:  # deterministic submission order, as ever
-            payload, attempts = results[i]
-            finish(
-                i,
-                JobOutcome(
-                    specs[i],
-                    payload.get("status", "error"),
-                    payload,
-                    attempts=attempts,
-                    error=payload.get("error"),
-                ),
-            )
+            finish(i, JobOutcome.from_payload(specs[i], payload, 1))
         return []

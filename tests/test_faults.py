@@ -5,6 +5,7 @@ deadline propagation, and journal append failures."""
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import threading
@@ -32,7 +33,7 @@ from repro.gateway import (
     WorkerPool,
     start_gateway,
 )
-from repro.service import JobSpec, ResultCache
+from repro.service import BatchScheduler, JobSpec, ResultCache
 from repro.workloads import random_network
 
 from .test_gateway import collect, echo_worker, napping_worker
@@ -186,6 +187,28 @@ class TestWorkerFaults:
 
     def test_crash_exit_code_is_distinct(self):
         assert CRASH_EXIT_CODE == 13
+
+
+# -- failpoints reach batch runs (the scheduler fans out on the pool) --------
+
+
+class TestBatchFaults:
+    def test_worker_exec_crash_is_supervised_in_batch_runs(self):
+        set_faults(FaultRegistry("worker.exec=crash"))
+        specs = [spec_for(0), spec_for(1)]
+        outcomes = BatchScheduler(max_workers=1, serial_threshold=None).run(specs)
+        assert [o.spec.name for o in outcomes] == [s.name for s in specs]
+        assert [o.status for o in outcomes] == ["crashed", "crashed"]
+        assert [o.attempts for o in outcomes] == [2, 2]
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exec_io_is_a_batch_error(self):
+        set_faults(FaultRegistry("worker.exec=io"))
+        outcomes = BatchScheduler(max_workers=1, serial_threshold=None).run(
+            [spec_for(0), spec_for(1)]
+        )
+        assert [o.status for o in outcomes] == ["error", "error"]
+        assert [o.attempts for o in outcomes] == [1, 1]
 
 
 # -- the circuit breaker ----------------------------------------------------

@@ -170,6 +170,16 @@ class TestWorkerPool:
         pool.close(drain=True, grace=10.0)
         assert results and results[0]["status"] == "ok"
 
+    def test_close_does_not_wait_out_a_poll_interval(self):
+        # Once the last worker pipe closes, the collector must wake on
+        # close() itself, not sleep out its poll interval first.
+        pool = WorkerPool(1, worker=echo_worker, poll_interval=2.0)
+        pool.start()
+        collect(pool, [{"name": "one"}])
+        started = time.perf_counter()
+        pool.close()
+        assert time.perf_counter() - started < 0.5
+
     def test_health_reflects_externally_killed_worker(self):
         with WorkerPool(1, worker=echo_worker, poll_interval=0.05) as pool:
             collect(pool, [{"name": "warm"}])

@@ -333,6 +333,7 @@ class TestSchedulerTelemetry:
         cached = cache.get(specs[0])
         assert cached is not None
         assert "trace" not in cached and "counters" not in cached
+        assert "profile" not in cached and "trace_id" not in cached
         assert "failure_reasons" in cached
 
 

@@ -433,7 +433,7 @@ class TestPoolBackedScheduler:
         assert [o.spec.name for o in first] == [s.name for s in specs]
         assert pool.health()["completed"] == 5
 
-    def test_pool_results_match_executor_results(self, tmp_path):
+    def test_borrowed_pool_results_match_own_pool_results(self, tmp_path):
         from repro.gateway import WorkerPool
 
         specs = specs_for(2, seed=60)
