@@ -58,7 +58,7 @@ from ..faults import CRASH_EXIT_CODE, get_faults
 from ..obs.counters import get_registry
 from ..obs.sampler import ensure_sampler, get_sampler, label_thread, set_sampler
 from ..obs.trace import TraceContext, set_trace_context
-from ..service.scheduler import execute_job, run_with_timeout
+from ..service.scheduler import error_payload, execute_job, run_with_timeout
 
 #: Sentinel for "use the pool's default timeout" in :meth:`WorkerPool.submit`.
 _DEFAULT = object()
@@ -177,17 +177,6 @@ class CircuitBreaker:
         }
 
 
-def _error_payload(payload: dict, status: str, error: str) -> dict:
-    return {
-        "status": status,
-        "name": payload.get("name", "?"),
-        "error": error,
-        "metrics": {},
-        "timing": {},
-        "seconds": 0.0,
-    }
-
-
 #: How often a worker checks that its parent is still alive.
 PARENT_POLL_S = 0.5
 
@@ -253,7 +242,7 @@ def _worker_main(inbox, results, worker, wants_progress, parent) -> None:
             if remaining <= 0.0:
                 if not post((
                     _MSG_DONE, ticket, pid,
-                    _error_payload(payload, "cancelled", "deadline expired before execution"),
+                    error_payload(payload, "cancelled", "deadline expired before execution"),
                 )):
                     break
                 continue
@@ -278,7 +267,7 @@ def _worker_main(inbox, results, worker, wants_progress, parent) -> None:
             get_faults().fire("worker.exec")
             result = run_with_timeout(fn, timeout, payload)
         except Exception as exc:  # noqa: BLE001 - the loop must survive bad workers
-            result = _error_payload(payload, "error", f"{type(exc).__name__}: {exc}")
+            result = error_payload(payload, "error", f"{type(exc).__name__}: {exc}")
         finally:
             set_trace_context(previous)
         # "pool.ipc" failpoint: crash = die after doing the work (the
@@ -492,7 +481,7 @@ class WorkerPool:
         get_registry().inc("pool.deadline_cancelled")
         self._deliver_locked(
             ticket,
-            _error_payload(ticket.payload, "cancelled", "deadline expired before dispatch"),
+            error_payload(ticket.payload, "cancelled", "deadline expired before dispatch"),
         )
         return True
 
@@ -728,7 +717,7 @@ class WorkerPool:
                     if timed_out and budget is not None
                     else "worker process died"
                 )
-                self._deliver_locked(ticket, _error_payload(ticket.payload, status, error))
+                self._deliver_locked(ticket, error_payload(ticket.payload, status, error))
             self._dispatch_locked()
             self._idle_changed.notify_all()
 
@@ -830,7 +819,7 @@ class WorkerPool:
             # Anything still pending after the grace period is cancelled.
             for ticket in list(self._inflight.values()):
                 self._deliver_locked(
-                    ticket, _error_payload(ticket.payload, "cancelled", "pool closed")
+                    ticket, error_payload(ticket.payload, "cancelled", "pool closed")
                 )
             self._backlog.clear()
             workers = list(self._workers)

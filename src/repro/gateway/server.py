@@ -17,7 +17,10 @@ Endpoints::
     GET  /v1/jobs             recent jobs, newest first
     GET  /v1/jobs/{id}        status + metrics row (?wait=SECONDS to
                               long-poll for completion)
-    GET  /v1/jobs/{id}/result full payload (ESCHER text included)
+    GET  /v1/jobs/{id}/result the result payload: ESCHER text, metrics,
+                              timing, failures, worker counters and
+                              trace id (profile windows, search rows
+                              and congestion go to the run record)
     GET  /v1/jobs/{id}/svg    rendered artwork (image/svg+xml)
     GET  /v1/jobs/{id}/trace  the request's span tree as Chrome trace
                               JSON (gateway -> queue -> worker stages)
@@ -119,6 +122,11 @@ STAGE_WINDOW_SPANS = frozenset({
     "eureka.route", "eureka.plane", "eureka.claims",
     "eureka.first_pass", "eureka.retry",
 })
+
+#: Worker telemetry a finished job drops once its run record, the stage
+#: windows and the slow exemplar have it.  ``counters`` and ``trace``
+#: stay: ``/result`` and ``/trace`` serve them.
+RECORDED_KEYS = ("profile", "search", "congestion")
 
 _SERVER = f"artwork-serve/{__version__}"
 
@@ -905,6 +913,8 @@ class ArtworkGateway:
         self._observe_stages(job)
         total = max(0.0, job.finished_at - job.received_at)
         self._maybe_record_slow(job, total)
+        for key in RECORDED_KEYS:
+            payload.pop(key, None)
         self.log.info(
             "served job",
             extra={"fields": {"job": job.spec.name, "id": job.id,

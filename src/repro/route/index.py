@@ -9,28 +9,37 @@ replaces that rebuild with a persistent :class:`PlaneIndex` the
 mutation (``block_rect``, ``add_claim``, ``release_claims``,
 ``add_net_path``).
 
-The index keeps *global* aggregates over all nets:
+The index keeps *global* aggregates over all nets, one point-keyed count
+map per aggregate, which the routers probe directly:
 
 * ``h_block``/``v_block`` — per point, how many nets forbid a wire
   moving horizontally/vertically through it (node points, degenerate
   single-point wires and parallel wire segments all contribute),
 * ``cross_h``/``cross_v`` — per point, the total crossover count a
   horizontal/vertical passage would pay over all nets,
-* ``occ`` — per point, how many nets use it at all (the ``foreign_any``
-  set of the old snapshot, before removing the querying net),
+* ``occ`` — per point, how many nets use it at all,
 * ``contrib`` — per net, that net's own contribution at every point it
   uses, which is what makes a per-connection view an O(own net) overlay
   ("all minus own net") instead of an O(plane) rebuild,
-* per-row/per-column sorted obstacle coordinates, so straight sweeps can
-  jump to the next obstacle with a bisect instead of probing point by
-  point,
-* lazily built per-row/per-column *crossing prefix sums*, so the A*'s
-  crossover-aware lower bound can ask "how many crossings would a
-  straight run over ``[a..b]`` pay" in O(log row) instead of O(b-a),
-* dense grids over ``plane.bounds`` mirroring the row/column obstacle
-  sets, ``occ_pts`` and the crossing counts (``stop_h``, ``stop_v``,
-  ``occ_grid``, ``cross_h_grid``, ``cross_v_grid``), which the escalated
-  A* bound sweeps whole intervals of at once.
+
+plus one dense grid per aggregate over ``plane.bounds``, indexed
+``[y - y1, x - x1]``: ``stop_h``/``stop_v`` (where a horizontal/vertical
+sweep stops: ``blocked | claims`` or a positive axis block count),
+``occ_grid`` and ``cross_h_grid``/``cross_v_grid``.  The escalated A*
+bound sweeps whole intervals of them at once, and every per-line view is
+a cache read off one grid line, dropped whenever a cell of its line
+changes:
+
+* ``sorted_row``/``sorted_col`` — the sorted stop coordinates of a line,
+  so straight sweeps jump to the next stop with a bisect,
+* ``range_cross_h``/``range_cross_v`` — prefix sums of a line's crossing
+  counts, so the A*'s crossover-aware lower bound prices a straight run
+  over ``[a..b]`` with one index lookup instead of O(b-a) probes.
+
+Per-line views report only points inside the bounds.  That changes no
+search: the routers never enter a point outside the bounds, so such a
+stop never lies between an in-bounds state and an in-bounds target, and
+:meth:`NetView.run_stop`'s caller clamps its sweep to the border anyway.
 
 A :class:`NetView` is the routers' per-connection window: it references
 the global maps (the ``hard`` set of blocked and claimed points is never
@@ -38,17 +47,16 @@ copied) plus four small per-net exception sets/dicts computed from the
 net's own contribution map.
 
 Invariants (checked by ``tests/test_route_index.py`` against a
-rebuilt-from-scratch reference):
+rebuilt-from-scratch reference and brute force):
 
 * for every point ``p`` and net ``n``: ``contrib[n][p]`` equals the
   contribution recomputed from ``plane.usage``/``plane.nodes``,
-* ``h_block[p] == sum(contrib[n][p].hb)`` and point sets mirror the
-  positive counts (same for ``v_block``/``cross_*``/``occ``),
-* every point of ``blocked | claims`` or with a positive axis block
-  count appears in its row/column obstacle set, and nothing else does,
-* inside ``plane.bounds`` the grids equal those row/column sets,
-  ``occ_pts`` and ``cross_h``/``cross_v``; points outside the bounds have
-  no cell.
+* ``h_block[p] == sum(contrib[n][p].hb)`` with no zero entries (same for
+  ``v_block``/``cross_*``; ``occ[p]`` counts the nets with an entry),
+* inside the bounds ``stop_h`` holds exactly the points of
+  ``blocked | claims | h_block`` (``v_block`` for ``stop_v``), ``occ_grid``
+  the keys of ``occ`` and the crossing grids the ``cross_*`` counts;
+  points outside the bounds have no cell.
 
 The index holds its plane through a weak reference: the plane owns the
 index, and a back-reference would make every plane a reference cycle
@@ -59,7 +67,7 @@ from __future__ import annotations
 
 import weakref
 from bisect import bisect_left, bisect_right
-from typing import TYPE_CHECKING, Hashable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -68,21 +76,23 @@ from ..core.geometry import Orientation, Point
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .plane import Plane
 
-_ZERO = (0, 0, 0, 0)
+
+def _bump(counts: dict[Point, int], p: Point, delta: int) -> int:
+    """Add ``delta`` to ``p``'s count, dropping the entry at zero; returns
+    the new count."""
+    n = counts.get(p, 0) + delta
+    if n:
+        counts[p] = n
+    else:
+        del counts[p]
+    return n
 
 
-def _prefix_entry(line: "dict[int, int] | tuple"):
-    """Sorted coordinates + running prefix sums for one line's crossing
-    counts; ``sums[i]`` is the total over ``coords[:i]``."""
-    if not line:
-        return [], [0]
-    coords = sorted(line)
-    sums = [0] * (len(coords) + 1)
-    total = 0
-    for i, c in enumerate(coords):
-        total += line[c]
-        sums[i + 1] = total
-    return coords, sums
+def _line(grid: np.ndarray, k: int, column: bool) -> np.ndarray:
+    """Row ``k`` of ``grid`` (column ``k`` when ``column``); empty for a
+    line outside the bounds."""
+    lines = grid.T if column else grid
+    return lines[k] if 0 <= k < len(lines) else lines[:0].ravel()
 
 
 class IndexedPointSet(set):
@@ -134,21 +144,10 @@ class PlaneIndex:
         "_plane",
         "h_block",
         "v_block",
-        "blocked_h_pts",
-        "blocked_v_pts",
         "cross_h",
         "cross_v",
         "occ",
-        "occ_pts",
         "contrib",
-        "_rows",
-        "_cols",
-        "_rows_sorted",
-        "_cols_sorted",
-        "_cross_by_row",
-        "_cross_by_col",
-        "_cross_rows",
-        "_cross_cols",
         "_ox",
         "_oy",
         "stop_h",
@@ -156,6 +155,10 @@ class PlaneIndex:
         "occ_grid",
         "cross_h_grid",
         "cross_v_grid",
+        "_rows_sorted",
+        "_cols_sorted",
+        "_cross_rows",
+        "_cross_cols",
     )
 
     def __init__(self, plane: "Plane") -> None:
@@ -163,34 +166,13 @@ class PlaneIndex:
         # point -> number of nets blocking horizontal/vertical entry
         self.h_block: dict[Point, int] = {}
         self.v_block: dict[Point, int] = {}
-        # membership mirrors of the positive counts (hot-loop probes)
-        self.blocked_h_pts: set[Point] = set()
-        self.blocked_v_pts: set[Point] = set()
         # point -> total crossings for horizontal/vertical passage
         self.cross_h: dict[Point, int] = {}
         self.cross_v: dict[Point, int] = {}
         # point -> number of nets using it (any orientation)
         self.occ: dict[Point, int] = {}
-        self.occ_pts: set[Point] = set()
         # net -> point -> (h_block, v_block, cross_h, cross_v) contribution
         self.contrib: dict[str, dict[Point, tuple[int, int, int, int]]] = {}
-        # y -> xs blocking horizontal movement / x -> ys blocking vertical
-        # movement (hard points block both axes; wire blocks one each).
-        self._rows: dict[int, set[int]] = {}
-        self._cols: dict[int, set[int]] = {}
-        self._rows_sorted: dict[int, list[int]] = {}
-        self._cols_sorted: dict[int, list[int]] = {}
-        # Eager per-line crossing counts (y -> x -> cross_h, x -> y ->
-        # cross_v) plus lazily sorted (coords, prefix sums) caches the
-        # range queries bisect; a cache entry drops whenever a crossing
-        # count on its line changes.
-        self._cross_by_row: dict[int, dict[int, int]] = {}
-        self._cross_by_col: dict[int, dict[int, int]] = {}
-        self._cross_rows: dict[int, tuple[list[int], list[int]]] = {}
-        self._cross_cols: dict[int, tuple[list[int], list[int]]] = {}
-        # Dense mirrors over the bounds, indexed [y - y1, x - x1]: the
-        # ``_rows``/``_cols`` memberships, ``occ_pts`` and the crossing
-        # counts.
         bounds = plane.bounds
         self._ox, self._oy = bounds.x, bounds.y
         shape = (bounds.h + 1, bounds.w + 1)
@@ -199,6 +181,12 @@ class PlaneIndex:
         self.occ_grid = np.zeros(shape, dtype=bool)
         self.cross_h_grid = np.zeros(shape, dtype=np.int64)
         self.cross_v_grid = np.zeros(shape, dtype=np.int64)
+        # Per-line views, keyed by row y / column x: sorted stop
+        # coordinates and crossing prefix sums.
+        self._rows_sorted: dict[int, list[int]] = {}
+        self._cols_sorted: dict[int, list[int]] = {}
+        self._cross_rows: dict[int, list[int]] = {}
+        self._cross_cols: dict[int, list[int]] = {}
 
     @property
     def plane(self) -> "Plane":
@@ -207,16 +195,16 @@ class PlaneIndex:
     # -- plane mutation hooks -------------------------------------------
 
     def blocked_added(self, p: Point) -> None:
-        self._static_add(p)
+        """A blocked/claimed point obstructs movement on both axes."""
+        self._stop(p, False, True)
+        self._stop(p, True, True)
 
     def blocked_removed(self, p: Point) -> None:
-        self._static_remove(p)
+        self._unstop(p, False)
+        self._unstop(p, True)
 
-    def claim_added(self, p: Point) -> None:
-        self._static_add(p)
-
-    def claim_removed(self, p: Point) -> None:
-        self._static_remove(p)
+    claim_added = blocked_added
+    claim_removed = blocked_removed
 
     def net_path_added(self, net: str, points: Iterable[Point]) -> None:
         """Refresh ``net``'s contribution at every covered point of a
@@ -236,49 +224,26 @@ class PlaneIndex:
                 hb = 1 if horizontal in oris else 0
                 vb = 1 if vertical in oris else 0
                 new = (hb, vb, vb, hb)
-            self._apply(net, cmap, p, new)
+            old = cmap.get(p)
+            if old == new:
+                continue
+            if old is None:
+                old = (0, 0, 0, 0)
+                if _bump(self.occ, p, 1) == 1:
+                    self._set(self.occ_grid, p, True)
+            cmap[p] = new
+            self._shift(
+                p, new[0] - old[0], new[1] - old[1], new[2] - old[2], new[3] - old[3]
+            )
 
     def remove_net(self, net: str) -> None:
         """Unwind every contribution of ``net`` in O(own net), leaving
         the index identical to one rebuilt from scratch off a plane that
         never saw the net."""
-        cmap = self.contrib.pop(net, None)
-        if not cmap:
-            return
-        for p, old in cmap.items():
-            self._apply_delta(p, old)
-            n = self.occ[p] - 1
-            if n:
-                self.occ[p] = n
-            else:
-                del self.occ[p]
-                self.occ_pts.discard(p)
+        for p, (hb, vb, ch, cv) in self.contrib.pop(net, {}).items():
+            self._shift(p, -hb, -vb, -ch, -cv)
+            if not _bump(self.occ, p, -1):
                 self._set(self.occ_grid, p, False)
-
-    def _apply_delta(self, p: Point, old: tuple[int, int, int, int]) -> None:
-        """Subtract a contribution tuple from the per-point aggregates."""
-        dhb = -old[0]
-        if dhb:
-            n = self.h_block.get(p, 0) + dhb
-            if n:
-                self.h_block[p] = n
-            else:
-                del self.h_block[p]
-                self.blocked_h_pts.discard(p)
-                self._row_maybe_remove(p)
-        dvb = -old[1]
-        if dvb:
-            n = self.v_block.get(p, 0) + dvb
-            if n:
-                self.v_block[p] = n
-            else:
-                del self.v_block[p]
-                self.blocked_v_pts.discard(p)
-                self._col_maybe_remove(p)
-        if old[2]:
-            self._cross_h_change(p, -old[2])
-        if old[3]:
-            self._cross_v_change(p, -old[3])
 
     def rebuild(self) -> None:
         """Ingest a pre-populated plane (dataclass construction with
@@ -295,203 +260,101 @@ class PlaneIndex:
 
     # -- internals ------------------------------------------------------
 
-    def _apply(
-        self,
-        net: str,
-        cmap: dict[Point, tuple[int, int, int, int]],
-        p: Point,
-        new: tuple[int, int, int, int],
-    ) -> None:
-        old = cmap.get(p)
-        if old == new:
-            return
-        if old is None:
-            old = _ZERO
-            n = self.occ.get(p, 0) + 1
-            self.occ[p] = n
-            if n == 1:
-                self.occ_pts.add(p)
-                self._set(self.occ_grid, p, True)
-        cmap[p] = new
-        dhb = new[0] - old[0]
+    def _shift(self, p: Point, dhb: int, dvb: int, dch: int, dcv: int) -> None:
+        """Add a change of one net's contribution at ``p`` to the count
+        maps and the grids."""
         if dhb:
-            n = self.h_block.get(p, 0) + dhb
-            if n:
-                self.h_block[p] = n
-            else:
-                del self.h_block[p]
-            if n == dhb and dhb > 0:  # 0 -> positive
-                self.blocked_h_pts.add(p)
-                self._row_add(p)
+            n = _bump(self.h_block, p, dhb)
+            if n == dhb:  # newly blocked
+                self._stop(p, False, True)
             elif not n:
-                self.blocked_h_pts.discard(p)
-                self._row_maybe_remove(p)
-        dvb = new[1] - old[1]
+                self._unstop(p, False)
         if dvb:
-            n = self.v_block.get(p, 0) + dvb
-            if n:
-                self.v_block[p] = n
-            else:
-                del self.v_block[p]
-            if n == dvb and dvb > 0:
-                self.blocked_v_pts.add(p)
-                self._col_add(p)
+            n = _bump(self.v_block, p, dvb)
+            if n == dvb:
+                self._stop(p, True, True)
             elif not n:
-                self.blocked_v_pts.discard(p)
-                self._col_maybe_remove(p)
-        dch = new[2] - old[2]
+                self._unstop(p, True)
         if dch:
-            self._cross_h_change(p, dch)
-        dcv = new[3] - old[3]
+            _bump(self.cross_h, p, dch)
+            if self._set(self.cross_h_grid, p, dch, add=True):
+                self._cross_rows.pop(p.y, None)
         if dcv:
-            self._cross_v_change(p, dcv)
+            _bump(self.cross_v, p, dcv)
+            if self._set(self.cross_v_grid, p, dcv, add=True):
+                self._cross_cols.pop(p.x, None)
 
-    def _cross_h_change(self, p: Point, delta: int) -> None:
-        n = self.cross_h.get(p, 0) + delta
-        row = self._cross_by_row.setdefault(p.y, {})
-        if n:
-            self.cross_h[p] = n
-            row[p.x] = n
-        else:
-            del self.cross_h[p]
-            del row[p.x]
-            if not row:
-                del self._cross_by_row[p.y]
-        self._cross_rows.pop(p.y, None)
-        self._bump(self.cross_h_grid, p, delta)
-
-    def _cross_v_change(self, p: Point, delta: int) -> None:
-        n = self.cross_v.get(p, 0) + delta
-        col = self._cross_by_col.setdefault(p.x, {})
-        if n:
-            self.cross_v[p] = n
-            col[p.y] = n
-        else:
-            del self.cross_v[p]
-            del col[p.y]
-            if not col:
-                del self._cross_by_col[p.x]
-        self._cross_cols.pop(p.x, None)
-        self._bump(self.cross_v_grid, p, delta)
-
-    def _static_add(self, p: Point) -> None:
-        """A blocked/claimed point obstructs movement on both axes."""
-        self._row_add(p)
-        self._col_add(p)
-
-    def _static_remove(self, p: Point) -> None:
-        self._row_maybe_remove(p)
-        self._col_maybe_remove(p)
-
-    def _set(self, grid: np.ndarray, p: Point, value: bool) -> None:
+    def _set(self, grid: np.ndarray, p: Point, value, add: bool = False) -> bool:
+        """Set (or with ``add``, increase) ``p``'s cell; whether it
+        changed — points outside the bounds have no cell."""
         i, j = p.y - self._oy, p.x - self._ox
-        if 0 <= i < grid.shape[0] and 0 <= j < grid.shape[1]:
+        if not (0 <= i < grid.shape[0] and 0 <= j < grid.shape[1]):
+            return False
+        if add:
+            grid[i, j] += value
+        elif grid[i, j] == value:
+            return False
+        else:
             grid[i, j] = value
+        return True
 
-    def _bump(self, grid: np.ndarray, p: Point, delta: int) -> None:
-        i, j = p.y - self._oy, p.x - self._ox
-        if 0 <= i < grid.shape[0] and 0 <= j < grid.shape[1]:
-            grid[i, j] += delta
-
-    def _row_add(self, p: Point) -> None:
-        row = self._rows.get(p.y)
-        if row is None:
-            row = self._rows[p.y] = set()
-        if p.x not in row:
-            row.add(p.x)
+    def _stop(self, p: Point, vertical: bool, value: bool) -> None:
+        """Set ``p``'s cell of the vertical/horizontal stop grid, dropping
+        its line's cached stop list when the cell changes."""
+        if vertical:
+            if self._set(self.stop_v, p, value):
+                self._cols_sorted.pop(p.x, None)
+        elif self._set(self.stop_h, p, value):
             self._rows_sorted.pop(p.y, None)
-            self._set(self.stop_h, p, True)
 
-    def _col_add(self, p: Point) -> None:
-        col = self._cols.get(p.x)
-        if col is None:
-            col = self._cols[p.x] = set()
-        if p.y not in col:
-            col.add(p.y)
-            self._cols_sorted.pop(p.x, None)
-            self._set(self.stop_v, p, True)
-
-    def _row_maybe_remove(self, p: Point) -> None:
-        """Drop ``p`` from its row unless another source still blocks
-        horizontal movement there."""
+    def _unstop(self, p: Point, vertical: bool) -> None:
+        """Clear ``p``'s stop cell unless another source still blocks
+        movement along that axis there."""
         plane = self.plane
-        if p in plane.blocked or p in plane.claims or p in self.blocked_h_pts:
-            return
-        row = self._rows.get(p.y)
-        if row and p.x in row:
-            row.discard(p.x)
-            if not row:
-                del self._rows[p.y]
-            self._rows_sorted.pop(p.y, None)
-            self._set(self.stop_h, p, False)
+        blocks = self.v_block if vertical else self.h_block
+        if p not in plane.blocked and p not in plane.claims and p not in blocks:
+            self._stop(p, vertical, False)
 
-    def _col_maybe_remove(self, p: Point) -> None:
-        plane = self.plane
-        if p in plane.blocked or p in plane.claims or p in self.blocked_v_pts:
-            return
-        col = self._cols.get(p.x)
-        if col and p.y in col:
-            col.discard(p.y)
-            if not col:
-                del self._cols[p.x]
-            self._cols_sorted.pop(p.x, None)
-            self._set(self.stop_v, p, False)
+    # -- per-line views -------------------------------------------------
 
     def sorted_row(self, y: int) -> list[int]:
-        """Sorted x coordinates obstructing horizontal movement on row y."""
+        """Sorted x coordinates inside the bounds obstructing horizontal
+        movement on row y."""
         lst = self._rows_sorted.get(y)
         if lst is None:
-            lst = self._rows_sorted[y] = sorted(self._rows.get(y, ()))
+            line = _line(self.stop_h, y - self._oy, False)
+            lst = self._rows_sorted[y] = (np.flatnonzero(line) + self._ox).tolist()
         return lst
 
     def sorted_col(self, x: int) -> list[int]:
-        """Sorted y coordinates obstructing vertical movement on column x."""
+        """Sorted y coordinates inside the bounds obstructing vertical
+        movement on column x."""
         lst = self._cols_sorted.get(x)
         if lst is None:
-            lst = self._cols_sorted[x] = sorted(self._cols.get(x, ()))
+            line = _line(self.stop_v, x - self._ox, True)
+            lst = self._cols_sorted[x] = (np.flatnonzero(line) + self._oy).tolist()
         return lst
-
-    # -- crossing range sums (the A*'s crossover-aware bound) -----------
-
-    def _cross_row(self, y: int) -> tuple[list[int], list[int]]:
-        entry = self._cross_rows.get(y)
-        if entry is None:
-            entry = self._cross_rows[y] = _prefix_entry(
-                self._cross_by_row.get(y, ())
-            )
-        return entry
-
-    def _cross_col(self, x: int) -> tuple[list[int], list[int]]:
-        entry = self._cross_cols.get(x)
-        if entry is None:
-            entry = self._cross_cols[x] = _prefix_entry(
-                self._cross_by_col.get(x, ())
-            )
-        return entry
 
     def range_cross_h(self, y: int, a: int, b: int) -> int:
         """Total crossings a horizontal run entering ``x in [a..b]`` on
-        row ``y`` would pay, over all nets (callers subtract their own)."""
-        if a > b:
-            return 0
-        coords, sums = self._cross_row(y)
-        if not coords:
-            return 0
-        lo = bisect_left(coords, a)
-        hi = bisect_right(coords, b)
-        return sums[hi] - sums[lo]
+        row ``y`` would pay inside the bounds, over all nets (callers
+        subtract their own)."""
+        sums = self._cross_rows.get(y)
+        if sums is None:
+            line = _line(self.cross_h_grid, y - self._oy, False)
+            sums = self._cross_rows[y] = [0, *np.cumsum(line).tolist()]
+        lo, hi = max(a - self._ox, 0), min(b - self._ox + 1, len(sums) - 1)
+        return sums[hi] - sums[lo] if lo < hi else 0
 
     def range_cross_v(self, x: int, a: int, b: int) -> int:
         """Total crossings a vertical run entering ``y in [a..b]`` on
-        column ``x`` would pay, over all nets."""
-        if a > b:
-            return 0
-        coords, sums = self._cross_col(x)
-        if not coords:
-            return 0
-        lo = bisect_left(coords, a)
-        hi = bisect_right(coords, b)
-        return sums[hi] - sums[lo]
+        column ``x`` would pay inside the bounds, over all nets."""
+        sums = self._cross_cols.get(x)
+        if sums is None:
+            line = _line(self.cross_v_grid, x - self._ox, True)
+            sums = self._cross_cols[x] = [0, *np.cumsum(line).tolist()]
+        lo, hi = max(a - self._oy, 0), min(b - self._oy + 1, len(sums) - 1)
+        return sums[hi] - sums[lo] if lo < hi else 0
 
     # -- per-net queries -------------------------------------------------
 
@@ -520,7 +383,7 @@ class NetView:
         "blocked_v",
         "cross_h",
         "cross_v",
-        "occ_pts",
+        "occ",
         "unblock_h",
         "unblock_v",
         "own_cross_h",
@@ -538,11 +401,11 @@ class NetView:
         self.blocked = plane.blocked
         self.claims = plane.claims
         self.allow = allow
-        self.blocked_h = index.blocked_h_pts
-        self.blocked_v = index.blocked_v_pts
+        self.blocked_h = index.h_block
+        self.blocked_v = index.v_block
         self.cross_h = index.cross_h
         self.cross_v = index.cross_v
-        self.occ_pts = index.occ_pts
+        self.occ = index.occ
         self.index = index
         self.net = net
         own = index.contrib.get(net)
@@ -564,7 +427,7 @@ class NetView:
             self.unblock_h = self.unblock_v = self.self_clear = frozenset()
             self.own_cross_h = self.own_cross_v = {}
 
-    # -- point queries (the routers inline the sets; these are for the
+    # -- point queries (the routers inline the maps; these are for the
     # -- interval engine and tests) -------------------------------------
 
     def hard_at(self, q: Point) -> bool:
@@ -587,16 +450,17 @@ class NetView:
 
     def foreign_at(self, q: Point) -> bool:
         """Does any *other* net use ``q`` (no bends/terminations there)?"""
-        return q in self.occ_pts and q not in self.self_clear
+        return q in self.occ and q not in self.self_clear
 
     # -- straight-run jumps ---------------------------------------------
 
     def run_stop(self, vertical: bool, line: int, start: int, step: int) -> int | None:
-        """First coordinate at or beyond ``start + step`` where a sweep of
-        this net along column ``x=line`` (``vertical``) or row ``y=line``
-        must stop, or ``None`` when it runs to the plane border.
+        """First coordinate at or beyond ``start + step`` inside the
+        bounds where a sweep of this net along column ``x=line``
+        (``vertical``) or row ``y=line`` must stop, or ``None`` when it
+        runs to the plane border.
 
-        Uses the index's sorted per-row/column obstacle coordinates and
+        Uses the index's sorted per-row/column stop coordinates and
         skips entries this net is exempt from (its own wire, its
         ``allow`` terminals).
         """
@@ -640,10 +504,10 @@ class NetView:
         (:meth:`crossings_at`), each indexed ``[y - y1, x - x1]``.
 
         Outside ``allow`` and the ``unblock`` sets a stop of the view is
-        exactly an obstacle of the index, outside ``self_clear`` a
-        bendable point is exactly an unoccupied one, and outside the
-        net's own crossing contributions the count is the index's, so
-        only those few points need the per-point rules."""
+        exactly a stop of the index, outside ``self_clear`` a bendable
+        point is exactly an unoccupied one, and outside the net's own
+        crossing contributions the count is the index's, so only those
+        few points need the per-point rules."""
         index = self.index
         stop_h = index.stop_h.copy()
         stop_v = index.stop_v.copy()

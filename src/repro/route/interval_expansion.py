@@ -23,9 +23,9 @@ the crossover/length tie-break may occasionally differ.
 
 Obstacle queries come from the plane's incremental
 :class:`~repro.route.index.PlaneIndex`: each column's straight run jumps
-to the next static obstacle with a bisect over the index's per-row/
-per-column sorted obstacle coordinates (``NetView.run_stop``) instead of
-probing the hard and blocked sets point by point.
+to the next stop with a bisect over the index's per-row/per-column
+sorted stop coordinates (``NetView.run_stop``) instead of probing the
+hard and blocked sets point by point.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ def _expand_segment(
     subrange is consumed, recording the zone, solutions and new actives.
 
     Columns are independent, so each is swept to completion on its own:
-    a bisect against the index's sorted obstacle coordinates bounds every
+    a bisect against the index's sorted stop coordinates bounds every
     straight run, and only the per-search ``visited`` marks (and crossing
     counts) are checked point by point inside the run.
     """
@@ -170,7 +170,7 @@ def _expand_segment(
     step = _DY[d] if vertical_sweep else _DX[d]
     cross_tot = view.cross_v if vertical_sweep else view.cross_h
     own_cross = view.own_cross_v if vertical_sweep else view.own_cross_h
-    occ_pts = view.occ_pts
+    occ = view.occ
     self_clear = view.self_clear
     if vertical_sweep:
         limit_lo, limit_hi = view.x1, view.x2
@@ -207,7 +207,7 @@ def _expand_segment(
             arrival = target_dirs.get(q, _MISSING)
             if arrival is not _MISSING:
                 if (arrival is None or d in arrival) and (
-                    q not in occ_pts or q in self_clear
+                    q not in occ or q in self_clear
                 ):
                     solutions.append(
                         _make_solution(active, v, index, crossings, vertical_sweep)
@@ -230,7 +230,7 @@ def _expand_segment(
         groups: list[list[tuple[int, int]]] = []
         for idx, cr in cells:
             q = (v, idx) if vertical_sweep else (idx, v)
-            if q in occ_pts and q not in self_clear:
+            if q in occ and q not in self_clear:
                 groups.append([])  # crossing point: a bend may not sit here
                 continue
             if (

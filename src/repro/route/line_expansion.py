@@ -24,7 +24,7 @@ length to the targets' bounding box).  The crossing bound is
 *crossover-aware*: when zero or one bend suffices, every minimum-bend
 completion must sweep a straight run to (or towards) a nearest target, and
 the index's per-row/column crossing prefix sums price that run exactly
-(minus the net's own contributions) in O(log row).  The bound only has to
+(minus the net's own contributions) in O(1).  The bound only has to
 hold among minimum-bend completions — paths with more bends already lose
 on the first lexicographic component — and range sums over nested
 intervals only grow, so truncating at the *nearest* target keeps it a
@@ -70,7 +70,7 @@ import numpy as np
 
 from ..core.geometry import Direction, Point, normalize_path
 from ..obs import counters
-from .index import NetView, _prefix_entry
+from .index import NetView
 from .plane import Plane
 
 
@@ -540,45 +540,37 @@ def route_connection(
     unblock = (view.unblock_h, view.unblock_v)
     cross_tot = (view.cross_h, view.cross_v)
     own_cross = (view.own_cross_h, view.own_cross_v)
-    occ_pts = view.occ_pts
+    occ = view.occ
     self_clear = view.self_clear
 
     # -- crossover-aware bound plumbing ---------------------------------
-    # The index prices a straight run's crossings over all nets; the
-    # net's own contributions are subtracted with per-connection prefix
-    # structures over the (small) own-crossing overlays.
+    # The index prices a straight run's crossings over all nets inside
+    # the bounds; the net's own contributions there, one to a few per
+    # line, are summed and subtracted.
     index = plane.index
     range_cross_h = index.range_cross_h
     range_cross_v = index.range_cross_v
-    own_h_rows: dict[int, dict[int, int]] = {}
-    for p, c in view.own_cross_h.items():
-        own_h_rows.setdefault(p.y, {})[p.x] = c
-    own_v_cols: dict[int, dict[int, int]] = {}
-    for p, c in view.own_cross_v.items():
-        own_v_cols.setdefault(p.x, {})[p.y] = c
-    own_h_cache: dict[int, tuple[list[int], list[int]]] = {}
-    own_v_cache: dict[int, tuple[list[int], list[int]]] = {}
+    own_h_rows: dict[int, list[tuple[int, int]]] = {}
+    for (x, y), c in view.own_cross_h.items():
+        if x1 <= x <= x2 and y1 <= y <= y2:
+            own_h_rows.setdefault(y, []).append((x, c))
+    own_v_cols: dict[int, list[tuple[int, int]]] = {}
+    for (x, y), c in view.own_cross_v.items():
+        if x1 <= x <= x2 and y1 <= y <= y2:
+            own_v_cols.setdefault(x, []).append((y, c))
 
     def _hrange(y: int, a: int, b: int) -> int:
         """Foreign crossings a horizontal run entering ``x in [a..b]``
         on row ``y`` must pay."""
         total = range_cross_h(y, a, b)
         if total and y in own_h_rows:
-            entry = own_h_cache.get(y)
-            if entry is None:
-                entry = own_h_cache[y] = _prefix_entry(own_h_rows[y])
-            coords, sums = entry
-            total -= sums[bisect_right(coords, b)] - sums[bisect_left(coords, a)]
+            total -= sum(c for x, c in own_h_rows[y] if a <= x <= b)
         return total
 
     def _vrange(x: int, a: int, b: int) -> int:
         total = range_cross_v(x, a, b)
         if total and x in own_v_cols:
-            entry = own_v_cache.get(x)
-            if entry is None:
-                entry = own_v_cache[x] = _prefix_entry(own_v_cols[x])
-            coords, sums = entry
-            total -= sums[bisect_right(coords, b)] - sums[bisect_left(coords, a)]
+            total -= sum(c for y, c in own_v_cols[x] if a <= y <= b)
         return total
 
     # Per-line *stop* coordinates for this net, bisected.  A straight
@@ -623,7 +615,7 @@ def route_connection(
         (family B — a horizontal run at least to the nearest reachable
         target column ahead, bounded by the first stop ``lim``)."""
         best = None
-        if (qx, qy) not in occ_pts or (qx, qy) in self_clear:
+        if (qx, qy) not in occ or (qx, qy) in self_clear:
             col = t_in_col.get(qx)
             if col:
                 scol = _stops_col(qx)
@@ -661,7 +653,7 @@ def route_connection(
 
     def _hc1_vert(qx: int, qy: int, sgn: int, lim: int | None) -> int | None:
         best = None
-        if (qx, qy) not in occ_pts or (qx, qy) in self_clear:
+        if (qx, qy) not in occ or (qx, qy) in self_clear:
             row = t_in_row.get(qy)
             if row:
                 srow = _stops_row(qy)
@@ -919,12 +911,12 @@ def route_connection(
         arrival_ok = target_dirs.get(point_key, _MISSING)
         if arrival_ok is not _MISSING and parents[state] is not None:
             if (arrival_ok is None or di in arrival_ok) and (
-                point_key not in occ_pts or point_key in self_clear
+                point_key not in occ or point_key in self_clear
             ):
                 goal_state, goal_cost = state, cost
                 break
 
-        can_turn = point_key not in occ_pts or point_key in self_clear
+        can_turn = point_key not in occ or point_key in self_clear
         c0, c1, c2 = cost
         for ndi in range(4):
             if ndi == _OPPOSITE[di]:

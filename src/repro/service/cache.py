@@ -5,8 +5,9 @@ a directory ``<root>/<digest[:2]>/<digest>`` holding
 
 * ``diagram.es`` — the routed diagram in the ESCHER interchange format
   (the same bytes the batch CLI emits), and
-* ``result.json`` — a sidecar with the metrics, timing row and routing
-  outcome, so warm hits never recompute anything.
+* ``result.json`` — a compact JSON sidecar with the :data:`RESULT_KEYS`
+  of the result (status, metrics, timing row and routing outcome), so
+  warm hits never recompute anything.
 
 The cache is deliberately forgiving: a corrupt or truncated entry (bad
 magic, unparsable JSON, missing file) is evicted on read and counted as a
@@ -32,10 +33,16 @@ RESULT_FILE = "result.json"
 #: result.json keys every valid entry must carry.
 _REQUIRED_KEYS = ("status", "metrics", "timing")
 
-#: Payload keys that describe *how* a run went, not *what* it made.
-#: :meth:`ResultCache.put` leaves them out, so a warm hit never replays
-#: the original run's spans, counters, trace id or profile windows.
-TRANSIENT_KEYS = ("trace", "counters", "trace_id", "profile")
+#: The payload keys an entry keeps: what a run made, not how it went.
+#: :meth:`ResultCache.put` writes only these and :meth:`ResultCache.get`
+#: reads only these, so spans, counters, profile windows, search rows
+#: and congestion never reach a sidecar, older sidecars that carry them
+#: still read back, and a warm hit never replays a run that never
+#: happened.
+RESULT_KEYS = (
+    "status", "name", "error", "metrics", "timing",
+    "failed_nets", "failure_reasons", "seconds",
+)
 
 
 @dataclass
@@ -88,9 +95,9 @@ class ResultCache:
     def get(self, spec: JobSpec) -> dict | None:
         """The stored result payload for a spec, or ``None`` on miss.
 
-        The returned dict is what :func:`repro.service.scheduler.execute_job`
-        produced: ``status``, ``escher`` (diagram text), ``metrics``,
-        ``timing``, ``failed_nets`` and ``seconds``.
+        The returned dict holds the :data:`RESULT_KEYS` that
+        :func:`repro.service.scheduler.execute_job` produced plus
+        ``escher`` (the diagram text).
         """
         entry = self.entry_dir(spec.digest)
         diagram_path = entry / DIAGRAM_FILE
@@ -100,10 +107,10 @@ class ResultCache:
             return None
         try:
             fault("cache.read")  # injectable bad-sector read
-            payload = json.loads(result_path.read_text())
+            sidecar = json.loads(result_path.read_text())
             escher = diagram_path.read_text()
-            if not isinstance(payload, dict) or any(
-                key not in payload for key in _REQUIRED_KEYS
+            if not isinstance(sidecar, dict) or any(
+                key not in sidecar for key in _REQUIRED_KEYS
             ):
                 raise ValueError("result sidecar is missing required keys")
             if not escher.startswith(MAGIC):
@@ -113,6 +120,7 @@ class ResultCache:
             self.stats.misses += 1
             self.evict(spec.digest)
             return None
+        payload = {key: sidecar[key] for key in RESULT_KEYS if key in sidecar}
         payload["escher"] = escher
         self.stats.hits += 1
         os.utime(entry)  # refresh LRU clock
@@ -121,24 +129,20 @@ class ResultCache:
     # -- write --------------------------------------------------------
 
     def put(self, spec: JobSpec, payload: dict) -> Path:
-        """Persist a result payload, less its :data:`TRANSIENT_KEYS`;
+        """Persist a result payload's ESCHER text and :data:`RESULT_KEYS`;
         returns the entry directory."""
         entry = self.entry_dir(spec.digest)
         entry.mkdir(parents=True, exist_ok=True)
-        sidecar = {
-            k: v
-            for k, v in payload.items()
-            if k != "escher" and k not in TRANSIENT_KEYS
-        }
-        sidecar.setdefault("name", spec.name)
-        sidecar["digest"] = spec.digest
+        sidecar = {key: payload[key] for key in RESULT_KEYS if key in payload}
         fault("cache.write")  # injectable disk-full / IO error
         # Each file lands atomically (temp + rename on the same filesystem),
         # and the diagram lands before the sidecar: readers only trust
         # entries whose sidecar exists, so no crash point — mid-file or
         # between files — can expose a truncated entry.
         self._write_atomic(entry / DIAGRAM_FILE, payload.get("escher", ""))
-        self._write_atomic(entry / RESULT_FILE, json.dumps(sidecar, indent=1))
+        self._write_atomic(
+            entry / RESULT_FILE, json.dumps(sidecar, separators=(",", ":"))
+        )
         self.stats.stores += 1
         if self.max_entries is not None:
             self._trim()

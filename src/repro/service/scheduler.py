@@ -167,17 +167,30 @@ def execute_job(payload: dict, progress: Callable[[str], None] | None = None) ->
             ),
         }
     except Exception as exc:  # noqa: BLE001 — worker must not die on bad jobs
-        return {
-            "status": "error",
-            "name": payload.get("name", "?"),
-            "error": f"{type(exc).__name__}: {exc}",
-            "metrics": {},
-            "timing": {},
-            "seconds": round(time.perf_counter() - started, 4),
-        }
+        return error_payload(
+            payload,
+            "error",
+            f"{type(exc).__name__}: {exc}",
+            round(time.perf_counter() - started, 4),
+        )
     finally:
         set_tracer(previous_tracer)
         set_registry(previous_registry)
+
+
+def error_payload(
+    payload: dict, status: str, error: str, seconds: float = 0.0
+) -> dict:
+    """The result of a job that made no artwork: its ``status`` and
+    ``error``, empty metrics and timing, and the ``seconds`` it took."""
+    return {
+        "status": status,
+        "name": payload.get("name", "?"),
+        "error": error,
+        "metrics": {},
+        "timing": {},
+        "seconds": seconds,
+    }
 
 
 def _alarm(_signum, _frame):  # pragma: no cover - fires inside workers
@@ -193,14 +206,9 @@ def run_with_timeout(worker, timeout: float | None, payload: dict) -> dict:
     try:
         return worker(payload)
     except JobTimeout:
-        return {
-            "status": "timeout",
-            "name": payload.get("name", "?"),
-            "error": f"exceeded {timeout:g}s budget",
-            "metrics": {},
-            "timing": {},
-            "seconds": timeout,
-        }
+        return error_payload(
+            payload, "timeout", f"exceeded {timeout:g}s budget", timeout
+        )
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)

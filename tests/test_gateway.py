@@ -410,6 +410,26 @@ class TestGatewayHTTP:
         assert last.extra["job_id"].startswith("j")
         assert last.spec_digest
 
+    def test_finished_job_keeps_results_not_recorded_telemetry(self, served, client):
+        """Once recorded, a finished job drops the worker's profile
+        windows, search rows and congestion; its /result keeps the
+        result, counters and trace id, and its run record the rest."""
+        final = submit_and_wait(client, spec_for(seed=33, modules=9))
+        assert final["status"] == "ok" and final["cached"] is False
+        payload = client.get(f"/v1/jobs/{final['id']}/result").json()["payload"]
+        for key in ("profile", "search", "congestion"):
+            assert key not in payload, key
+        assert payload["escher"].startswith("#TUE-ES")
+        assert payload["counters"]["counters"]["route.connections"] > 0
+        assert payload["trace_id"] == final["trace_id"]
+        record = next(
+            r for r in served.gateway.config.runlog.runs(kind="serve")
+            if r.extra["job_id"] == final["id"]
+        )
+        assert record.profile_windows
+        assert record.extra["search"]["nets"]
+        assert record.congestion["cells"]
+
 
 class TestGatewayTelemetry:
     """End-to-end request tracing: traceparent continuation, one span

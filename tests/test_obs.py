@@ -334,6 +334,7 @@ class TestSchedulerTelemetry:
         assert cached is not None
         assert "trace" not in cached and "counters" not in cached
         assert "profile" not in cached and "trace_id" not in cached
+        assert "search" not in cached and "congestion" not in cached
         assert "failure_reasons" in cached
 
 

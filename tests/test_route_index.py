@@ -48,60 +48,78 @@ def _fresh_index(plane: Plane) -> PlaneIndex:
     return fresh
 
 
-def _lines(d: dict) -> dict:
-    """Per-line sets or counts with emptied entries dropped (removals leave
-    empty entries behind in the live index; that is not a semantic
-    difference)."""
-    return {k: v for k, v in d.items() if v}
-
-
 def _grid_points(grid: np.ndarray, bounds: Rect) -> set[Point]:
     ys, xs = np.nonzero(grid)
     return {Point(int(x) + bounds.x, int(y) + bounds.y) for y, x in zip(ys, xs)}
 
 
+def _ranges(lo: int, hi: int) -> list[tuple[int, int]]:
+    """Query ranges over a line spanning ``[lo..hi]``: from one beyond
+    each end, every prefix, suffix and single point, plus a range wholly
+    beyond the line and an empty one."""
+    ks = range(lo - 1, hi + 2)
+    return [
+        *((lo - 2, k) for k in ks),
+        *((k, hi + 2) for k in ks),
+        *((k, k) for k in ks),
+        (hi + 1, hi + 3),
+        (hi, lo),
+    ]
+
+
 def assert_index_matches_rebuild(plane: Plane) -> None:
     live, fresh = plane.index, _fresh_index(plane)
-    assert live.h_block == fresh.h_block
-    assert live.v_block == fresh.v_block
-    assert live.blocked_h_pts == fresh.blocked_h_pts
-    assert live.blocked_v_pts == fresh.blocked_v_pts
-    assert live.cross_h == fresh.cross_h
-    assert live.cross_v == fresh.cross_v
-    assert live.occ == fresh.occ
-    assert live.occ_pts == fresh.occ_pts
+    for name in ("h_block", "v_block", "cross_h", "cross_v", "occ"):
+        assert getattr(live, name) == getattr(fresh, name), name
     assert {n: c for n, c in live.contrib.items() if c} == {
         n: c for n, c in fresh.contrib.items() if c
     }
-    assert _lines(live._rows) == _lines(fresh._rows)
-    assert _lines(live._cols) == _lines(fresh._cols)
-    # The per-line crossing counts behind the range-crossing prefix sums.
-    assert _lines(live._cross_by_row) == _lines(fresh._cross_by_row)
-    assert _lines(live._cross_by_col) == _lines(fresh._cross_by_col)
-    for y in set(live._rows) | set(fresh._rows):
-        assert live.sorted_row(y) == fresh.sorted_row(y)
-    for x in set(live._cols) | set(fresh._cols):
-        assert live.sorted_col(x) == fresh.sorted_col(x)
-    # The dense grids mirror the line sets, occ_pts and the crossing
-    # counts inside the bounds.
+    # The dense grids equal the rebuild's and, inside the bounds, the
+    # stop points and counts.
     for name in ("stop_h", "stop_v", "occ_grid", "cross_h_grid", "cross_v_grid"):
         assert np.array_equal(getattr(live, name), getattr(fresh, name)), name
     b = plane.bounds
-    assert _grid_points(live.stop_h, b) == {
-        Point(x, y) for y, xs in live._rows.items() for x in xs
-        if b.contains(Point(x, y))
-    }
-    assert _grid_points(live.stop_v, b) == {
-        Point(x, y) for x, ys in live._cols.items() for y in ys
-        if b.contains(Point(x, y))
-    }
-    assert _grid_points(live.occ_grid, b) == {
-        p for p in live.occ_pts if b.contains(p)
-    }
+    hard = set(plane.blocked) | set(plane.claims)
+    for grid, blocks in ((live.stop_h, live.h_block), (live.stop_v, live.v_block)):
+        assert _grid_points(grid, b) == {p for p in hard | set(blocks) if b.contains(p)}
+    assert _grid_points(live.occ_grid, b) == {p for p in live.occ if b.contains(p)}
     for grid, counts in ((live.cross_h_grid, live.cross_h), (live.cross_v_grid, live.cross_v)):
         assert {
             p: int(grid[p.y - b.y, p.x - b.x]) for p in _grid_points(grid, b)
         } == {p: c for p, c in counts.items() if b.contains(p)}
+    # The live index's cached per-line views equal the rebuild's on every
+    # line of the bounds and one beyond each edge.
+    for y in range(b.y - 1, b.y2 + 2):
+        assert live.sorted_row(y) == fresh.sorted_row(y), y
+        for lo, hi in _ranges(b.x, b.x2):
+            assert live.range_cross_h(y, lo, hi) == fresh.range_cross_h(y, lo, hi)
+    for x in range(b.x - 1, b.x2 + 2):
+        assert live.sorted_col(x) == fresh.sorted_col(x), x
+        for lo, hi in _ranges(b.y, b.y2):
+            assert live.range_cross_v(x, lo, hi) == fresh.range_cross_v(x, lo, hi)
+
+
+def assert_line_views_brute_force(plane: Plane) -> None:
+    """The per-line views list exactly the in-bounds stop points of each
+    line and sum its in-bounds crossing counts."""
+    index, b = plane.index, plane.bounds
+    hard = set(plane.blocked) | set(plane.claims)
+    for vertical, blocks, crossings, sorted_line, range_cross in (
+        (False, index.h_block, index.cross_h, index.sorted_row, index.range_cross_h),
+        (True, index.v_block, index.cross_v, index.sorted_col, index.range_cross_v),
+    ):
+        def key(p):  # (line, position along it)
+            return (p.x, p.y) if vertical else (p.y, p.x)
+
+        stops = [key(p) for p in hard | set(blocks) if b.contains(p)]
+        counts = [(*key(p), c) for p, c in crossings.items() if b.contains(p)]
+        lines, span = ((b.x, b.x2), (b.y, b.y2)) if vertical else ((b.y, b.y2), (b.x, b.x2))
+        for line in range(lines[0] - 1, lines[1] + 2):
+            assert sorted_line(line) == sorted(pos for ln, pos in stops if ln == line)
+            on_line = [(pos, c) for ln, pos, c in counts if ln == line]
+            for lo, hi in _ranges(*span):
+                want = sum(c for pos, c in on_line if lo <= pos <= hi)
+                assert range_cross(line, lo, hi) == want, (vertical, line, lo, hi)
 
 
 def assert_view_matches_snapshot(plane: Plane, net: str, allow=frozenset()) -> None:
@@ -151,6 +169,7 @@ class TestIncrementalConsistency:
         p.blocked.update([Point(5, 5)])
         p.blocked.add(Point(12, 4))  # outside the bounds: no grid cell
         assert_index_matches_rebuild(p)
+        assert p.index.sorted_row(4) == [4]  # per-line views stay in bounds
         assert 4 in p.index.sorted_row(5)
         p.blocked.discard(Point(4, 5))
         assert_index_matches_rebuild(p)
@@ -170,6 +189,27 @@ class TestIncrementalConsistency:
         assert 8 not in p.index.sorted_row(5)
         assert set(p.index.sorted_row(5)) == {2, 3, 4, 5, 6}
         assert_index_matches_rebuild(p)
+        # Unblocking a claimed point keeps the claim's stop.
+        assert p.add_claim(Point(8, 3), "d")
+        p.blocked.add(Point(8, 3))
+        p.blocked.discard(Point(8, 3))
+        assert p.index.sorted_row(3) == [8] and p.index.sorted_col(8) == [3]
+        assert_index_matches_rebuild(p)
+
+    def test_line_views_at_and_past_the_border(self):
+        # Stops and crossings on the last row and column, a wire running
+        # out of the bounds and obstacles past them: the per-line views
+        # show exactly the part inside the bounds.
+        p = Plane(bounds=Rect(0, 0, 10, 10))
+        p.blocked |= {Point(0, 0), Point(10, 10), Point(-1, 4), Point(12, 4)}
+        p.add_net_path("edge", [Point(7, 13), Point(7, 7), Point(13, 7)])
+        assert_index_matches_rebuild(p)
+        assert_line_views_brute_force(p)
+        assert p.index.sorted_row(4) == [] and p.index.sorted_row(10) == [10]
+        assert p.index.range_cross_h(10, -5, 20) == 1  # (7, 11) on: no cells
+        p.remove_net("edge")
+        assert_index_matches_rebuild(p)
+        assert_line_views_brute_force(p)
 
     def test_prepopulated_plane_ingested(self):
         usage = {Point(3, 3): {"w": {Orientation.HORIZONTAL}}}
@@ -181,12 +221,13 @@ class TestIncrementalConsistency:
             nodes={"w": set()},
         )
         assert_index_matches_rebuild(p)
-        assert p.index.occ_pts == {Point(3, 3)}
+        assert p.index.occ == {Point(3, 3): 1}
         assert Point(1, 1) in p.blocked
 
     def test_randomized_mutation_storm(self):
         rng = random.Random(0xC0FFEE)
         p = Plane(bounds=Rect(0, 0, 24, 24))
+        p.blocked |= {Point(-1, 5), Point(25, 7), Point(3, 25)}  # no cells
         owners = []
         for step in range(60):
             op = rng.randrange(5)
@@ -208,6 +249,7 @@ class TestIncrementalConsistency:
                 p.blocked.add(Point(rng.randrange(24), rng.randrange(24)))
             if step % 10 == 9:
                 assert_index_matches_rebuild(p)
+                assert_line_views_brute_force(p)
                 for net in ("net0", "net1", "net2", "net3"):
                     assert_view_matches_snapshot(p, net)
         p.release_all_claims()
@@ -215,6 +257,7 @@ class TestIncrementalConsistency:
         for net in ("net0", "net1", "net2", "net3"):
             p.remove_net(net)
             assert_index_matches_rebuild(p)
+        assert_line_views_brute_force(p)
         assert not p.index.occ_grid.any()
 
     def test_net_points_served_from_contrib(self):
@@ -244,6 +287,7 @@ class TestRemoveNet:
         plane.remove_net(victim)
 
         assert_index_matches_rebuild(plane)
+        assert_line_views_brute_force(plane)
         assert victim not in plane.nodes
         assert not plane.net_points(victim)
         assert all(victim not in nets for nets in plane.usage.values())
@@ -264,7 +308,7 @@ class TestRemoveNet:
 class TestRunStop:
     def _naive_stop(self, view, vertical, line, start, step, lo, hi):
         c = start + step
-        while lo <= c <= hi + 5:  # scan a little past the border too
+        while lo <= c <= hi:  # stops beyond the border do not count
             q = Point(line, c) if vertical else Point(c, line)
             if view._stops(q, vertical):
                 return c
@@ -278,6 +322,7 @@ class TestRunStop:
         p.add_net_path("own", [Point(2, 10), Point(12, 10)])
         p.add_net_path("other", [Point(10, 2), Point(10, 18)])
         p.add_claim(Point(15, 10), "c")
+        p.blocked |= {Point(24, 10), Point(10, -3)}  # outside the bounds
         for net in ("own", "other", "third"):
             view = p.index.view(net, allow=frozenset({Point(15, 10)}))
             for _ in range(60):
@@ -286,7 +331,7 @@ class TestRunStop:
                 start = rng.randrange(0, 21)
                 step = rng.choice((1, -1))
                 got = view.run_stop(vertical, line, start, step)
-                want = self._naive_stop(view, vertical, line, start, step, -5, 20)
+                want = self._naive_stop(view, vertical, line, start, step, 0, 20)
                 assert got == want, (net, vertical, line, start, step)
 
 

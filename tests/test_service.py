@@ -21,6 +21,7 @@ from repro.service import (
     network_from_dict,
     network_to_dict,
 )
+from repro.service.cache import RESULT_KEYS
 from repro.workloads import batch_networks, random_network
 from repro.workloads.stdlib import instantiate
 
@@ -185,6 +186,29 @@ class TestResultCache:
         (cache.entry_dir(spec.digest) / "result.json").write_text("{not json")
         assert cache.get(spec) is None
         assert cache.stats.corrupt == 1
+
+    def test_older_sidecar_reads_back_as_results_only(self, tmp_path):
+        # Sidecars written before the allowlist kept telemetry and the
+        # digest, indented; a hit returns only the result keys.
+        cache = ResultCache(tmp_path)
+        spec = specs_for(1)[0]
+        payload = execute_job(spec.to_dict())
+        entry = cache.entry_dir(spec.digest)
+        entry.mkdir(parents=True)
+        (entry / "diagram.es").write_text(payload["escher"])
+        sidecar = {k: v for k, v in payload.items() if k != "escher"}
+        sidecar["digest"] = spec.digest
+        assert {"search", "congestion", "counters"} <= set(sidecar)
+        (entry / "result.json").write_text(json.dumps(sidecar, indent=1))
+        hit = cache.get(spec)
+        assert hit is not None
+        assert set(hit) == {*RESULT_KEYS, "escher"} - {"error"}
+        assert hit["escher"] == payload["escher"]
+        assert hit["failure_reasons"] == payload["failure_reasons"]
+        # A new store writes the same keys, compactly.
+        cache.put(spec, payload)
+        text = (entry / "result.json").read_text()
+        assert "\n" not in text and set(json.loads(text)) == set(hit) - {"escher"}
 
     def test_lru_eviction_bound(self, tmp_path):
         cache = ResultCache(tmp_path, max_entries=2)
