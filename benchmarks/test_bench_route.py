@@ -15,6 +15,10 @@ outcome), and on the example netlists every single connection's
 (bends, crossings, length) is cross-checked against the reference via
 ``RouterOptions(verify_optimum=True)``.
 
+One more scenario routes the LIFE hand placement at pitch 18 and checks
+the whole diagram, printing routed nets, bends, crossovers and route
+seconds.
+
 Writes ``BENCH_route.json`` at the repo root for cross-PR tracking.
 """
 
@@ -27,6 +31,8 @@ from pathlib import Path
 
 from conftest import once, print_table
 
+from repro.core.generator import route_placed
+from repro.core.validate import check_diagram
 from repro.obs import counters
 from repro.place.pablo import PabloOptions, place_network
 from repro.route import RouterOptions, line_expansion, route_diagram
@@ -36,6 +42,7 @@ from repro.workloads import (
     datapath_network,
     example1_string,
     example2_controller,
+    hand_placement,
     random_network,
 )
 
@@ -229,6 +236,30 @@ def test_bench_route_verified_examples(benchmark, experiment_store, monkeypatch)
         assert row["mismatches"] == 0, row
         if row["escalate_after"] == 0:
             assert row["escalated"] == row["verified"], row
+
+
+def test_bench_route_life_pitch18(benchmark, experiment_store):
+    """The LIFE hand placement packed to pitch 18, denser than fig 6.6's
+    24, routed without the claim-free retry and checked as a whole
+    diagram: every wire legal, every routed net connected."""
+
+    def run():
+        result = route_placed(
+            hand_placement(pitch=18), RouterOptions(margin=10, retry_failed=False)
+        )
+        check_diagram(result.diagram)
+        m = result.metrics
+        return {
+            "scenario": "life(pitch 18)",
+            "routed": f"{m.nets_routed}/{m.nets_total}",
+            "bends": m.bends,
+            "crossovers": m.crossovers,
+            "route_s": round(result.routing.seconds, 2),
+        }
+
+    row = once(benchmark, run)
+    print_table("LIFE hand placement at pitch 18", [row])
+    experiment_store["route_life_pitch18"] = row
 
 
 def test_bench_route_profile_attribution(benchmark, experiment_store):

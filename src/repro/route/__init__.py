@@ -14,7 +14,6 @@ from .lee import route_lee
 from .hightower import route_hightower
 from .channel import ChannelPin, ChannelRoute, channel_density, route_channel
 from .ripup import RipupReport, reroute_failed
-from .interval_expansion import route_connection_intervals
 from .index import NetView, PlaneIndex
 from .reference import route_connection_reference
 
@@ -39,7 +38,6 @@ __all__ = [
     "route_channel",
     "RipupReport",
     "reroute_failed",
-    "route_connection_intervals",
     "NetView",
     "PlaneIndex",
     "route_connection_reference",

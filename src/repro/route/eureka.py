@@ -37,7 +37,7 @@ from .line_expansion import (
 from .plane import DEFAULT_MARGIN, Plane
 
 NetOrder = Literal["input", "shortest_first", "fewest_pins_first"]
-Engine = Literal["state", "intervals", "reference"]
+Engine = Literal["state", "reference"]
 
 
 @dataclass(frozen=True)
@@ -50,10 +50,10 @@ class RouterOptions:
     fixed_sides: frozenset[Side] = frozenset()
     retry_failed: bool = True
     net_order: NetOrder = "shortest_first"
-    #: "state" = the indexed A* lexicographic search engine; "intervals" =
-    #: the paper's literal segment-sweep engine (identical bend counts,
-    #: crossing-first tie-break only); "reference" = the pre-index
-    #: snapshot-rebuilding Dijkstra, kept for benchmarks and verification.
+    #: "state" = the indexed A* over (point, direction) states, escalating
+    #: to the paper's segment-wavefront cost-to-go field; "reference" =
+    #: the pre-index snapshot-rebuilding Dijkstra, kept as the oracle for
+    #: ``verify_optimum`` and the routing bench.
     engine: Engine = "state"
     #: Cross-check every connection against the reference engine and
     #: count cost-tuple mismatches under ``route.verify_mismatch`` (slow;
@@ -475,12 +475,6 @@ def _route_pin_to_targets(
     dirs = start_directions_for(side.outward if side is not None else None)
     if not targets:
         return None
-    if options.engine == "intervals":
-        from .interval_expansion import route_connection_intervals
-
-        return route_connection_intervals(
-            plane, net.name, start, dirs, targets, allow=allow, stats=stats
-        )
     if options.engine == "reference":
         from .reference import route_connection_reference
 

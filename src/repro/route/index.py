@@ -1,16 +1,18 @@
 """The incremental routing-plane index.
 
-Both line-expansion engines used to rebuild a flat per-net snapshot of
+The line-expansion router used to rebuild a flat per-net snapshot of
 the whole plane — copying ``blocked | claims`` and re-scanning every
 ``usage`` point — for *every connection of every net*, making routing
-O(nets x plane-size) before a single state was expanded.  This module
-replaces that rebuild with a persistent :class:`PlaneIndex` the
+O(nets x plane-size) before a single state was expanded (that rebuild
+survives as the reference engine's
+:class:`~repro.route.reference.ReferenceSnapshot`).  This module
+replaces it with a persistent :class:`PlaneIndex` the
 :class:`~repro.route.plane.Plane` maintains incrementally on every
 mutation (``block_rect``, ``add_claim``, ``release_claims``,
 ``add_net_path``).
 
 The index keeps *global* aggregates over all nets, one point-keyed count
-map per aggregate, which the routers probe directly:
+map per aggregate, which the router probes directly:
 
 * ``h_block``/``v_block`` — per point, how many nets forbid a wire
   moving horizontally/vertically through it (node points, degenerate
@@ -26,22 +28,22 @@ plus one dense grid per aggregate over ``plane.bounds``, indexed
 ``[y - y1, x - x1]``: ``stop_h``/``stop_v`` (where a horizontal/vertical
 sweep stops: ``blocked | claims`` or a positive axis block count),
 ``occ_grid`` and ``cross_h_grid``/``cross_v_grid``.  The escalated A*
-bound sweeps whole intervals of them at once, and every per-line view is
-a cache read off one grid line, dropped whenever a cell of its line
-changes:
+bound sweeps whole intervals of them at once.  The A*'s geometric
+lower bound reads per-line views, each a cache read off one grid line,
+dropped whenever a cell of its line changes:
 
 * ``sorted_row``/``sorted_col`` — the sorted stop coordinates of a line,
-  so straight sweeps jump to the next stop with a bisect,
+  so the bound finds the first stop ahead of a straight run with a
+  bisect,
 * ``range_cross_h``/``range_cross_v`` — prefix sums of a line's crossing
-  counts, so the A*'s crossover-aware lower bound prices a straight run
-  over ``[a..b]`` with one index lookup instead of O(b-a) probes.
+  counts, so the bound prices a straight run over ``[a..b]`` with one
+  index lookup instead of O(b-a) probes.
 
 Per-line views report only points inside the bounds.  That changes no
-search: the routers never enter a point outside the bounds, so such a
-stop never lies between an in-bounds state and an in-bounds target, and
-:meth:`NetView.run_stop`'s caller clamps its sweep to the border anyway.
+search: the router never enters a point outside the bounds, so such a
+stop never lies between an in-bounds state and an in-bounds target.
 
-A :class:`NetView` is the routers' per-connection window: it references
+A :class:`NetView` is the router's per-connection window: it references
 the global maps (the ``hard`` set of blocked and claimed points is never
 copied) plus four small per-net exception sets/dicts computed from the
 net's own contribution map.
@@ -66,7 +68,6 @@ that only the cycle collector frees.
 from __future__ import annotations
 
 import weakref
-from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -427,67 +428,12 @@ class NetView:
             self.unblock_h = self.unblock_v = self.self_clear = frozenset()
             self.own_cross_h = self.own_cross_v = {}
 
-    # -- point queries (the routers inline the maps; these are for the
-    # -- interval engine and tests) -------------------------------------
-
-    def hard_at(self, q: Point) -> bool:
-        return (q in self.blocked or q in self.claims) and q not in self.allow
-
-    def entry_blocked(self, q: Point, horizontal: bool) -> bool:
-        """Would a wire of this net moving horizontally/vertically be
-        forbidden to enter ``q`` by foreign wires?"""
-        if horizontal:
-            return q in self.blocked_h and q not in self.unblock_h
-        return q in self.blocked_v and q not in self.unblock_v
-
-    def crossings_at(self, q: Point, horizontal: bool) -> int:
-        total = (self.cross_h if horizontal else self.cross_v).get(q, 0)
-        if total:
-            total -= (self.own_cross_h if horizontal else self.own_cross_v).get(
-                q, 0
-            )
-        return total
-
     def foreign_at(self, q: Point) -> bool:
         """Does any *other* net use ``q`` (no bends/terminations there)?"""
         return q in self.occ and q not in self.self_clear
 
-    # -- straight-run jumps ---------------------------------------------
-
-    def run_stop(self, vertical: bool, line: int, start: int, step: int) -> int | None:
-        """First coordinate at or beyond ``start + step`` inside the
-        bounds where a sweep of this net along column ``x=line``
-        (``vertical``) or row ``y=line`` must stop, or ``None`` when it
-        runs to the plane border.
-
-        Uses the index's sorted per-row/column stop coordinates and
-        skips entries this net is exempt from (its own wire, its
-        ``allow`` terminals).
-        """
-        coords = (
-            self.index.sorted_col(line) if vertical else self.index.sorted_row(line)
-        )
-        if not coords:
-            return None
-        if step > 0:
-            i = bisect_left(coords, start + 1)
-            while i < len(coords):
-                c = coords[i]
-                q = Point(line, c) if vertical else Point(c, line)
-                if self._stops(q, vertical):
-                    return c
-                i += 1
-            return None
-        i = bisect_right(coords, start - 1) - 1
-        while i >= 0:
-            c = coords[i]
-            q = Point(line, c) if vertical else Point(c, line)
-            if self._stops(q, vertical):
-                return c
-            i -= 1
-        return None
-
     def _stops(self, q: Point, vertical: bool) -> bool:
+        """Must a vertical/horizontal sweep of this net stop at ``q``?"""
         if (q in self.blocked or q in self.claims) and q not in self.allow:
             return True
         if vertical:
@@ -500,8 +446,9 @@ class NetView:
         """Fresh copies of the index's dense grids with this view's
         exemptions patched in: where a horizontal/vertical sweep of this
         net stops (:meth:`_stops`), where it may bend (no foreign wire),
-        and the foreign crossings a horizontal/vertical entry pays
-        (:meth:`crossings_at`), each indexed ``[y - y1, x - x1]``.
+        and the foreign crossings a horizontal/vertical entry pays (the
+        index's count less the net's own), each indexed
+        ``[y - y1, x - x1]``.
 
         Outside ``allow`` and the ``unblock`` sets a stop of the view is
         exactly a stop of the index, outside ``self_clear`` a bendable

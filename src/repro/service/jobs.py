@@ -20,11 +20,12 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields
+from typing import get_args
 
 from ..core.geometry import Point, Side
 from ..core.netlist import Module, Network, TermType
 from ..place.pablo import PabloOptions
-from ..route.eureka import RouterOptions
+from ..route.eureka import Engine, NetOrder, RouterOptions
 from ..route.line_expansion import CostOrder
 
 
@@ -138,6 +139,10 @@ def router_from_dict(data: dict) -> RouterOptions:
     d = dict(data)
     if d.pop("bidirectional", False) is not False:
         raise JobError("eureka option bidirectional is no longer supported")
+    # The interval-sweep engine is gone too, and its outputs differed from
+    # the state engine's, so a spec asking for it is refused by name.
+    if d.get("engine") == "intervals":
+        raise JobError("eureka engine intervals is no longer supported")
     # Older specs and journal entries may ask for thread-parallel
     # routing.  That option never changed a job's output, so either value
     # is accepted and ignored: the job gets the routing it always got.
@@ -146,6 +151,14 @@ def router_from_dict(data: dict) -> RouterOptions:
     unknown = set(d) - known
     if unknown:
         raise JobError(f"unknown eureka option(s): {sorted(unknown)}")
+    # A value the router does not implement would run the default path
+    # under a digest of its own: refuse it instead.
+    for name, literal in (("engine", Engine), ("net_order", NetOrder)):
+        if name in d and d[name] not in get_args(literal):
+            raise JobError(
+                f"unknown eureka {name} {d[name]!r}: "
+                f"expected one of {list(get_args(literal))}"
+            )
     try:
         if "cost_order" in d:
             d["cost_order"] = CostOrder[d["cost_order"]]

@@ -317,6 +317,11 @@ class TestGatewayHTTP:
     def test_bad_spec_is_a_400(self, client):
         assert client.post("/v1/jobs", {"nonsense": True}).status == 400
         assert client.post("/v1/jobs", b"not json{").status == 400
+        retired = spec_for(seed=1).to_dict()
+        retired["eureka"]["engine"] = "intervals"
+        posted = client.post("/v1/jobs", retired)
+        assert posted.status == 400
+        assert "intervals is no longer supported" in posted.json()["error"]
 
     def test_unknown_job_and_endpoint_are_404(self, client):
         assert client.get("/v1/jobs/j999999").status == 404

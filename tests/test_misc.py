@@ -122,12 +122,10 @@ class TestRouterCorners:
         # because the terminals sit on its border ring.
         assert report.nets_routed + report.nets_failed == 3
 
-    def test_swap_engine_mismatch_is_harmless(self, two_buffer_diagram):
-        """-s with the interval engine: the engine ignores the tie-break
-        (documented) but still routes legally."""
+    def test_swap_option_routes_legally(self, two_buffer_diagram):
+        """-s (length before crossovers) still yields a legal diagram."""
         report = route_diagram(
-            two_buffer_diagram,
-            RouterOptions(engine="intervals").with_swap_option(),
+            two_buffer_diagram, RouterOptions().with_swap_option()
         )
         assert report.nets_failed == 0
         check_diagram(two_buffer_diagram)

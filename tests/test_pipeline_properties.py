@@ -1,9 +1,9 @@
 """Whole-pipeline invariants over seeded random networks.
 
-For any generated network, under either router engine, with claims on or
-off, the pipeline must produce a diagram that (a) passes every legality
-rule, (b) whose extracted connectivity equals the net-list for the routed
-nets, and (c) survives an ESCHER round-trip geometrically intact.
+For any generated network, with claims on or off, the pipeline must
+produce a diagram that (a) passes every legality rule, (b) whose
+extracted connectivity equals the net-list for the routed nets, and (c)
+survives an ESCHER round-trip geometrically intact.
 """
 
 import pytest
@@ -31,10 +31,9 @@ def _geometry(diagram):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("engine", ["state", "intervals"])
-def test_generated_diagram_invariants(seed, engine):
+def test_generated_diagram_invariants(seed):
     net = random_network(modules=10, extra_nets=5, seed=seed)
-    result = generate(net, PABLO, RouterOptions(margin=6, engine=engine))
+    result = generate(net, PABLO, RouterOptions(margin=6))
     check_diagram(result.diagram)
     assert connectivity_matches_netlist(result.diagram)
     metrics = diagram_metrics(result.diagram)

@@ -5,8 +5,9 @@ Two layers of evidence:
 * structural — after any sequence of plane mutations the incrementally
   maintained :class:`~repro.route.index.PlaneIndex` equals an index
   rebuilt from scratch off the same plane, and a
-  :class:`~repro.route.index.NetView` answers every point query exactly
-  like the pre-index :class:`~repro.route.reference.ReferenceSnapshot`,
+  :class:`~repro.route.index.NetView`'s stops, bendable points and
+  crossing counts — per point and as patched grids — equal the pre-index
+  :class:`~repro.route.reference.ReferenceSnapshot`,
 * behavioural — the indexed A* returns the same optimum cost tuple
   (bends, crossings, length) as the snapshot-rebuilding reference
   Dijkstra on randomized scenes, under both tie-break orders, also when
@@ -123,10 +124,12 @@ def assert_line_views_brute_force(plane: Plane) -> None:
 
 
 def assert_view_matches_snapshot(plane: Plane, net: str, allow=frozenset()) -> None:
-    """Every point query of the O(1)-overlay view equals the rebuilt flat
-    snapshot of the pre-index router."""
+    """The O(own net) overlay view stops, bends and counts crossings
+    exactly like the rebuilt flat snapshot of the pre-index router: per
+    point, and on every in-bounds cell of its patched grids."""
     snap = ReferenceSnapshot(plane, net, allow)
     view = plane.index.view(net, allow)
+    stops_h, stops_v = snap.hard | snap.blocked_h, snap.hard | snap.blocked_v
     points = (
         set(plane.blocked)
         | set(plane.claims)
@@ -134,12 +137,19 @@ def assert_view_matches_snapshot(plane: Plane, net: str, allow=frozenset()) -> N
         | {Point(1, 1), Point(5, 5)}
     )
     for q in points:
-        assert view.hard_at(q) == (q in snap.hard), q
+        assert view._stops(q, False) == (q in stops_h), q
+        assert view._stops(q, True) == (q in stops_v), q
         assert view.foreign_at(q) == (q in snap.foreign_any), q
-        assert view.entry_blocked(q, True) == (q in snap.blocked_h), q
-        assert view.entry_blocked(q, False) == (q in snap.blocked_v), q
-        assert view.crossings_at(q, True) == snap.cross_h.get(q, 0), q
-        assert view.crossings_at(q, False) == snap.cross_v.get(q, 0), q
+    stop_h, stop_v, bendable, cross_h, cross_v = view.grids()
+    b = plane.bounds
+    for x in range(b.x, b.x2 + 1):
+        for y in range(b.y, b.y2 + 1):
+            q, cell = Point(x, y), (y - b.y, x - b.x)
+            assert stop_h[cell] == (q in stops_h), q
+            assert stop_v[cell] == (q in stops_v), q
+            assert bendable[cell] == (q not in snap.foreign_any), q
+            assert cross_h[cell] == snap.cross_h.get(q, 0), q
+            assert cross_v[cell] == snap.cross_v.get(q, 0), q
 
 
 class TestIncrementalConsistency:
@@ -305,36 +315,6 @@ class TestRemoveNet:
         assert_index_matches_rebuild(plane)
 
 
-class TestRunStop:
-    def _naive_stop(self, view, vertical, line, start, step, lo, hi):
-        c = start + step
-        while lo <= c <= hi:  # stops beyond the border do not count
-            q = Point(line, c) if vertical else Point(c, line)
-            if view._stops(q, vertical):
-                return c
-            c += step
-        return None
-
-    def test_matches_naive_scan(self):
-        rng = random.Random(7)
-        p = Plane(bounds=Rect(0, 0, 20, 20))
-        p.block_rect(Rect(5, 5, 3, 3))
-        p.add_net_path("own", [Point(2, 10), Point(12, 10)])
-        p.add_net_path("other", [Point(10, 2), Point(10, 18)])
-        p.add_claim(Point(15, 10), "c")
-        p.blocked |= {Point(24, 10), Point(10, -3)}  # outside the bounds
-        for net in ("own", "other", "third"):
-            view = p.index.view(net, allow=frozenset({Point(15, 10)}))
-            for _ in range(60):
-                vertical = rng.random() < 0.5
-                line = rng.randrange(0, 21)
-                start = rng.randrange(0, 21)
-                step = rng.choice((1, -1))
-                got = view.run_stop(vertical, line, start, step)
-                want = self._naive_stop(view, vertical, line, start, step, 0, 20)
-                assert got == want, (net, vertical, line, start, step)
-
-
 def _random_scene(seed: int) -> Plane:
     rng = random.Random(seed)
     p = Plane(bounds=Rect(0, 0, 22, 22))
@@ -420,36 +400,45 @@ class TestAStarMatchesReference:
         assert total_a < total_b
 
 
-def _relaxation(view):
-    """The U-turn relaxation's point rules for a view: whether a state
-    ``(x, y, axis)`` (axis 0 horizontal, 1 vertical) sits on a stop of
-    its axis or outside the plane, and whether ``(x, y)`` admits a
-    bend."""
-    x1, y1, x2, y2 = view.x1, view.y1, view.x2, view.y2
+class _Relaxation:
+    """The U-turn relaxation's point rules for a view, read off a
+    :class:`ReferenceSnapshot` of its plane, net and ``allow`` so that
+    the oracle shares no code with the view.  A state is ``(x, y,
+    axis)``, axis 0 horizontal and 1 vertical."""
 
-    def stops(x, y, axis):
-        inside = x1 <= x <= x2 and y1 <= y <= y2
-        return not inside or view._stops(Point(x, y), axis == 1)
+    def __init__(self, view):
+        snap = ReferenceSnapshot(view.index.plane, view.net, view.allow)
+        self.x1, self.y1, self.x2, self.y2 = snap.x1, snap.y1, snap.x2, snap.y2
+        self._stops = (snap.hard | snap.blocked_h, snap.hard | snap.blocked_v)
+        self._crossings = (snap.cross_h, snap.cross_v)
+        self._foreign = snap.foreign_any
 
-    def bendable(x, y):
-        return not view.foreign_at(Point(x, y))
+    def inside(self, x, y):
+        return self.x1 <= x <= self.x2 and self.y1 <= y <= self.y2
 
-    return stops, bendable
+    def stops(self, x, y, axis):
+        """Does the state sit on a stop of its axis or outside the plane?"""
+        return not self.inside(x, y) or (x, y) in self._stops[axis]
+
+    def bendable(self, x, y):
+        return (x, y) not in self._foreign
+
+    def crossings(self, x, y, axis):
+        """The foreign crossings entering ``(x, y)`` along ``axis`` pays."""
+        return self._crossings[axis].get((x, y), 0)
 
 
-def _reference_cost_to_go(view, target_dirs, cost_order):
+def _reference_cost_to_go(relax, target_dirs, cost_order):
     """Per-state Dijkstra, backwards from the goal states, on the U-turn
     relaxation: a state ``(x, y, axis)`` may run on along its axis in
     either sense, paying each entered point's crossings and one length,
     or bend where it stands for one bend.  Goal states follow the
     search's acceptance rule.  Returns ``{state: key-order cost tuple}``
     for every state with a completion."""
-    x1, y1, x2, y2 = view.x1, view.y1, view.x2, view.y2
-    stops, bendable = _relaxation(view)
+    stops, bendable = relax.stops, relax.bendable
 
     def entry(x, y, axis):
-        cross = view.crossings_at(Point(x, y), axis == 0)
-        return cost_order.key(0, cross, 1)
+        return cost_order.key(0, relax.crossings(x, y, axis), 1)
 
     dist = {}
     heap = []
@@ -472,7 +461,7 @@ def _reference_cost_to_go(view, target_dirs, cost_order):
             c = entry(x, y, axis)
             dx, dy = (1, 0) if axis == 0 else (0, 1)
             for px, py in ((x - dx, y - dy), (x + dx, y + dy)):
-                if x1 <= px <= x2 and y1 <= py <= y2:
+                if relax.inside(px, py):
                     preds.append(((px, py, axis), c))
         if bendable(x, y):
             preds.append(((x, y, 1 - axis), (1, 0, 0)))
@@ -484,11 +473,11 @@ def _reference_cost_to_go(view, target_dirs, cost_order):
     return dist
 
 
-def _reference_forward_bends(view, start, start_dirs):
+def _reference_forward_bends(relax, start, start_dirs):
     """Per-state 0-1 BFS, forwards from the start's states on the axes
     of ``start_dirs``, on the same relaxation: the fewest bends that
     reach each state."""
-    stops, bendable = _relaxation(view)
+    stops, bendable = relax.stops, relax.bendable
     dist = {}
     queue = collections.deque(
         (0, (*start, axis)) for axis in {d >> 1 for d in start_dirs}
@@ -538,15 +527,16 @@ class TestBendDistance:
             }
             allow = frozenset([*targets, *rng.sample(hard, min(len(hard), 3))])
             view = plane.index.view(net, allow)
+            relax = _Relaxation(view)
             target_dirs = {(p.x, p.y): d for p, d in targets.items()}
             for order in CostOrder:
                 field, shift, budget = cost_to_go(view, target_dirs, order)
                 assert budget is None
-                want = _reference_cost_to_go(view, target_dirs, order)
+                want = _reference_cost_to_go(relax, target_dirs, order)
                 for x, y in grid:
                     for axis in (0, 1):
                         got = _decode(int(field[axis][y][x]), shift)
-                        if view._stops(Point(x, y), axis == 1):
+                        if relax.stops(x, y, axis):
                             # Never entered: the search bounds a start
                             # there itself.
                             assert got is None, (net, order, x, y, axis)
@@ -560,11 +550,13 @@ class TestBendDistance:
                     start = rng.choice(grid)
                     dirs = rng.sample(range(4), rng.randrange(1, 5))
                     self._check_corridor(
-                        view, target_dirs, order, start, dirs, field, want
+                        view, relax, target_dirs, order, start, dirs, field, want
                     )
         return deepest
 
-    def _check_corridor(self, view, target_dirs, order, start, dirs, whole, want):
+    def _check_corridor(
+        self, view, relax, target_dirs, order, start, dirs, whole, want
+    ):
         """The field from ``start`` against the references: exact on every
         state whose forward plus backward relaxed bends equal the start's
         budget, ``(min(bends, budget + 1), 0, 0)`` elsewhere."""
@@ -572,7 +564,7 @@ class TestBendDistance:
             view, target_dirs, order, (start.x, start.y), dirs
         )
         axes = {d >> 1 for d in dirs}
-        if any(view._stops(start, axis == 1) for axis in axes):
+        if any(relax.stops(start.x, start.y, axis) for axis in axes):
             # No start interval: the whole-plane field.
             assert budget is None and np.array_equal(field, whole)
             return
@@ -582,13 +574,13 @@ class TestBendDistance:
             assert budget is None and (field == -1).all()
             return
         assert budget == min(reached)
-        forward = _reference_forward_bends(view, (start.x, start.y), dirs)
+        forward = _reference_forward_bends(relax, (start.x, start.y), dirs)
         context = (order, start, dirs)
         for x in range(23):
             for y in range(23):
                 for axis in (0, 1):
                     got = _decode(int(field[axis][y][x]), shift)
-                    if view._stops(Point(x, y), axis == 1):
+                    if relax.stops(x, y, axis):
                         assert got is None, (*context, x, y, axis)
                         continue
                     exact = want.get((x, y, axis))

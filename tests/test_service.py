@@ -100,6 +100,23 @@ class TestJobSpec:
         with pytest.raises(JobError, match="bidirectional"):
             JobSpec.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("engine", "intervals", "engine intervals is no longer supported"),
+            ("engine", "bogus", "unknown eureka engine 'bogus'"),
+            ("net_order", "nope", "unknown eureka net_order 'nope'"),
+        ],
+        ids=["engine-intervals", "engine-bogus", "net_order-nope"],
+    )
+    def test_unimplemented_router_value_rejected(self, option, value, message):
+        # Accepted, such a value would run the default path under a
+        # digest (and cache entry) of its own.
+        data = JobSpec.from_network(random_network(modules=4, seed=2)).to_dict()
+        data["eureka"][option] = value
+        with pytest.raises(JobError, match=message):
+            JobSpec.from_dict(data)
+
     def test_retired_parallel_nets_option(self):
         # The option never changed a job's output, so specs and journal
         # entries carrying either value keep the digest that
