@@ -1,0 +1,151 @@
+#!/usr/bin/env python
+"""Fingerprint the router's default outputs, to show that a change keeps
+them byte-identical.
+
+For the ``repro`` tree on ``PYTHONPATH`` it prints one JSON object that
+maps each job to ``[ESCHER sha256, route.expansions, route.connections,
+nets routed]``.  The jobs:
+
+* the 60 perfbench ``batch`` jobs of seeds 1 and 2, as
+  ``perfbench/workload_batch.py`` lists them, run through
+  ``execute_job``;
+* figs 6.6 and 6.7, the perfbench ``life`` jobs (hand placement at pitch
+  24, and PABLO ``-p 7 -b 5``, both routed with ``margin=14``);
+* pinned-border runs at ``margin=0``, with every border pinned and with
+  UP and LEFT pinned, over example 2 and the 8 seed-1 random networks.
+
+``ARTWORK_*`` variables are removed from the environment before the
+program loads, so fault injection or a sampler rate cannot change a run.
+
+Usage::
+
+    PYTHONPATH=/path/to/parent/src python scripts/route_fingerprint.py > parent.json
+    PYTHONPATH=src python scripts/route_fingerprint.py --against parent.json
+
+With ``--against FILE`` the exit code is 1 when any job's fingerprint
+differs from the one in FILE (or is missing from either side), and every
+such job is named on stderr.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+for _key in [k for k in os.environ if k.startswith("ARTWORK_")]:
+    del os.environ[_key]
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.append(str(PERFBENCH))
+
+from repro.core.geometry import Side  # noqa: E402
+from repro.formats.escher import write_escher  # noqa: E402
+from repro.obs.counters import Registry, set_registry  # noqa: E402
+from repro.place.pablo import PabloOptions  # noqa: E402
+from repro.route.eureka import RouterOptions  # noqa: E402
+from repro.service import JobSpec  # noqa: E402
+from repro.service.scheduler import execute_job  # noqa: E402
+
+import workload_batch  # noqa: E402
+import workload_life  # noqa: E402
+
+BATCH_SEEDS = (1, 2)
+PINNED = {
+    "all": frozenset(Side),
+    "up_left": frozenset({Side.UP, Side.LEFT}),
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _job_fingerprint(spec: JobSpec) -> list:
+    payload = execute_job(spec.to_dict())
+    if payload.get("status") != "ok":
+        return [payload.get("status"), payload.get("error")]
+    counters = payload["counters"]["counters"]
+    return [
+        _sha(payload["escher"]),
+        counters.get("route.expansions", 0),
+        counters.get("route.connections", 0),
+        payload["metrics"]["routed"],
+    ]
+
+
+def _life_fingerprint(job, inputs: Path, out: Path) -> list:
+    registry = Registry()
+    previous = set_registry(registry)
+    try:
+        diagram, report, _ = job(inputs, out)
+    finally:
+        set_registry(previous)
+    return [
+        _sha(write_escher(diagram)),
+        registry.get("route.expansions"),
+        registry.get("route.connections"),
+        report.nets_routed,
+    ]
+
+
+def fingerprints(work: Path) -> dict[str, list]:
+    result: dict[str, list] = {}
+    batch_inputs = work / "batch"
+    batch_inputs.mkdir()
+    workload_batch.write_inputs(batch_inputs)
+    for seed in BATCH_SEEDS:
+        for spec in workload_batch.job_specs(batch_inputs, seed):
+            result[f"batch/s{seed}/{spec.name}"] = _job_fingerprint(spec)
+
+    life_inputs = work / "life"
+    life_inputs.mkdir()
+    workload_life.write_inputs(life_inputs)
+    for name, job in (("fig6_6", workload_life.fig6_6), ("fig6_7", workload_life.fig6_7)):
+        result[f"life/{name}"] = _life_fingerprint(job, life_inputs, work)
+
+    specs = workload_batch.job_specs(batch_inputs, 1)
+    networks = [s.build_network() for s in specs if s.name == "ex2_p1_b1"]
+    networks += [s.build_network() for s in specs if s.name.startswith("random_s1_")]
+    for label, sides in PINNED.items():
+        router = RouterOptions(margin=0, fixed_sides=sides)
+        for network in networks:
+            spec = JobSpec.from_network(network, PabloOptions(), router)
+            result[f"pinned/{label}/{network.name}"] = _job_fingerprint(spec)
+    return result
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Print the router's output fingerprints as JSON."
+    )
+    parser.add_argument(
+        "--against",
+        type=Path,
+        metavar="FILE",
+        help="compare with the fingerprints in FILE; exit 1 on any difference",
+    )
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="route-fingerprint-") as work:
+        result = fingerprints(Path(work))
+    print(json.dumps(result, indent=1, sort_keys=True))
+    if args.against is None:
+        return 0
+    want = json.loads(args.against.read_text())
+    differ = sorted(
+        name for name in set(want) | set(result) if want.get(name) != result.get(name)
+    )
+    for name in differ:
+        print(
+            f"differs: {name}: {want.get(name)} -> {result.get(name)}", file=sys.stderr
+        )
+    print(f"{len(result)} jobs, {len(differ)} differ", file=sys.stderr)
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

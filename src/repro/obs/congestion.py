@@ -6,8 +6,8 @@ RoutePlacer's argument (PAPERS.md) is that routability has to be
 :class:`~repro.route.plane.Plane` already maintains into a
 :class:`CongestionMap` — per-point wire occupancy and crossover counts
 plus per-track (row/column) totals — **without rescanning the plane**:
-everything is read off ``index.occ``, which the router kept up to date
-while it worked.
+everything is read off the index's ``occ`` buffer, which the router kept
+up to date while it worked.
 
 The map serializes into a :class:`~repro.obs.runlog.RunRecord` (sparse
 cell list) and renders two ways:
@@ -20,7 +20,7 @@ cell list) and renders two ways:
 
 Invariants (checked by ``tests/test_obs.py``):
 
-* ``occupancy_total`` equals ``sum(plane.index.occ.values())``;
+* ``occupancy_total`` equals ``sum(plane.index.occ)``;
 * ``crossover_total`` equals ``DiagramMetrics.crossovers`` for the same
   routed diagram (both count unordered net pairs sharing a point).
 """
@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..route.plane import Plane
@@ -52,12 +54,14 @@ class CongestionMap:
 
     @classmethod
     def from_plane(cls, plane: "Plane") -> "CongestionMap":
-        """Read the congestion field off the live index — O(occupied
-        points), zero plane rescans."""
-        bounds = plane.bounds
+        """Read the congestion field off the live index's ``occ``
+        buffer: one vectorized pass, no per-net plane rescan."""
+        bounds, index = plane.bounds, plane.index
+        occ = index.grid(index.occ)
+        ys, xs = np.nonzero(occ)
         cells: dict[tuple[int, int], tuple[int, int]] = {}
-        for p, n in plane.index.occ.items():
-            cells[(p.x, p.y)] = (n, n * (n - 1) // 2)
+        for i, j, n in zip(ys.tolist(), xs.tolist(), occ[ys, xs].tolist()):
+            cells[(index.x1 + j, index.y1 + i)] = (n, n * (n - 1) // 2)
         return cls(x=bounds.x, y=bounds.y, w=bounds.w, h=bounds.h, cells=cells)
 
     # -- aggregates -----------------------------------------------------

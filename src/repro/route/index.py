@@ -1,36 +1,48 @@
 """The incremental routing-plane index.
 
 The line-expansion router used to rebuild a flat per-net snapshot of
-the whole plane — copying ``blocked | claims`` and re-scanning every
-``usage`` point — for *every connection of every net*, making routing
+the whole plane for *every connection of every net*, making routing
 O(nets x plane-size) before a single state was expanded (that rebuild
 survives as the reference engine's
-:class:`~repro.route.reference.ReferenceSnapshot`).  This module
-replaces it with a persistent :class:`PlaneIndex` the
-:class:`~repro.route.plane.Plane` maintains incrementally on every
-mutation (``block_rect``, ``add_claim``, ``release_claims``,
+:class:`~repro.route.reference.ReferenceSnapshot`).  Instead the
+:class:`~repro.route.plane.Plane` keeps a :class:`PlaneIndex` up to date
+on every mutation (``block_rect``, ``add_claim``, ``release_claims``,
 ``add_net_path``).
 
-The index keeps *global* aggregates over all nets, one point-keyed count
-map per aggregate, which the router probes directly:
+The index holds each *global* aggregate over all nets once, in one flat
+buffer over ``plane.bounds``.  The point ``(x, y)`` has the cell
+``(y - y1) * nx + (x - x1)``, where ``(x1, y1)`` is the bounds' lower
+left corner and ``nx`` the number of points in a row:
 
-* ``h_block``/``v_block`` — per point, how many nets forbid a wire
-  moving horizontally/vertically through it (node points, degenerate
-  single-point wires and parallel wire segments all contribute),
-* ``cross_h``/``cross_v`` — per point, the total crossover count a
-  horizontal/vertical passage would pay over all nets,
-* ``occ`` — per point, how many nets use it at all,
-* ``contrib`` — per net, that net's own contribution at every point it
-  uses, which is what makes a per-connection view an O(own net) overlay
-  ("all minus own net") instead of an O(plane) rebuild,
+* ``hard`` (a ``bytearray``) — 1 where the point is blocked or claimed,
+* ``h_block``/``v_block`` (``array("i")``) — how many nets forbid a wire
+  moving horizontally/vertically through the point (node points,
+  degenerate single-point wires and parallel wire segments all
+  contribute),
+* ``cross_h``/``cross_v`` — the total crossover count a
+  horizontal/vertical passage of the point pays over all nets,
+* ``occ`` — how many nets use the point at all.
 
-plus one dense grid per aggregate over ``plane.bounds``, indexed
-``[y - y1, x - x1]``: ``stop_h``/``stop_v`` (where a horizontal/vertical
-sweep stops: ``blocked | claims`` or a positive axis block count),
-``occ_grid`` and ``cross_h_grid``/``cross_v_grid``.  The escalated A*
-bound sweeps whole intervals of them at once.  The A*'s geometric
-lower bound reads per-line views, each a cache read off one grid line,
-dropped whenever a cell of its line changes:
+The router reads and writes them per cell from Python, and
+:meth:`PlaneIndex.grid` views a whole buffer as a numpy array indexed
+``[y - y1, x - x1]`` without a copy, which the escalated A* bound
+sweeps.  ``contrib`` records per net that net's own contribution at
+every point it uses: ``remove_net`` unwinds it, and a :class:`NetView`,
+the router's per-connection window, turns it into a few exception sets
+keyed by cell, an O(own net) overlay ("all minus own net") on the
+shared buffers instead of an O(plane) rebuild.
+
+Outside the bounds there is no cell.  ``contrib`` still records a net's
+points there, so ``net_points`` and ``remove_net`` see the whole net,
+but no buffer counts them.  The router never enters such a point: a
+view answers every stop query there with ``True`` (the plane border
+stops every sweep) and ``foreign_at`` with ``False``, and
+:func:`~repro.route.line_expansion.route_connection` refuses a start
+there.
+
+The A*'s geometric lower bound reads per-line views of the buffers,
+each cached per line and dropped whenever a stop or crossing cell of its
+line changes:
 
 * ``sorted_row``/``sorted_col`` — the sorted stop coordinates of a line,
   so the bound finds the first stop ahead of a straight run with a
@@ -39,26 +51,16 @@ dropped whenever a cell of its line changes:
   counts, so the bound prices a straight run over ``[a..b]`` with one
   index lookup instead of O(b-a) probes.
 
-Per-line views report only points inside the bounds.  That changes no
-search: the router never enters a point outside the bounds, so such a
-stop never lies between an in-bounds state and an in-bounds target.
+Invariants (checked by ``tests/test_route_index.py`` against an index
+rebuilt from scratch, sums recomputed from ``contrib``, and brute force):
 
-A :class:`NetView` is the router's per-connection window: it references
-the global maps (the ``hard`` set of blocked and claimed points is never
-copied) plus four small per-net exception sets/dicts computed from the
-net's own contribution map.
-
-Invariants (checked by ``tests/test_route_index.py`` against a
-rebuilt-from-scratch reference and brute force):
-
-* for every point ``p`` and net ``n``: ``contrib[n][p]`` equals the
-  contribution recomputed from ``plane.usage``/``plane.nodes``,
-* ``h_block[p] == sum(contrib[n][p].hb)`` with no zero entries (same for
-  ``v_block``/``cross_*``; ``occ[p]`` counts the nets with an entry),
-* inside the bounds ``stop_h`` holds exactly the points of
-  ``blocked | claims | h_block`` (``v_block`` for ``stop_v``), ``occ_grid``
-  the keys of ``occ`` and the crossing grids the ``cross_*`` counts;
-  points outside the bounds have no cell.
+* ``contrib[n][p]`` equals net ``n``'s contribution at ``p`` recomputed
+  from ``plane.usage``/``plane.nodes``,
+* each cell of ``h_block``, ``v_block``, ``cross_h`` and ``cross_v`` is
+  the sum of the ``contrib`` entries at its point, and ``occ`` counts
+  them,
+* ``hard`` is 1 exactly at the points of ``blocked | claims`` inside the
+  bounds.
 
 The index holds its plane through a weak reference: the plane owns the
 index, and a back-reference would make every plane a reference cycle
@@ -68,7 +70,9 @@ that only the cycle collector frees.
 from __future__ import annotations
 
 import weakref
-from typing import TYPE_CHECKING, Iterable
+from array import array
+from collections.abc import MutableSet
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -78,64 +82,56 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .plane import Plane
 
 
-def _bump(counts: dict[Point, int], p: Point, delta: int) -> int:
-    """Add ``delta`` to ``p``'s count, dropping the entry at zero; returns
-    the new count."""
-    n = counts.get(p, 0) + delta
-    if n:
-        counts[p] = n
-    else:
-        del counts[p]
-    return n
-
-
-def _line(grid: np.ndarray, k: int, column: bool) -> np.ndarray:
-    """Row ``k`` of ``grid`` (column ``k`` when ``column``); empty for a
-    line outside the bounds."""
-    lines = grid.T if column else grid
-    return lines[k] if 0 <= k < len(lines) else lines[:0].ravel()
-
-
-class IndexedPointSet(set):
-    """A ``set`` of points that notifies the index on every mutation.
+class IndexedPointSet(MutableSet):
+    """A set of points that notifies the index on every mutation.
 
     ``Plane.blocked`` is a public field that callers (and tests) mutate
     directly — ``plane.blocked.add(p)`` — so the hook has to live on the
-    container itself, not on ``Plane`` methods.
+    container itself, not on ``Plane`` methods.  Every mutation goes
+    through :meth:`add` or :meth:`discard`: the ``MutableSet`` mixins
+    build ``-=``, ``&=``, ``^=``, ``pop``, ``remove`` and ``clear`` on
+    them, and the in-place methods of ``set`` other than ``update`` do
+    not exist here.  Operators that make a new set (``|``, ``-``, ...)
+    return a plain ``set``.
     """
 
+    __slots__ = ("_index", "_points")
+
     def __init__(self, index: "PlaneIndex", points: Iterable[Point] = ()) -> None:
-        super().__init__()
         self._index = index
+        self._points: set[Point] = set()
         self.update(points)
 
-    def add(self, point) -> None:  # type: ignore[override]
-        if point not in self:
-            set.add(self, point)
-            self._index.blocked_added(point)
+    @classmethod
+    def _from_iterable(cls, points: Iterable[Point]) -> set[Point]:
+        return set(points)
 
-    def update(self, *others) -> None:  # type: ignore[override]
+    def __contains__(self, point: object) -> bool:
+        return point in self._points
+
+    def __iter__(self) -> Iterator[Point]:
+        return iter(self._points)
+
+    def __len__(self) -> int:
+        return len(self._points)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._points!r})"
+
+    def add(self, point: Point) -> None:
+        if point not in self._points:
+            self._points.add(point)
+            self._index.hard_changed(point, True)
+
+    def discard(self, point: Point) -> None:
+        if point in self._points:
+            self._points.remove(point)
+            self._index.hard_changed(point, False)
+
+    def update(self, *others: Iterable[Point]) -> None:
         for other in others:
             for point in other:
                 self.add(point)
-
-    def __ior__(self, other):  # type: ignore[override]
-        self.update(other)
-        return self
-
-    def discard(self, point) -> None:  # type: ignore[override]
-        if point in self:
-            set.discard(self, point)
-            self._index.blocked_removed(point)
-
-    def remove(self, point) -> None:  # type: ignore[override]
-        if point not in self:
-            raise KeyError(point)
-        self.discard(point)
-
-    def clear(self) -> None:  # type: ignore[override]
-        for point in list(self):
-            self.discard(point)
 
 
 class PlaneIndex:
@@ -143,19 +139,17 @@ class PlaneIndex:
 
     __slots__ = (
         "_plane",
+        "x1",
+        "y1",
+        "nx",
+        "ny",
+        "hard",
         "h_block",
         "v_block",
         "cross_h",
         "cross_v",
         "occ",
         "contrib",
-        "_ox",
-        "_oy",
-        "stop_h",
-        "stop_v",
-        "occ_grid",
-        "cross_h_grid",
-        "cross_v_grid",
         "_rows_sorted",
         "_cols_sorted",
         "_cross_rows",
@@ -164,24 +158,18 @@ class PlaneIndex:
 
     def __init__(self, plane: "Plane") -> None:
         self._plane = weakref.ref(plane)
-        # point -> number of nets blocking horizontal/vertical entry
-        self.h_block: dict[Point, int] = {}
-        self.v_block: dict[Point, int] = {}
-        # point -> total crossings for horizontal/vertical passage
-        self.cross_h: dict[Point, int] = {}
-        self.cross_v: dict[Point, int] = {}
-        # point -> number of nets using it (any orientation)
-        self.occ: dict[Point, int] = {}
+        bounds = plane.bounds
+        self.x1, self.y1 = bounds.x, bounds.y
+        self.nx, self.ny = bounds.w + 1, bounds.h + 1
+        cells = self.nx * self.ny
+        self.hard = bytearray(cells)
+        self.h_block = array("i", [0]) * cells
+        self.v_block = array("i", [0]) * cells
+        self.cross_h = array("i", [0]) * cells
+        self.cross_v = array("i", [0]) * cells
+        self.occ = array("i", [0]) * cells
         # net -> point -> (h_block, v_block, cross_h, cross_v) contribution
         self.contrib: dict[str, dict[Point, tuple[int, int, int, int]]] = {}
-        bounds = plane.bounds
-        self._ox, self._oy = bounds.x, bounds.y
-        shape = (bounds.h + 1, bounds.w + 1)
-        self.stop_h = np.zeros(shape, dtype=bool)
-        self.stop_v = np.zeros(shape, dtype=bool)
-        self.occ_grid = np.zeros(shape, dtype=bool)
-        self.cross_h_grid = np.zeros(shape, dtype=np.int64)
-        self.cross_v_grid = np.zeros(shape, dtype=np.int64)
         # Per-line views, keyed by row y / column x: sorted stop
         # coordinates and crossing prefix sums.
         self._rows_sorted: dict[int, list[int]] = {}
@@ -193,19 +181,38 @@ class PlaneIndex:
     def plane(self) -> "Plane":
         return self._plane()
 
+    def cell(self, p: Point) -> int | None:
+        """``p``'s cell, or ``None`` outside the bounds."""
+        i, j = p[1] - self.y1, p[0] - self.x1
+        if 0 <= i < self.ny and 0 <= j < self.nx:
+            return i * self.nx + j
+        return None
+
+    def grid(self, buffer: bytearray | array) -> np.ndarray:
+        """One of the buffers as a numpy array indexed ``[y - y1, x - x1]``,
+        without a copy (``hard`` as booleans)."""
+        dtype = bool if isinstance(buffer, bytearray) else np.intc
+        return np.frombuffer(buffer, dtype).reshape(self.ny, self.nx)
+
     # -- plane mutation hooks -------------------------------------------
 
-    def blocked_added(self, p: Point) -> None:
-        """A blocked/claimed point obstructs movement on both axes."""
-        self._stop(p, False, True)
-        self._stop(p, True, True)
-
-    def blocked_removed(self, p: Point) -> None:
-        self._unstop(p, False)
-        self._unstop(p, True)
-
-    claim_added = blocked_added
-    claim_removed = blocked_removed
+    def hard_changed(self, p: Point, value: bool) -> None:
+        """``p`` became blocked or claimed (``value``), or stopped being
+        one of them: it stays hard while the other still holds it.  A
+        hard point obstructs movement on both axes."""
+        cell = self.cell(p)
+        if cell is None:
+            return
+        if not value:
+            plane = self.plane
+            value = p in plane.blocked or p in plane.claims
+        if self.hard[cell] == value:
+            return
+        self.hard[cell] = value
+        if not self.h_block[cell]:
+            self._rows_sorted.pop(p[1], None)
+        if not self.v_block[cell]:
+            self._cols_sorted.pop(p[0], None)
 
     def net_path_added(self, net: str, points: Iterable[Point]) -> None:
         """Refresh ``net``'s contribution at every covered point of a
@@ -228,30 +235,31 @@ class PlaneIndex:
             old = cmap.get(p)
             if old == new:
                 continue
+            cmap[p] = new
+            cell = self.cell(p)
+            if cell is None:
+                continue
             if old is None:
                 old = (0, 0, 0, 0)
-                if _bump(self.occ, p, 1) == 1:
-                    self._set(self.occ_grid, p, True)
-            cmap[p] = new
-            self._shift(
-                p, new[0] - old[0], new[1] - old[1], new[2] - old[2], new[3] - old[3]
-            )
+                self.occ[cell] += 1
+            self._shift(p, cell, old, new)
 
     def remove_net(self, net: str) -> None:
         """Unwind every contribution of ``net`` in O(own net), leaving
         the index identical to one rebuilt from scratch off a plane that
         never saw the net."""
-        for p, (hb, vb, ch, cv) in self.contrib.pop(net, {}).items():
-            self._shift(p, -hb, -vb, -ch, -cv)
-            if not _bump(self.occ, p, -1):
-                self._set(self.occ_grid, p, False)
+        for p, old in self.contrib.pop(net, {}).items():
+            cell = self.cell(p)
+            if cell is not None:
+                self.occ[cell] -= 1
+                self._shift(p, cell, old, (0, 0, 0, 0))
 
     def rebuild(self) -> None:
         """Ingest a pre-populated plane (dataclass construction with
         existing claims/usage; ``blocked`` notifies through its own
         container)."""
         for p in self.plane.claims:
-            self.claim_added(p)
+            self.hard_changed(p, True)
         per_net: dict[str, set[Point]] = {}
         for p, nets in self.plane.usage.items():
             for net in nets:
@@ -259,72 +267,58 @@ class PlaneIndex:
         for net, points in per_net.items():
             self.net_path_added(net, points)
 
-    # -- internals ------------------------------------------------------
-
-    def _shift(self, p: Point, dhb: int, dvb: int, dch: int, dcv: int) -> None:
-        """Add a change of one net's contribution at ``p`` to the count
-        maps and the grids."""
+    def _shift(self, p: Point, cell: int, old: tuple, new: tuple) -> None:
+        """Replace one net's contribution ``old`` at ``p`` by ``new``,
+        dropping the line views whose stops or sums change."""
+        dhb, dvb = new[0] - old[0], new[1] - old[1]
+        dch, dcv = new[2] - old[2], new[3] - old[3]
         if dhb:
-            n = _bump(self.h_block, p, dhb)
-            if n == dhb:  # newly blocked
-                self._stop(p, False, True)
-            elif not n:
-                self._unstop(p, False)
+            n = self.h_block[cell]
+            self.h_block[cell] = n + dhb
+            if not (n and n + dhb) and not self.hard[cell]:
+                self._rows_sorted.pop(p[1], None)
         if dvb:
-            n = _bump(self.v_block, p, dvb)
-            if n == dvb:
-                self._stop(p, True, True)
-            elif not n:
-                self._unstop(p, True)
+            n = self.v_block[cell]
+            self.v_block[cell] = n + dvb
+            if not (n and n + dvb) and not self.hard[cell]:
+                self._cols_sorted.pop(p[0], None)
         if dch:
-            _bump(self.cross_h, p, dch)
-            if self._set(self.cross_h_grid, p, dch, add=True):
-                self._cross_rows.pop(p.y, None)
+            self.cross_h[cell] += dch
+            self._cross_rows.pop(p[1], None)
         if dcv:
-            _bump(self.cross_v, p, dcv)
-            if self._set(self.cross_v_grid, p, dcv, add=True):
-                self._cross_cols.pop(p.x, None)
-
-    def _set(self, grid: np.ndarray, p: Point, value, add: bool = False) -> bool:
-        """Set (or with ``add``, increase) ``p``'s cell; whether it
-        changed — points outside the bounds have no cell."""
-        i, j = p.y - self._oy, p.x - self._ox
-        if not (0 <= i < grid.shape[0] and 0 <= j < grid.shape[1]):
-            return False
-        if add:
-            grid[i, j] += value
-        elif grid[i, j] == value:
-            return False
-        else:
-            grid[i, j] = value
-        return True
-
-    def _stop(self, p: Point, vertical: bool, value: bool) -> None:
-        """Set ``p``'s cell of the vertical/horizontal stop grid, dropping
-        its line's cached stop list when the cell changes."""
-        if vertical:
-            if self._set(self.stop_v, p, value):
-                self._cols_sorted.pop(p.x, None)
-        elif self._set(self.stop_h, p, value):
-            self._rows_sorted.pop(p.y, None)
-
-    def _unstop(self, p: Point, vertical: bool) -> None:
-        """Clear ``p``'s stop cell unless another source still blocks
-        movement along that axis there."""
-        plane = self.plane
-        blocks = self.v_block if vertical else self.h_block
-        if p not in plane.blocked and p not in plane.claims and p not in blocks:
-            self._stop(p, vertical, False)
+            self.cross_v[cell] += dcv
+            self._cross_cols.pop(p[0], None)
 
     # -- per-line views -------------------------------------------------
+
+    def _stop_line(self, k: int, column: bool) -> list[int]:
+        """Sorted coordinates, inside the bounds, of the stops on row
+        ``k`` of the grid (column ``k`` with ``column``)."""
+        hard = self.grid(self.hard)
+        blocks = self.grid(self.v_block if column else self.h_block)
+        if column:
+            hard, blocks = hard.T, blocks.T
+        if not 0 <= k < len(hard):
+            return []
+        origin = self.y1 if column else self.x1
+        return (np.flatnonzero(hard[k] | (blocks[k] != 0)) + origin).tolist()
+
+    def _cross_sums(self, k: int, column: bool) -> list[int]:
+        """Prefix sums of the crossing counts on row ``k`` of the grid
+        (column ``k`` with ``column``)."""
+        counts = self.grid(self.cross_v if column else self.cross_h)
+        if column:
+            counts = counts.T
+        if not 0 <= k < len(counts):
+            return [0]
+        return [0, *np.cumsum(counts[k]).tolist()]
 
     def sorted_row(self, y: int) -> list[int]:
         """Sorted x coordinates inside the bounds obstructing horizontal
         movement on row y."""
         lst = self._rows_sorted.get(y)
         if lst is None:
-            line = _line(self.stop_h, y - self._oy, False)
-            lst = self._rows_sorted[y] = (np.flatnonzero(line) + self._ox).tolist()
+            lst = self._rows_sorted[y] = self._stop_line(y - self.y1, False)
         return lst
 
     def sorted_col(self, x: int) -> list[int]:
@@ -332,8 +326,7 @@ class PlaneIndex:
         movement on column x."""
         lst = self._cols_sorted.get(x)
         if lst is None:
-            line = _line(self.stop_v, x - self._ox, True)
-            lst = self._cols_sorted[x] = (np.flatnonzero(line) + self._oy).tolist()
+            lst = self._cols_sorted[x] = self._stop_line(x - self.x1, True)
         return lst
 
     def range_cross_h(self, y: int, a: int, b: int) -> int:
@@ -342,9 +335,8 @@ class PlaneIndex:
         subtract their own)."""
         sums = self._cross_rows.get(y)
         if sums is None:
-            line = _line(self.cross_h_grid, y - self._oy, False)
-            sums = self._cross_rows[y] = [0, *np.cumsum(line).tolist()]
-        lo, hi = max(a - self._ox, 0), min(b - self._ox + 1, len(sums) - 1)
+            sums = self._cross_rows[y] = self._cross_sums(y - self.y1, False)
+        lo, hi = max(a - self.x1, 0), min(b - self.x1 + 1, len(sums) - 1)
         return sums[hi] - sums[lo] if lo < hi else 0
 
     def range_cross_v(self, x: int, a: int, b: int) -> int:
@@ -352,9 +344,8 @@ class PlaneIndex:
         column ``x`` would pay inside the bounds, over all nets."""
         sums = self._cross_cols.get(x)
         if sums is None:
-            line = _line(self.cross_v_grid, x - self._ox, True)
-            sums = self._cross_cols[x] = [0, *np.cumsum(line).tolist()]
-        lo, hi = max(a - self._oy, 0), min(b - self._oy + 1, len(sums) - 1)
+            sums = self._cross_cols[x] = self._cross_sums(x - self.x1, True)
+        lo, hi = max(a - self.y1, 0), min(b - self.y1 + 1, len(sums) - 1)
         return sums[hi] - sums[lo] if lo < hi else 0
 
     # -- per-net queries -------------------------------------------------
@@ -369,112 +360,106 @@ class PlaneIndex:
 
 
 class NetView:
-    """One net's window on the plane: global maps by reference plus the
-    net's own small exception overlay ("all minus own net")."""
+    """One net's window on the plane: the index's buffers, read through
+    ``index``, plus the net's own small exception overlay ("all minus
+    own net"), keyed by cell."""
 
     __slots__ = (
         "x1",
         "y1",
         "x2",
         "y2",
-        "blocked",
-        "claims",
+        "nx",
+        "index",
+        "net",
         "allow",
-        "blocked_h",
-        "blocked_v",
-        "cross_h",
-        "cross_v",
-        "occ",
+        "allow_cells",
         "unblock_h",
         "unblock_v",
         "own_cross_h",
         "own_cross_v",
         "self_clear",
-        "index",
-        "net",
     )
 
     def __init__(self, index: PlaneIndex, net: str, allow: frozenset[Point]) -> None:
-        plane = index.plane
-        bounds = plane.bounds
-        self.x1, self.y1 = bounds.x, bounds.y
-        self.x2, self.y2 = bounds.x2, bounds.y2
-        self.blocked = plane.blocked
-        self.claims = plane.claims
-        self.allow = allow
-        self.blocked_h = index.h_block
-        self.blocked_v = index.v_block
-        self.cross_h = index.cross_h
-        self.cross_v = index.cross_v
-        self.occ = index.occ
+        x1, y1, nx, ny = index.x1, index.y1, index.nx, index.ny
+        self.x1, self.y1, self.nx = x1, y1, nx
+        self.x2, self.y2 = x1 + nx - 1, y1 + ny - 1
         self.index = index
         self.net = net
-        own = index.contrib.get(net)
-        if own:
-            h_block, v_block, occ = index.h_block, index.v_block, index.occ
-            # Points only this net blocks: passable for it.
-            self.unblock_h = {
-                p for p, c in own.items() if c[0] and h_block[p] == c[0]
-            }
-            self.unblock_v = {
-                p for p, c in own.items() if c[1] and v_block[p] == c[1]
-            }
-            # Own crossing contributions to subtract from the totals.
-            self.own_cross_h = {p: c[2] for p, c in own.items() if c[2]}
-            self.own_cross_v = {p: c[3] for p, c in own.items() if c[3]}
-            # Own points free of foreign wires: bends stay legal there.
-            self.self_clear = {p for p in own if occ[p] == 1}
-        else:
-            self.unblock_h = self.unblock_v = self.self_clear = frozenset()
-            self.own_cross_h = self.own_cross_v = {}
+        self.allow = allow
+        # In-bounds points exempt from the blocked/claimed stops.
+        self.allow_cells = {c for c in map(index.cell, allow) if c is not None}
+        # Points only this net blocks: passable for it.
+        self.unblock_h = unblock_h = set()
+        self.unblock_v = unblock_v = set()
+        # Own crossing contributions to subtract from the totals.
+        self.own_cross_h = own_cross_h = {}
+        self.own_cross_v = own_cross_v = {}
+        # Own points free of foreign wires: bends stay legal there.
+        self.self_clear = self_clear = set()
+        h_block, v_block, occ = index.h_block, index.v_block, index.occ
+        for (x, y), (hb, vb, ch, cv) in index.contrib.get(net, {}).items():
+            i, j = y - y1, x - x1
+            if not (0 <= i < ny and 0 <= j < nx):
+                continue
+            c = i * nx + j
+            if hb and h_block[c] == hb:
+                unblock_h.add(c)
+            if vb and v_block[c] == vb:
+                unblock_v.add(c)
+            if ch:
+                own_cross_h[c] = ch
+            if cv:
+                own_cross_v[c] = cv
+            if occ[c] == 1:
+                self_clear.add(c)
 
     def foreign_at(self, q: Point) -> bool:
         """Does any *other* net use ``q`` (no bends/terminations there)?"""
-        return q in self.occ and q not in self.self_clear
+        cell = self.index.cell(q)
+        return cell is not None and self.index.occ[cell] != 0 and cell not in self.self_clear
 
     def _stops(self, q: Point, vertical: bool) -> bool:
         """Must a vertical/horizontal sweep of this net stop at ``q``?"""
-        if (q in self.blocked or q in self.claims) and q not in self.allow:
+        cell = self.index.cell(q)
+        return cell is None or self.stops_at(cell, vertical)
+
+    def stops_at(self, cell: int, vertical: bool) -> bool:
+        """:meth:`_stops` at an in-bounds cell."""
+        index = self.index
+        if index.hard[cell] and cell not in self.allow_cells:
             return True
         if vertical:
-            return q in self.blocked_v and q not in self.unblock_v
-        return q in self.blocked_h and q not in self.unblock_h
+            return index.v_block[cell] != 0 and cell not in self.unblock_v
+        return index.h_block[cell] != 0 and cell not in self.unblock_h
 
     def grids(
         self,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Fresh copies of the index's dense grids with this view's
-        exemptions patched in: where a horizontal/vertical sweep of this
-        net stops (:meth:`_stops`), where it may bend (no foreign wire),
-        and the foreign crossings a horizontal/vertical entry pays (the
-        index's count less the net's own), each indexed
-        ``[y - y1, x - x1]``.
+        """Fresh grids, indexed ``[y - y1, x - x1]``: where a
+        horizontal/vertical sweep of this net stops (:meth:`_stops`),
+        where it may bend (no foreign wire), and the foreign crossings a
+        horizontal/vertical entry pays (as int64).
 
-        Outside ``allow`` and the ``unblock`` sets a stop of the view is
-        exactly a stop of the index, outside ``self_clear`` a bendable
-        point is exactly an unoccupied one, and outside the net's own
-        crossing contributions the count is the index's, so only those
-        few points need the per-point rules."""
+        They are built from the buffers — a stop is a hard point or a
+        positive axis block count, a bendable point an unoccupied one —
+        and then only the view's exception cells are patched in."""
         index = self.index
-        stop_h = index.stop_h.copy()
-        stop_v = index.stop_v.copy()
-        bendable = ~index.occ_grid
-        cross_h = index.cross_h_grid.copy()
-        cross_v = index.cross_v_grid.copy()
-        x1, y1, x2, y2 = self.x1, self.y1, self.x2, self.y2
-        for grid, points, vertical in (
-            (stop_h, self.allow | self.unblock_h, False),
-            (stop_v, self.allow | self.unblock_v, True),
+        hard = index.grid(index.hard)
+        stop_h = hard | (index.grid(index.h_block) != 0)
+        stop_v = hard | (index.grid(index.v_block) != 0)
+        bendable = index.grid(index.occ) == 0
+        cross_h = index.grid(index.cross_h).astype(np.int64)
+        cross_v = index.grid(index.cross_v).astype(np.int64)
+        for grid, cells, vertical in (
+            (stop_h.ravel(), self.allow_cells | self.unblock_h, False),
+            (stop_v.ravel(), self.allow_cells | self.unblock_v, True),
         ):
-            for p in points:
-                x, y = p
-                if x1 <= x <= x2 and y1 <= y <= y2:
-                    grid[y - y1, x - x1] = self._stops(p, vertical)
-        for x, y in self.self_clear:
-            if x1 <= x <= x2 and y1 <= y <= y2:
-                bendable[y - y1, x - x1] = True
-        for grid, own in ((cross_h, self.own_cross_h), (cross_v, self.own_cross_v)):
-            for (x, y), c in own.items():
-                if x1 <= x <= x2 and y1 <= y <= y2:
-                    grid[y - y1, x - x1] -= c
+            for c in cells:
+                grid[c] = self.stops_at(c, vertical)
+        bendable.ravel()[list(self.self_clear)] = True
+        for grid, own in ((cross_h.ravel(), self.own_cross_h), (cross_v.ravel(), self.own_cross_v)):
+            for c, n in own.items():
+                grid[c] -= n
         return stop_h, stop_v, bendable, cross_h, cross_v

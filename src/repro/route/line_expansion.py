@@ -123,9 +123,6 @@ class SearchStats:
             self.connections.append(row)
 
 
-_State = tuple[Point, Direction]
-
-
 #: (dx, dy, moves_horizontally) per direction, and the opposite's index.
 _DIR_ORDER = [Direction.LEFT, Direction.RIGHT, Direction.UP, Direction.DOWN]
 _DIR_STEPS = [(d.dx, d.dy, d.dy == 0) for d in _DIR_ORDER]
@@ -485,14 +482,20 @@ def route_connection(
     ``allow`` exempts points from the module/terminal/claim blocks (the
     net's own terminals).
 
-    Returns ``None`` when no connection exists — and only then.
+    Returns ``None`` when no connection exists — and only then.  Raises
+    ``ValueError`` for a ``start`` outside ``plane.bounds``, which has no
+    cell in the plane index.
     """
+    index = plane.index
+    start_cell = index.cell(start)
+    if start_cell is None:
+        raise ValueError(f"start {start} lies outside the plane bounds {plane.bounds}")
     if not isinstance(targets, Mapping):
         targets = {p: None for p in targets}
     if not targets:
         return None
     start_directions = list(start_directions)
-    view = plane.index.view(net, allow)
+    view = index.view(net, allow)
     if start in targets:
         # Zero-length connection: legal only under the same acceptance
         # rule as the main loop — the target must carry no foreign wire
@@ -503,18 +506,23 @@ def route_connection(
         ) and not view.foreign_at(start):
             return RouteResult(path=[start], bends=0, crossings=0, length=0)
 
-    # Arrival constraints plus the target geometry the heuristic needs:
-    # bounding box and sorted per-row/per-column target coordinates.
+    # Arrival constraints, by point for the cost-to-go field and by cell
+    # for the goal test (a target outside the bounds is never reached),
+    # plus the target geometry the heuristic needs: bounding box and
+    # sorted per-row/per-column target coordinates.
     target_dirs: dict[tuple[int, int], frozenset[int] | None] = {}
+    goal_dirs: dict[int, frozenset[int] | None] = {}
     t_in_row: dict[int, list[int]] = {}
     t_in_col: dict[int, list[int]] = {}
     tx1 = ty1 = 1 << 60
     tx2 = ty2 = -(1 << 60)
     for p, dirs in targets.items():
         tx, ty = p.x, p.y
-        target_dirs[(tx, ty)] = (
-            None if dirs is None else frozenset(_DIR_INDEX[d] for d in dirs)
-        )
+        accepted = None if dirs is None else frozenset(_DIR_INDEX[d] for d in dirs)
+        target_dirs[(tx, ty)] = accepted
+        cell = index.cell(p)
+        if cell is not None:
+            goal_dirs[cell] = accepted
         t_in_row.setdefault(ty, []).append(tx)
         t_in_col.setdefault(tx, []).append(ty)
         if tx < tx1:
@@ -533,31 +541,35 @@ def route_connection(
     t_cols_sorted = sorted(t_in_col)  # columns containing a target
 
     crossings_first = cost_order is CostOrder.BENDS_CROSSINGS_LENGTH
-    x1, y1, x2, y2 = view.x1, view.y1, view.x2, view.y2
-    hard_blocked = view.blocked
-    hard_claims = view.claims
-    blocked = (view.blocked_h, view.blocked_v)
-    unblock = (view.unblock_h, view.unblock_v)
-    cross_tot = (view.cross_h, view.cross_v)
-    own_cross = (view.own_cross_h, view.own_cross_v)
-    occ = view.occ
-    self_clear = view.self_clear
+    # Every probe reads the index's buffers and the view's exceptions by
+    # cell, ``(y - y1) * nx + x - x1``; per direction: the step, the cell
+    # offset, and the buffers and exceptions of the axis it moves along.
+    x1, y1, x2, y2, nx = view.x1, view.y1, view.x2, view.y2, view.nx
+    hard, occ = index.hard, index.occ
+    allow_cells, self_clear = view.allow_cells, view.self_clear
+    axes = (
+        (index.h_block, view.unblock_h, index.cross_h, view.own_cross_h),
+        (index.v_block, view.unblock_v, index.cross_v, view.own_cross_v),
+    )
+    moves = [
+        (dx, dy, dx + dy * nx, *axes[0 if moves_h else 1])
+        for dx, dy, moves_h in _DIR_STEPS
+    ]
 
     # -- crossover-aware bound plumbing ---------------------------------
     # The index prices a straight run's crossings over all nets inside
     # the bounds; the net's own contributions there, one to a few per
     # line, are summed and subtracted.
-    index = plane.index
     range_cross_h = index.range_cross_h
     range_cross_v = index.range_cross_v
     own_h_rows: dict[int, list[tuple[int, int]]] = {}
-    for (x, y), c in view.own_cross_h.items():
-        if x1 <= x <= x2 and y1 <= y <= y2:
-            own_h_rows.setdefault(y, []).append((x, c))
+    for c, n in view.own_cross_h.items():
+        i, j = divmod(c, nx)
+        own_h_rows.setdefault(y1 + i, []).append((x1 + j, n))
     own_v_cols: dict[int, list[tuple[int, int]]] = {}
-    for (x, y), c in view.own_cross_v.items():
-        if x1 <= x <= x2 and y1 <= y <= y2:
-            own_v_cols.setdefault(x, []).append((y, c))
+    for c, n in view.own_cross_v.items():
+        i, j = divmod(c, nx)
+        own_v_cols.setdefault(x1 + j, []).append((y1 + i, n))
 
     def _hrange(y: int, a: int, b: int) -> int:
         """Foreign crossings a horizontal run entering ``x in [a..b]``
@@ -579,21 +591,20 @@ def route_connection(
     # (``allow``, own-wire unblocks) stops exactly at the index's
     # obstacles, so it reads the index's shared sorted list (read-only
     # here); the few exempt lines are filtered once per connection.
-    exempt_rows = {p[1] for p in allow}
-    exempt_rows.update(p[1] for p in view.unblock_h)
-    exempt_cols = {p[0] for p in allow}
-    exempt_cols.update(p[0] for p in view.unblock_v)
+    exempt_rows = {y1 + c // nx for c in allow_cells | view.unblock_h}
+    exempt_cols = {x1 + c % nx for c in allow_cells | view.unblock_v}
     stop_rows: dict[int, list[int]] = {}
     stop_cols: dict[int, list[int]] = {}
     sorted_row, sorted_col = index.sorted_row, index.sorted_col
-    view_stops = view._stops
+    stops_at = view.stops_at
 
     def _stops_row(y: int) -> list[int]:
         lst = stop_rows.get(y)
         if lst is None:
             lst = sorted_row(y)
             if y in exempt_rows:
-                lst = [x for x in lst if view_stops(Point(x, y), False)]
+                base = (y - y1) * nx - x1
+                lst = [x for x in lst if stops_at(base + x, False)]
             stop_rows[y] = lst
         return lst
 
@@ -602,7 +613,7 @@ def route_connection(
         if lst is None:
             lst = sorted_col(x)
             if x in exempt_cols:
-                lst = [y for y in lst if view_stops(Point(x, y), True)]
+                lst = [y for y in lst if stops_at((y - y1) * nx + x - x1, True)]
             stop_cols[x] = lst
         return lst
 
@@ -615,7 +626,8 @@ def route_connection(
         (family B — a horizontal run at least to the nearest reachable
         target column ahead, bounded by the first stop ``lim``)."""
         best = None
-        if (qx, qy) not in occ or (qx, qy) in self_clear:
+        cell = (qy - y1) * nx + qx - x1
+        if not occ[cell] or cell in self_clear:
             col = t_in_col.get(qx)
             if col:
                 scol = _stops_col(qx)
@@ -653,7 +665,8 @@ def route_connection(
 
     def _hc1_vert(qx: int, qy: int, sgn: int, lim: int | None) -> int | None:
         best = None
-        if (qx, qy) not in occ or (qx, qy) in self_clear:
+        cell = (qy - y1) * nx + qx - x1
+        if not occ[cell] or cell in self_clear:
             row = t_in_row.get(qy)
             if row:
                 srow = _stops_row(qy)
@@ -789,16 +802,16 @@ def route_connection(
     # breadth-first, and the push counter keeps the order deterministic.
     counter = 0
     heap: list = []
-    # state key: (x, y, dir_index) -> best cost-so-far tuple (key order)
-    best: dict[tuple[int, int, int], tuple[int, int, int]] = {}
-    parents: dict[tuple[int, int, int], tuple[int, int, int] | None] = {}
+    # state key: cell * 4 + dir_index -> best cost-so-far tuple (key order)
+    best: dict[int, tuple[int, int, int]] = {}
+    parents: dict[int, int | None] = {}
     sx, sy = start.x, start.y
     zero = (0, 0, 0)
     t_search = time.perf_counter()
     initial_bound: tuple[int, int, int] | None = None
     for d in start_directions:
         di = _DIR_INDEX[d]
-        state = (sx, sy, di)
+        state = start_cell * 4 + di
         best[state] = zero
         parents[state] = None
         f = geometric(sx, sy, di)
@@ -830,7 +843,8 @@ def route_connection(
     # Expansions spent before a restart stay counted; the escalation
     # threshold keeps that waste small against the tail it removes.
     field = memoryview(b"")
-    plane_cells = nx = s1 = s2 = mask = 0
+    plane_cells = nx * (y2 - y1 + 1)
+    s1 = s2 = mask = 0
     budget: int | None = None
     field_s = 0.0
     dir_indices = [_DIR_INDEX[d] for d in start_directions]
@@ -860,7 +874,6 @@ def route_connection(
             )
             field_s += time.perf_counter() - t_field
             field = memoryview(grid.reshape(-1))
-            plane_cells, nx = grid.shape[1] * grid.shape[2], grid.shape[2]
             s2, mask = 2 * s1, (1 << s1) - 1
             cur_heur = heur_exact
             if widen:
@@ -874,15 +887,13 @@ def route_connection(
             best = {}
             parents = {}
             for di in dir_indices:
-                state = (sx, sy, di)
+                state = start_cell * 4 + di
                 best[state] = zero
                 parents[state] = None
-                # The search only has to leave the start, so a start
-                # outside the plane or on a stop of its own axis (which
-                # the sweep never enters) keeps the geometric bound.
-                if not (x1 <= sx <= x2 and y1 <= sy <= y2) or view_stops(
-                    start, not _DIR_STEPS[di][2]
-                ):
+                # The search only has to leave the start, so a start on a
+                # stop of its own axis (which the sweep never enters)
+                # keeps the geometric bound.
+                if stops_at(start_cell, not _DIR_STEPS[di][2]):
                     f = geometric(sx, sy, di)
                 else:
                     f = heur_exact(sx, sy, di)
@@ -897,7 +908,9 @@ def route_connection(
             pruned += 1  # stale entry, superseded by a better push
             continue
         expanded += 1
-        px, py, di = state
+        cell, di = state >> 2, state & 3
+        i, j = divmod(cell, nx)
+        px, py = x1 + j, y1 + i
         if px < fx1:
             fx1 = px
         elif px > fx2:
@@ -907,16 +920,13 @@ def route_connection(
         elif py > fy2:
             fy2 = py
 
-        point_key = (px, py)
-        arrival_ok = target_dirs.get(point_key, _MISSING)
+        can_turn = not occ[cell] or cell in self_clear
+        arrival_ok = goal_dirs.get(cell, _MISSING)
         if arrival_ok is not _MISSING and parents[state] is not None:
-            if (arrival_ok is None or di in arrival_ok) and (
-                point_key not in occ or point_key in self_clear
-            ):
+            if (arrival_ok is None or di in arrival_ok) and can_turn:
                 goal_state, goal_cost = state, cost
                 break
 
-        can_turn = point_key not in occ or point_key in self_clear
         c0, c1, c2 = cost
         for ndi in range(4):
             if ndi == _OPPOSITE[di]:
@@ -924,19 +934,18 @@ def route_connection(
             turning = ndi != di
             if turning and not can_turn:
                 continue
-            dx, dy, moves_h = _DIR_STEPS[ndi]
+            dx, dy, step, blocks, unblock, crosses, own = moves[ndi]
             qx, qy = px + dx, py + dy
             if not (x1 <= qx <= x2 and y1 <= qy <= y2):
                 continue
-            q = (qx, qy)
-            if (q in hard_blocked or q in hard_claims) and q not in allow:
+            q = cell + step
+            if hard[q] and q not in allow_cells:
                 continue
-            axis = 0 if moves_h else 1
-            if q in blocked[axis] and q not in unblock[axis]:
+            if blocks[q] and q not in unblock:
                 continue
-            cross = cross_tot[axis].get(q, 0)
+            cross = crosses[q]
             if cross:
-                cross -= own_cross[axis].get(q, 0)
+                cross -= own.get(q, 0)
             n0 = c0 + turning
             if crossings_first:
                 n1, n2 = c1 + cross, c2 + 1
@@ -945,7 +954,7 @@ def route_connection(
                 n1, n2 = c1 + 1, c2 + cross
                 depth = -n1
             ncost = (n0, n1, n2)
-            nstate = (qx, qy, ndi)
+            nstate = q * 4 + ndi
             old = best.get(nstate)
             if old is None or ncost < old:
                 h = cur_heur(qx, qy, ndi)
@@ -1004,7 +1013,8 @@ def route_connection(
     path: list[Point] = []
     cursor = goal_state
     while cursor is not None:
-        path.append(Point(cursor[0], cursor[1]))
+        i, j = divmod(cursor >> 2, nx)
+        path.append(Point(x1 + j, y1 + i))
         cursor = parents[cursor]
     path.reverse()
     bends, crossings, length = final_cost

@@ -119,7 +119,7 @@ class Plane:
             return False
         self.claims[point] = owner
         self._claims_by_owner.setdefault(owner, set()).add(point)
-        self.index.claim_added(point)
+        self.index.hard_changed(point, True)
         return True
 
     def release_claims(self, owners: Iterable[Hashable]) -> int:
@@ -130,7 +130,7 @@ class Plane:
         for owner in set(owners):
             for point in self._claims_by_owner.pop(owner, ()):
                 del self.claims[point]
-                self.index.claim_removed(point)
+                self.index.hard_changed(point, False)
                 released += 1
         return released
 
@@ -138,7 +138,7 @@ class Plane:
         released = len(self.claims)
         for point in list(self.claims):
             del self.claims[point]  # before the hook: it re-checks claims
-            self.index.claim_removed(point)
+            self.index.hard_changed(point, False)
         self._claims_by_owner.clear()
         return released
 

@@ -540,7 +540,7 @@ class TestCongestionMap:
 
         plane = self._crossing_plane()
         cmap = CongestionMap.from_plane(plane)
-        assert cmap.occupancy_total == sum(plane.index.occ.values())
+        assert cmap.occupancy_total == sum(plane.index.occ)
         assert cmap.cells[(5, 5)] == (2, 1)  # the crossing point
         assert cmap.crossover_total == 1
         assert cmap.max_occupancy == 2

@@ -22,6 +22,7 @@ import heapq
 import random
 
 import numpy as np
+import pytest
 
 from repro.core.geometry import Direction, Orientation, Point, Rect
 from repro.obs import counters
@@ -44,14 +45,34 @@ def _fresh_index(plane: Plane) -> PlaneIndex:
     """An index rebuilt from scratch off the plane's current state."""
     fresh = PlaneIndex(plane)
     for p in plane.blocked:
-        fresh.blocked_added(p)
+        fresh.hard_changed(p, True)
     fresh.rebuild()
     return fresh
 
 
-def _grid_points(grid: np.ndarray, bounds: Rect) -> set[Point]:
+_BUFFERS = ("hard", "h_block", "v_block", "cross_h", "cross_v", "occ")
+
+
+def _expected_counts(plane: Plane) -> dict[str, dict[Point, int]]:
+    """Per buffer, the nonzero count at every point, recomputed from the
+    plane's hard points and the index's per-net ``contrib`` records
+    (points outside the bounds included)."""
+    want = {name: collections.Counter() for name in _BUFFERS}
+    for p in set(plane.blocked) | set(plane.claims):
+        want["hard"][p] = 1
+    for own in plane.index.contrib.values():
+        for p, contribution in own.items():
+            for name, n in zip(_BUFFERS[1:], (*contribution, 1)):
+                want[name][p] += n
+    return {name: {p: n for p, n in c.items() if n} for name, c in want.items()}
+
+
+def _grid_points(grid: np.ndarray, bounds: Rect) -> dict[Point, int]:
     ys, xs = np.nonzero(grid)
-    return {Point(int(x) + bounds.x, int(y) + bounds.y) for y, x in zip(ys, xs)}
+    return {
+        Point(int(x) + bounds.x, int(y) + bounds.y): int(grid[y, x])
+        for y, x in zip(ys, xs)
+    }
 
 
 def _ranges(lo: int, hi: int) -> list[tuple[int, int]]:
@@ -70,24 +91,20 @@ def _ranges(lo: int, hi: int) -> list[tuple[int, int]]:
 
 def assert_index_matches_rebuild(plane: Plane) -> None:
     live, fresh = plane.index, _fresh_index(plane)
-    for name in ("h_block", "v_block", "cross_h", "cross_v", "occ"):
-        assert getattr(live, name) == getattr(fresh, name), name
     assert {n: c for n, c in live.contrib.items() if c} == {
         n: c for n, c in fresh.contrib.items() if c
     }
-    # The dense grids equal the rebuild's and, inside the bounds, the
-    # stop points and counts.
-    for name in ("stop_h", "stop_v", "occ_grid", "cross_h_grid", "cross_v_grid"):
-        assert np.array_equal(getattr(live, name), getattr(fresh, name)), name
+    # Every buffer equals the rebuild's and, cell by cell, the hard points
+    # and the sums recomputed from ``contrib`` inside the bounds.
     b = plane.bounds
-    hard = set(plane.blocked) | set(plane.claims)
-    for grid, blocks in ((live.stop_h, live.h_block), (live.stop_v, live.v_block)):
-        assert _grid_points(grid, b) == {p for p in hard | set(blocks) if b.contains(p)}
-    assert _grid_points(live.occ_grid, b) == {p for p in live.occ if b.contains(p)}
-    for grid, counts in ((live.cross_h_grid, live.cross_h), (live.cross_v_grid, live.cross_v)):
-        assert {
-            p: int(grid[p.y - b.y, p.x - b.x]) for p in _grid_points(grid, b)
-        } == {p: c for p, c in counts.items() if b.contains(p)}
+    want = _expected_counts(plane)
+    for name in _BUFFERS:
+        buffer = getattr(live, name)
+        assert len(buffer) == (b.w + 1) * (b.h + 1), name
+        assert buffer == getattr(fresh, name), name
+        assert _grid_points(live.grid(buffer), b) == {
+            p: n for p, n in want[name].items() if b.contains(p)
+        }, name
     # The live index's cached per-line views equal the rebuild's on every
     # line of the bounds and one beyond each edge.
     for y in range(b.y - 1, b.y2 + 2):
@@ -102,25 +119,26 @@ def assert_index_matches_rebuild(plane: Plane) -> None:
 
 def assert_line_views_brute_force(plane: Plane) -> None:
     """The per-line views list exactly the in-bounds stop points of each
-    line and sum its in-bounds crossing counts."""
+    line and sum its in-bounds crossing counts, both recomputed from the
+    hard points and ``contrib``."""
     index, b = plane.index, plane.bounds
-    hard = set(plane.blocked) | set(plane.claims)
+    want = _expected_counts(plane)
     for vertical, blocks, crossings, sorted_line, range_cross in (
-        (False, index.h_block, index.cross_h, index.sorted_row, index.range_cross_h),
-        (True, index.v_block, index.cross_v, index.sorted_col, index.range_cross_v),
+        (False, "h_block", "cross_h", index.sorted_row, index.range_cross_h),
+        (True, "v_block", "cross_v", index.sorted_col, index.range_cross_v),
     ):
         def key(p):  # (line, position along it)
             return (p.x, p.y) if vertical else (p.y, p.x)
 
-        stops = [key(p) for p in hard | set(blocks) if b.contains(p)]
-        counts = [(*key(p), c) for p, c in crossings.items() if b.contains(p)]
+        stops = [key(p) for p in want["hard"].keys() | want[blocks] if b.contains(p)]
+        counts = [(*key(p), c) for p, c in want[crossings].items() if b.contains(p)]
         lines, span = ((b.x, b.x2), (b.y, b.y2)) if vertical else ((b.y, b.y2), (b.x, b.x2))
         for line in range(lines[0] - 1, lines[1] + 2):
             assert sorted_line(line) == sorted(pos for ln, pos in stops if ln == line)
             on_line = [(pos, c) for ln, pos, c in counts if ln == line]
             for lo, hi in _ranges(*span):
-                want = sum(c for pos, c in on_line if lo <= pos <= hi)
-                assert range_cross(line, lo, hi) == want, (vertical, line, lo, hi)
+                want_sum = sum(c for pos, c in on_line if lo <= pos <= hi)
+                assert range_cross(line, lo, hi) == want_sum, (vertical, line, lo, hi)
 
 
 def assert_view_matches_snapshot(plane: Plane, net: str, allow=frozenset()) -> None:
@@ -189,6 +207,31 @@ class TestIncrementalConsistency:
         assert_index_matches_rebuild(p)
         assert p.index.sorted_row(4) == []
 
+    def test_set_operators_notify_index(self, monkeypatch):
+        # Opening a wall with ``-=`` must reach the index: a search that
+        # escalates at once (cost-to-go over the stop grids) and the
+        # per-line views both see the gap.
+        monkeypatch.setattr(line_expansion, "_ESCALATE_AFTER", 0)
+        p = Plane(bounds=Rect(0, 0, 10, 10))
+        p.block_rect(Rect(5, 0, 0, 10))
+        p.blocked -= {Point(5, 5)}
+        assert Point(5, 5) not in p.blocked and 5 not in p.index.sorted_row(5)
+        assert_index_matches_rebuild(p)
+        for router in (route_connection, route_connection_reference):
+            r = router(p, "mine", Point(0, 5), list(Direction), [Point(10, 5)])
+            assert r is not None and (r.bends, r.crossings, r.length) == (0, 0, 10)
+        # ``&=``, ``^=`` and ``pop`` go through the index too; the set's
+        # in-place methods that would bypass it do not exist.
+        p.blocked &= {Point(5, y) for y in range(4, 11)}
+        p.blocked ^= {Point(5, 6), Point(2, 2)}
+        popped = p.blocked.pop()
+        assert popped not in p.blocked
+        assert_index_matches_rebuild(p)
+        assert_line_views_brute_force(p)
+        for name in ("difference_update", "intersection_update", "symmetric_difference_update"):
+            assert not hasattr(p.blocked, name), name
+        assert isinstance(p.blocked | {Point(0, 0)}, set)
+
     def test_claim_release_keeps_wire_obstacles(self):
         # A claim and a wire share nothing; releasing a claim on a row
         # that also holds a wire-blocked point must keep the wire's entry.
@@ -217,6 +260,13 @@ class TestIncrementalConsistency:
         assert_line_views_brute_force(p)
         assert p.index.sorted_row(4) == [] and p.index.sorted_row(10) == [10]
         assert p.index.range_cross_h(10, -5, 20) == 1  # (7, 11) on: no cells
+        # Outside the bounds there is no cell: every sweep stops at the
+        # border, and no foreign wire counts there, even a real one.
+        view = p.index.view("mine")
+        for q in (Point(7, 12), Point(-1, 4), Point(11, 5), Point(3, -1)):
+            assert view._stops(q, False) and view._stops(q, True), q
+            assert not view.foreign_at(q), q
+        assert view.foreign_at(Point(7, 8)) and not view._stops(Point(7, 8), False)
         p.remove_net("edge")
         assert_index_matches_rebuild(p)
         assert_line_views_brute_force(p)
@@ -231,7 +281,8 @@ class TestIncrementalConsistency:
             nodes={"w": set()},
         )
         assert_index_matches_rebuild(p)
-        assert p.index.occ == {Point(3, 3): 1}
+        assert list(p.index.occ).count(0) == len(p.index.occ) - 1
+        assert p.index.occ[p.index.cell(Point(3, 3))] == 1
         assert Point(1, 1) in p.blocked
 
     def test_randomized_mutation_storm(self):
@@ -239,8 +290,8 @@ class TestIncrementalConsistency:
         p = Plane(bounds=Rect(0, 0, 24, 24))
         p.blocked |= {Point(-1, 5), Point(25, 7), Point(3, 25)}  # no cells
         owners = []
-        for step in range(60):
-            op = rng.randrange(5)
+        for step in range(100):
+            op = rng.randrange(9)
             if op == 0:
                 x, y = rng.randrange(1, 20), rng.randrange(1, 20)
                 p.block_rect(Rect(x, y, rng.randrange(0, 3), rng.randrange(0, 3)))
@@ -255,8 +306,17 @@ class TestIncrementalConsistency:
                 b = Point(rng.randrange(24), a.y)
                 c = Point(b.x, rng.randrange(24))
                 p.add_net_path(f"net{rng.randrange(4)}", [a, b, c])
-            else:
+            elif op == 4:
                 p.blocked.add(Point(rng.randrange(24), rng.randrange(24)))
+            elif op == 5:
+                blocked = sorted(p.blocked)
+                p.blocked -= set(rng.sample(blocked, min(3, len(blocked))))
+            elif op == 6:
+                p.blocked &= {q for q in sorted(p.blocked) if rng.random() < 0.9}
+            elif op == 7:
+                p.blocked ^= {Point(rng.randrange(24), rng.randrange(24)) for _ in range(3)}
+            elif p.blocked:
+                p.blocked.pop()
             if step % 10 == 9:
                 assert_index_matches_rebuild(p)
                 assert_line_views_brute_force(p)
@@ -268,7 +328,8 @@ class TestIncrementalConsistency:
             p.remove_net(net)
             assert_index_matches_rebuild(p)
         assert_line_views_brute_force(p)
-        assert not p.index.occ_grid.any()
+        for name in _BUFFERS[1:]:
+            assert not any(getattr(p.index, name)), name
 
     def test_net_points_served_from_contrib(self):
         p = Plane(bounds=Rect(0, 0, 20, 20))
@@ -645,6 +706,22 @@ class TestEscalatedSearch:
         assert r is not None and (r.bends, r.crossings, r.length) == (2, 0, 60)
         assert stats.escalations == 1
         assert stats.states_expanded <= 2 * r.length
+
+
+class TestStartOutsideBounds:
+    def test_raises_value_error(self):
+        # A state is keyed by its cell, and outside the bounds there is
+        # none.  No diagram yields such a start: ``Plane.for_diagram``'s
+        # bounds hold every module, terminal and routed point.
+        p = Plane(bounds=Rect(0, 0, 10, 10))
+        p.add_net_path("other", [Point(7, 0), Point(7, 10)])
+        for start, targets in (
+            (Point(11, 5), [Point(3, 5)]),
+            (Point(-1, 0), {Point(-1, 0): None}),
+            (Point(5, 11), []),
+        ):
+            with pytest.raises(ValueError, match="outside the plane bounds"):
+                route_connection(p, "mine", start, [Direction.UP], targets)
 
 
 class TestZeroLengthAcceptance:
