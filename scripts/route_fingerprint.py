@@ -1,18 +1,23 @@
 #!/usr/bin/env python
-"""Fingerprint the router's default outputs, to show that a change keeps
-them byte-identical.
+"""Fingerprint the placer's and router's default outputs, to show that a
+change keeps them byte-identical.
 
 For the ``repro`` tree on ``PYTHONPATH`` it prints one JSON object that
 maps each job to ``[ESCHER sha256, route.expansions, route.connections,
-nets routed]``.  The jobs:
+nets routed]``.  The 101 jobs:
 
 * the 60 perfbench ``batch`` jobs of seeds 1 and 2, as
   ``perfbench/workload_batch.py`` lists them, run through
   ``execute_job``;
+* the first 20 fresh perfbench ``serve`` jobs of seed 1
+  (``perfbench/workload_serve.py``), random networks of every size from
+  6 to 20 modules, run through ``execute_job``;
 * figs 6.6 and 6.7, the perfbench ``life`` jobs (hand placement at pitch
   24, and PABLO ``-p 7 -b 5``, both routed with ``margin=14``);
 * pinned-border runs at ``margin=0``, with every border pinned and with
-  UP and LEFT pinned, over example 2 and the 8 seed-1 random networks.
+  UP and LEFT pinned, over example 2 and the 8 seed-1 random networks;
+* one PABLO ``-g`` run: example 2 with ``ctl`` and ``reg0`` preplaced,
+  the rest placed around them with ``-p 5``, then routed.
 
 ``ARTWORK_*`` variables are removed from the environment before the
 program loads, so fault injection or a sampler rate cannot change a run.
@@ -43,18 +48,23 @@ for _key in [k for k in os.environ if k.startswith("ARTWORK_")]:
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.append(str(PERFBENCH))
 
-from repro.core.geometry import Side  # noqa: E402
+from repro.core.diagram import Diagram  # noqa: E402
+from repro.core.generator import generate  # noqa: E402
+from repro.core.geometry import Point, Side  # noqa: E402
 from repro.formats.escher import write_escher  # noqa: E402
 from repro.obs.counters import Registry, set_registry  # noqa: E402
 from repro.place.pablo import PabloOptions  # noqa: E402
 from repro.route.eureka import RouterOptions  # noqa: E402
 from repro.service import JobSpec  # noqa: E402
 from repro.service.scheduler import execute_job  # noqa: E402
+from repro.workloads.examples import example2_controller  # noqa: E402
 
 import workload_batch  # noqa: E402
 import workload_life  # noqa: E402
+import workload_serve  # noqa: E402
 
 BATCH_SEEDS = (1, 2)
+SERVE_JOBS = 20
 PINNED = {
     "all": frozenset(Side),
     "up_left": frozenset({Side.UP, Side.LEFT}),
@@ -78,11 +88,13 @@ def _job_fingerprint(spec: JobSpec) -> list:
     ]
 
 
-def _life_fingerprint(job, inputs: Path, out: Path) -> list:
+def _run_fingerprint(run) -> list:
+    """Fingerprint of ``run()``, which returns a routed diagram and its
+    routing report, with its counters on a fresh registry."""
     registry = Registry()
     previous = set_registry(registry)
     try:
-        diagram, report, _ = job(inputs, out)
+        diagram, report = run()
     finally:
         set_registry(previous)
     return [
@@ -93,6 +105,15 @@ def _life_fingerprint(job, inputs: Path, out: Path) -> list:
     ]
 
 
+def _preplaced_run():
+    network = example2_controller()
+    preplaced = Diagram(network)
+    preplaced.place_module("ctl", Point(100, 100))
+    preplaced.place_module("reg0", Point(120, 100))
+    result = generate(network, PabloOptions(partition_size=5), preplaced=preplaced)
+    return result.diagram, result.routing
+
+
 def fingerprints(work: Path) -> dict[str, list]:
     result: dict[str, list] = {}
     batch_inputs = work / "batch"
@@ -101,12 +122,17 @@ def fingerprints(work: Path) -> dict[str, list]:
     for seed in BATCH_SEEDS:
         for spec in workload_batch.job_specs(batch_inputs, seed):
             result[f"batch/s{seed}/{spec.name}"] = _job_fingerprint(spec)
+    for index in range(SERVE_JOBS):
+        spec = workload_serve._spec(1, index)
+        result[f"serve/{spec.name}"] = _job_fingerprint(spec)
 
     life_inputs = work / "life"
     life_inputs.mkdir()
     workload_life.write_inputs(life_inputs)
     for name, job in (("fig6_6", workload_life.fig6_6), ("fig6_7", workload_life.fig6_7)):
-        result[f"life/{name}"] = _life_fingerprint(job, life_inputs, work)
+        result[f"life/{name}"] = _run_fingerprint(
+            lambda job=job: job(life_inputs, work)[:2]
+        )
 
     specs = workload_batch.job_specs(batch_inputs, 1)
     networks = [s.build_network() for s in specs if s.name == "ex2_p1_b1"]
@@ -116,12 +142,14 @@ def fingerprints(work: Path) -> dict[str, list]:
         for network in networks:
             spec = JobSpec.from_network(network, PabloOptions(), router)
             result[f"pinned/{label}/{network.name}"] = _job_fingerprint(spec)
+
+    result["preplaced/ex2_ctl_reg0"] = _run_fingerprint(_preplaced_run)
     return result
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Print the router's output fingerprints as JSON."
+        description="Print the placer's and router's output fingerprints as JSON."
     )
     parser.add_argument(
         "--against",

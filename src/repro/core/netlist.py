@@ -264,26 +264,37 @@ class Network:
 
     def connections_to_set(self, module: str, others: Iterable[str]) -> int:
         """Number of nets connecting ``module`` to any module in ``others``."""
-        others = set(others) - {module}
-        count = 0
-        for net in self.nets.values():
-            mods = {p.module for p in net.pins if not p.is_system}
-            if module in mods and mods & others:
-                count += 1
-        return count
+        return self.adjacency().connections_to_set(module, others)
 
     def external_connections(self, members: Iterable[str]) -> int:
         """Number of nets leaving the module set ``members`` (paper's
         partition ``connections`` limit)."""
-        members = set(members)
-        count = 0
+        return self.adjacency().external_connections(members)
+
+    def adjacency(self) -> "Adjacency":
+        """Index which modules each net touches, in one pass over the pins.
+
+        The result is a snapshot, not a cache: the network does not keep
+        it, and it does not follow later edits (``core/hierarchy`` deletes
+        nets in place).  A pass that asks many connection questions takes
+        one snapshot at its start and asks it instead of the network.
+        """
+        net_modules: dict[str, frozenset[str]] = {}
+        module_pins: dict[str, list[tuple[Net, Pin]]] = {}
+        module_nets: dict[str, list[str]] = {}
+        system_nets: set[str] = set()
         for net in self.nets.values():
-            mods = {p.module for p in net.pins if not p.is_system}
-            inside = mods & members
-            outside = (mods - members) | ({"<system>"} if net.system_pins else set())
-            if inside and outside:
-                count += 1
-        return count
+            mods: set[str] = set()
+            for pin in net.pins:
+                if pin.module is None:
+                    system_nets.add(net.name)
+                else:
+                    mods.add(pin.module)
+                    module_pins.setdefault(pin.module, []).append((net, pin))
+            net_modules[net.name] = frozenset(mods)
+            for module in mods:
+                module_nets.setdefault(module, []).append(net.name)
+        return Adjacency(net_modules, module_pins, module_nets, frozenset(system_nets))
 
     # -- validation ---------------------------------------------------
 
@@ -311,3 +322,44 @@ class Network:
             "system_terminals": len(self.system_terminals),
             "pins": sum(len(n.pins) for n in self.nets.values()),
         }
+
+
+@dataclass(frozen=True)
+class Adjacency:
+    """The module/net incidence of a :class:`Network` at one moment.
+
+    Built by :meth:`Network.adjacency`; see there for why it is a snapshot
+    and not a cache.
+    """
+
+    #: net name -> the modules with a pin on it
+    net_modules: Mapping[str, frozenset[str]]
+    #: module name -> its (net, pin) pairs, in :meth:`Network.pins_of_module` order
+    module_pins: Mapping[str, list[tuple[Net, Pin]]]
+    #: module name -> the nets it has a pin on, each once, in net order
+    module_nets: Mapping[str, list[str]]
+    #: the nets with a system pin
+    system_nets: frozenset[str]
+
+    def pins_of_module(self, module: str) -> list[tuple[Net, Pin]]:
+        return self.module_pins.get(module, [])
+
+    def connections_to_set(self, module: str, others: Iterable[str]) -> int:
+        """Number of nets connecting ``module`` to any module in ``others``."""
+        others = set(others)
+        others.discard(module)
+        return sum(
+            not self.net_modules[net].isdisjoint(others)
+            for net in self.module_nets.get(module, ())
+        )
+
+    def external_connections(self, members: Iterable[str]) -> int:
+        """Number of nets leaving the module set ``members`` (paper's
+        partition ``connections`` limit): nets of a member that reach a
+        module outside it or a system terminal."""
+        members = set(members)
+        nets = {net for m in members for net in self.module_nets.get(m, ())}
+        return sum(
+            net in self.system_nets or not self.net_modules[net] <= members
+            for net in nets
+        )

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..core.geometry import Point
-from ..core.netlist import Network
+from ..core.netlist import Adjacency, Network
 from ..core.rotation import Rotation
 from .gravity import GravityItem, place_by_gravity
 from .module_place import BoxLayout
@@ -40,11 +40,14 @@ class PartitionLayout:
                 )
         return out
 
-    def net_points(self, network: Network) -> dict[str, list[Point]]:
+    def net_points(
+        self, network: Network, adjacency: Adjacency | None = None
+    ) -> dict[str, list[Point]]:
         """Partition-local connected-terminal positions per net."""
+        adjacency = adjacency or network.adjacency()
         out: dict[str, list[Point]] = {}
         for box, origin in zip(self.boxes, self.box_positions):
-            for net, pts in box.net_points(network).items():
+            for net, pts in box.net_points(network, adjacency).items():
                 out.setdefault(net, []).extend(
                     Point(origin.x + p.x, origin.y + p.y) for p in pts
                 )
@@ -52,16 +55,21 @@ class PartitionLayout:
 
 
 def place_partition(
-    network: Network, boxes: list[BoxLayout], *, spacing: int = 0
+    network: Network,
+    boxes: list[BoxLayout],
+    *,
+    spacing: int = 0,
+    adjacency: Adjacency | None = None,
 ) -> PartitionLayout:
     """BOX_PLACEMENT: arrange the boxes of one partition by gravity and
     normalise so the partition's lower-left corner is the local origin."""
+    adjacency = adjacency or network.adjacency()
     items = [
         GravityItem(
             key=str(i),
             width=box.width,
             height=box.height,
-            net_points=box.net_points(network),
+            net_points=box.net_points(network, adjacency),
             weight=len(box.modules),
         )
         for i, box in enumerate(boxes)

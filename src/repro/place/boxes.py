@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.netlist import Network, TermType
+from ..core.netlist import Adjacency, Network, TermType
 
 
 @dataclass(frozen=True)
@@ -52,19 +52,23 @@ def drive_edges(network: Network, members: set[str]) -> dict[str, list[DriveEdge
     return edges
 
 
-def construct_roots(network: Network, partition: list[str]) -> list[str]:
+def construct_roots(
+    network: Network, partition: list[str], *, adjacency: Adjacency | None = None
+) -> list[str]:
     """CONSTRUCT_ROOTS: a module may head a string when it
 
     * connects to a module outside the partition, or
     * connects to an ``in``/``inout`` system terminal, or
     * connects to other modules through exactly one net.
+
+    ``adjacency`` is a snapshot of ``network`` to count on (one is taken
+    when it is omitted).
     """
-    members = set(partition)
+    adjacency = adjacency or network.adjacency()
+    outside = set(network.modules) - set(partition)
     roots: list[str] = []
     for module in partition:
-        external = network.connections_to_set(
-            module, set(network.modules) - members
-        )
+        external = adjacency.connections_to_set(module, outside)
         system_in = any(
             any(
                 p.is_system
@@ -72,13 +76,13 @@ def construct_roots(network: Network, partition: list[str]) -> list[str]:
                 in (TermType.IN, TermType.INOUT)
                 for p in net.pins
             )
-            for net, pin in network.pins_of_module(module)
+            for net, pin in adjacency.pins_of_module(module)
         )
-        inter_module_nets = {
-            net.name
-            for net, _ in network.pins_of_module(module)
-            if any(p.module not in (None, module) for p in net.pins)
-        }
+        inter_module_nets = [
+            net
+            for net in adjacency.module_nets.get(module, ())
+            if len(adjacency.net_modules[net]) > 1
+        ]
         if external > 0 or system_in or len(inter_module_nets) == 1:
             roots.append(module)
     return roots
@@ -116,7 +120,11 @@ def longest_path(
 
 
 def form_boxes(
-    network: Network, partition: list[str], max_box_size: int = 1
+    network: Network,
+    partition: list[str],
+    max_box_size: int = 1,
+    *,
+    adjacency: Adjacency | None = None,
 ) -> list[list[str]]:
     """BOX_FORMATION for one partition: repeatedly peel off the longest
     string reachable from a root.  Every module ends up in exactly one
@@ -125,7 +133,7 @@ def form_boxes(
         raise ValueError("box size limit must be at least 1")
     remaining = set(partition)
     edges = drive_edges(network, set(partition))
-    roots = construct_roots(network, partition)
+    roots = construct_roots(network, partition, adjacency=adjacency)
     boxes: list[list[str]] = []
     while remaining:
         usable_roots = [r for r in roots if r in remaining] or sorted(remaining)

@@ -34,9 +34,10 @@ def epitaxial_placement(
     pitch_y = max(m.height for m in network.modules.values()) + spacing
 
     names = sorted(network.modules)
+    adjacency = network.adjacency()
     if seed is None:
         seed = max(
-            names, key=lambda m: (network.connections_to_set(m, names), m)
+            names, key=lambda m: (adjacency.connections_to_set(m, names), m)
         )
     placed_slots: dict[str, tuple[int, int]] = {seed: (0, 0)}
     unplaced = [n for n in names if n != seed]
@@ -44,7 +45,7 @@ def epitaxial_placement(
     while unplaced:
         module = max(
             unplaced,
-            key=lambda m: (network.connections_to_set(m, placed_slots), m),
+            key=lambda m: (adjacency.connections_to_set(m, placed_slots), m),
         )
         unplaced.remove(module)
         slot = _best_slot(network, module, placed_slots)

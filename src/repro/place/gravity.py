@@ -8,6 +8,18 @@ matching terminals already placed, and put the item at the free position
 that brings the two centers closest without overlap.
 
 This module implements the scheme generically over :class:`GravityItem`.
+
+The free position is found without testing points one by one.  Each
+placed rect, grown by the item's size and the spacing, forbids a closed
+box of lower-left positions.  The search walks Chebyshev rings of growing
+radius around the ideal position and answers each of a ring's four sides
+(two rows, two columns) by interval arithmetic over the boxes that cross
+it.  The smallest radius with a free position wins; within it the
+smallest squared distance, and a tie goes to the first position in ring
+order (rows before columns, then ascending offset, then the top row
+before the bottom one and the right column before the left one).  The
+cost per ring is linear in the placed items, not in the ring's length
+times the placed items.
 """
 
 from __future__ import annotations
@@ -31,10 +43,6 @@ class GravityItem:
     height: int
     net_points: dict[str, list[Point]] = field(default_factory=dict)
     weight: int = 1
-
-    @property
-    def nets(self) -> set[str]:
-        return set(self.net_points)
 
 
 def _shared_centers(
@@ -67,54 +75,108 @@ def _shared_centers(
     return (sx0 / n0, sy0 / n0), (sx1 / n1, sy1 / n1)
 
 
-def _connection_weight(
-    item: GravityItem, placed: dict[str, Point], items: dict[str, GravityItem]
-) -> int:
-    placed_nets: set[str] = set()
-    for key in placed:
-        placed_nets |= items[key].nets
-    return len(item.nets & placed_nets)
+def _forbidden_boxes(
+    item: GravityItem, placed_rects: list[Rect], spacing: int
+) -> list[tuple[int, int, int, int]]:
+    """``(x0, x1, y0, y1)``: per placed rect, the closed box of lower-left
+    positions at which ``item``, grown by ``spacing``, would overlap it.
+
+    This is :meth:`Rect.overlaps` solved for the position: touching is
+    allowed, and a zero-width or zero-height rect still blocks its open
+    interior.  Empty boxes are dropped.
+    """
+    w, h, s = item.width, item.height, spacing
+    boxes = []
+    for r in placed_rects:
+        box = (r.x - w - s + 1, r.x2 + s - 1, r.y - h - s + 1, r.y2 + s - 1)
+        if box[0] <= box[1] and box[2] <= box[3]:
+            boxes.append(box)
+    return boxes
 
 
-def _feasible(
-    pos: Point, item: GravityItem, placed_rects: list[Rect], spacing: int
-) -> bool:
-    candidate = Rect(
-        pos.x - spacing, pos.y - spacing, item.width + 2 * spacing, item.height + 2 * spacing
-    )
-    return not any(candidate.overlaps(r) for r in placed_rects)
+def _line_offset(
+    c: int,
+    reach: int,
+    line: int,
+    by_start: list[tuple[int, int, int, int]],
+    by_end: list[tuple[int, int, int, int]],
+) -> int | None:
+    """Offset from ``c`` of the free position nearest to it on ``line``,
+    within ``c ± reach``; the negative one wins a tie.  ``None`` when every
+    position in reach is forbidden.
+
+    A box ``(a, b, lo, hi)`` forbids ``[a, b]`` along the line when
+    ``lo <= line <= hi``.  ``by_start`` holds the boxes by ascending ``a``,
+    ``by_end`` by descending ``b``, so each scan stops at the first box
+    that can no longer cover its running position.
+    """
+    up = c
+    for a, b, lo, hi in by_start:
+        if a > up:
+            break
+        if b >= up and lo <= line <= hi:
+            up = b + 1
+    if up == c:
+        return 0
+    down = c
+    for a, b, lo, hi in by_end:
+        if b < down:
+            break
+        if a <= down and lo <= line <= hi:
+            down = a - 1
+    best = down - c if c - down <= reach else None
+    if up - c <= reach and (best is None or up - c < -best):
+        best = up - c
+    return best
 
 
 def _nearest_free_position(
     ideal: Point, item: GravityItem, placed_rects: list[Rect], spacing: int
 ) -> Point:
-    """Free position nearest to ``ideal`` (ring search by growing
-    Chebyshev radius, exact within each ring)."""
-    if _feasible(ideal, item, placed_rects, spacing):
+    """Free position nearest to ``ideal``, by growing Chebyshev radius.
+
+    Each placed rect forbids a box of positions (:func:`_forbidden_boxes`).
+    Ring ``r`` is four lines: the rows ``y = cy ± r`` over ``|dx| <= r``
+    and the columns ``x = cx ± r`` over ``|dy| <= r - 1``; each line's
+    free position nearest to the ring's axis is found by interval
+    arithmetic over the boxes crossing it.  The smallest radius with a
+    free position wins; within it the smallest squared distance, and a
+    tie goes to the first position in ring order: rows before columns,
+    then ascending ``dx`` or ``dy``, then the top row before the bottom
+    one and the right column before the left one.
+    """
+    cx, cy = ideal
+    boxes = _forbidden_boxes(item, placed_rects, spacing)
+    if not any(x0 <= cx <= x1 and y0 <= cy <= y1 for x0, x1, y0, y1 in boxes):
         return ideal
+    # Rows run along x and are selected by y; columns the other way.
+    rows = sorted(boxes)
+    rows_by_end = sorted(boxes, key=lambda b: -b[1])
+    cols = sorted((y0, y1, x0, x1) for x0, x1, y0, y1 in boxes)
+    cols_by_end = sorted(cols, key=lambda b: -b[1])
     extent = sum(max(r.w, r.h) + max(item.width, item.height) + spacing + 2 for r in placed_rects)
     max_radius = max(extent, 8)
     for radius in range(1, max_radius + 1):
-        best: Point | None = None
-        best_d = None
-        for p in _ring(ideal, radius):
-            if _feasible(p, item, placed_rects, spacing):
-                d = (p.x - ideal.x) ** 2 + (p.y - ideal.y) ** 2
-                if best_d is None or d < best_d:
-                    best, best_d = p, d
+        best: tuple[int, int, int, int] | None = None
+        for side, y in enumerate((cy + radius, cy - radius)):
+            dx = _line_offset(cx, radius, y, rows, rows_by_end)
+            if dx is not None:
+                key = (dx * dx, 0, dx, side)
+                if best is None or key < best:
+                    best = key
+        for side, x in enumerate((cx + radius, cx - radius)):
+            dy = _line_offset(cy, radius - 1, x, cols, cols_by_end)
+            if dy is not None:
+                key = (dy * dy, 1, dy, side)
+                if best is None or key < best:
+                    best = key
         if best is not None:
-            return best
+            _d, column, offset, side = best
+            sign = -1 if side else 1
+            if column:
+                return Point(cx + sign * radius, cy + offset)
+            return Point(cx + offset, cy + sign * radius)
     raise RuntimeError("gravity placement found no free position")  # pragma: no cover
-
-
-def _ring(center: Point, radius: int):
-    x, y = center
-    for dx in range(-radius, radius + 1):
-        yield Point(x + dx, y + radius)
-        yield Point(x + dx, y - radius)
-    for dy in range(-radius + 1, radius):
-        yield Point(x + radius, y + dy)
-        yield Point(x - radius, y + dy)
 
 
 def place_by_gravity(
@@ -130,27 +192,33 @@ def place_by_gravity(
     partition of its own and the rest is placed around it).
     """
     by_key = {item.key: item for item in items}
-    placed: dict[str, Point] = dict(preplaced or {})
-    for key in placed:
+    placed: dict[str, Point] = {}
+    placed_rects: list[Rect] = []
+    placed_nets: set[str] = set()
+
+    def put(item: GravityItem, pos: Point) -> None:
+        placed[item.key] = pos
+        placed_rects.append(Rect(pos.x, pos.y, item.width, item.height))
+        placed_nets.update(item.net_points)
+
+    for key, pos in (preplaced or {}).items():
         if key not in by_key:
             raise KeyError(f"preplaced item {key!r} is not among the items")
+        put(by_key[key], pos)
     remaining = [item for item in items if item.key not in placed]
 
     if not placed and remaining:
         first = max(remaining, key=lambda i: (i.weight, i.width * i.height, i.key))
         remaining.remove(first)
-        placed[first.key] = Point(0, 0)
+        put(first, Point(0, 0))
 
     while remaining:
+        # The most nets shared with the placed items first.
         item = max(
             remaining,
-            key=lambda i: (_connection_weight(i, placed, by_key), i.weight, i.key),
+            key=lambda i: (len(placed_nets.intersection(i.net_points)), i.weight, i.key),
         )
         remaining.remove(item)
-        placed_rects = [
-            Rect(pos.x, pos.y, by_key[k].width, by_key[k].height)
-            for k, pos in placed.items()
-        ]
         centers = _shared_centers(item, placed, by_key)
         if centers is None:
             # Unconnected item: aim right of the current placement.
@@ -161,5 +229,5 @@ def place_by_gravity(
         else:
             (g0x, g0y), (g1x, g1y) = centers
             ideal = Point(round(g1x - g0x), round(g1y - g0y))
-        placed[item.key] = _nearest_free_position(ideal, item, placed_rects, spacing)
+        put(item, _nearest_free_position(ideal, item, placed_rects, spacing))
     return placed

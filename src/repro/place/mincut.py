@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from ..core.diagram import Diagram
 from ..core.geometry import Point
-from ..core.netlist import Network
+from ..core.netlist import Adjacency, Network
 from .terminal_place import place_terminals
 
 IMPROVEMENT_PASSES = 4
@@ -41,15 +41,20 @@ def cut_count(network: Network, left: set[str], right: set[str]) -> int:
 
 
 def bipartition(
-    network: Network, members: list[str], left_size: int | None = None
+    network: Network,
+    members: list[str],
+    left_size: int | None = None,
+    *,
+    adjacency: Adjacency | None = None,
 ) -> tuple[list[str], list[str]]:
     """Split ``members`` into halves (``left_size`` on the left, default
     half/half) with a small cut, by a seeded split plus greedy
-    pairwise-exchange improvement."""
+    pairwise-exchange improvement.  ``adjacency`` is a snapshot of
+    ``network`` to count on (one is taken when it is omitted)."""
     half = (len(members) + 1) // 2 if left_size is None else left_size
     if not 0 < half < len(members):
         raise ValueError(f"cannot split {len(members)} members {half}/{len(members) - half}")
-    ordered = _connectivity_order(network, members)
+    ordered = _connectivity_order(network, members, adjacency or network.adjacency())
     left, right = set(ordered[:half]), set(ordered[half:])
 
     for _ in range(IMPROVEMENT_PASSES):
@@ -73,7 +78,9 @@ def bipartition(
     return sorted(left), sorted(right)
 
 
-def _connectivity_order(network: Network, members: list[str]) -> list[str]:
+def _connectivity_order(
+    network: Network, members: list[str], adjacency: Adjacency
+) -> list[str]:
     """BFS over the connectivity graph so the initial halves are clumps,
     not arbitrary slices."""
     remaining = set(members)
@@ -81,7 +88,7 @@ def _connectivity_order(network: Network, members: list[str]) -> list[str]:
     while remaining:
         seed = max(
             sorted(remaining),
-            key=lambda m: network.connections_to_set(m, remaining - {m}),
+            key=lambda m: adjacency.connections_to_set(m, remaining),
         )
         queue = [seed]
         remaining.discard(seed)
@@ -110,6 +117,7 @@ def mincut_placement(network: Network, *, spacing: int = 4) -> Diagram:
     while side * side < len(names):
         side += 1
     slots: dict[str, tuple[int, int]] = {}
+    adjacency = network.adjacency()
 
     def split(members: list[str], region: _SlotRegion, horizontal: bool) -> None:
         if len(members) == 1:
@@ -129,7 +137,7 @@ def mincut_placement(network: Network, *, spacing: int = 4) -> Diagram:
         cap_a, cap_b = ra.cols * ra.rows, rb.cols * rb.rows
         n = len(members)
         left_size = max(n - cap_b, min(cap_a, (n + 1) // 2))
-        left, right = bipartition(network, members, left_size)
+        left, right = bipartition(network, members, left_size, adjacency=adjacency)
         split(left, ra, not horizontal)
         split(right, rb, not horizontal)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..core.geometry import Point, Side
-from ..core.netlist import Module, Network
+from ..core.netlist import Adjacency, Module, Network
 from ..core.rotation import Rotation
 from .boxes import DriveEdge, string_edge
 
@@ -43,11 +43,14 @@ class BoxLayout:
         pos = self.positions[module]
         return Point(pos.x + off.x, pos.y + off.y)
 
-    def net_points(self, network: Network) -> dict[str, list[Point]]:
+    def net_points(
+        self, network: Network, adjacency: Adjacency | None = None
+    ) -> dict[str, list[Point]]:
         """Box-local connected-terminal positions per net (for gravity)."""
+        adjacency = adjacency or network.adjacency()
         out: dict[str, list[Point]] = {}
         for module in self.modules:
-            for net, pin in network.pins_of_module(module):
+            for net, pin in adjacency.pins_of_module(module):
                 out.setdefault(net.name, []).append(
                     self.terminal_point(network, module, pin.terminal)
                 )
@@ -55,12 +58,15 @@ class BoxLayout:
 
 
 def connected_terminals_on(
-    network: Network, module: Module, rotation: Rotation, side: Side
+    network: Network,
+    module: Module,
+    rotation: Rotation,
+    side: Side,
+    adjacency: Adjacency | None = None,
 ) -> int:
     """Number of net-connected terminals facing ``side`` after rotation."""
-    connected = {
-        pin.terminal for _net, pin in network.pins_of_module(module.name)
-    }
+    adjacency = adjacency or network.adjacency()
+    connected = {pin.terminal for _net, pin in adjacency.pins_of_module(module.name)}
     count = 0
     for name in connected:
         if rotation.side(module.side(name)) is side:
@@ -68,15 +74,20 @@ def connected_terminals_on(
     return count
 
 
-def _space(network: Network, module: Module, rot: Rotation, side: Side, extra: int) -> int:
-    """The white-space function f: connected terminals on the side + 1."""
-    return connected_terminals_on(network, module, rot, side) + 1 + extra
-
-
 def place_box(
-    network: Network, box: list[str], *, extra_space: int = 0
+    network: Network,
+    box: list[str],
+    *,
+    extra_space: int = 0,
+    adjacency: Adjacency | None = None,
 ) -> BoxLayout:
     """MODULE_PLACEMENT for one box (string) of modules."""
+    adjacency = adjacency or network.adjacency()
+
+    def space(module: Module, rot: Rotation, side: Side) -> int:
+        """The white-space function f: connected terminals on the side + 1."""
+        return connected_terminals_on(network, module, rot, side, adjacency) + 1 + extra_space
+
     layout = BoxLayout(modules=list(box))
     members = set(box)
     edges: list[DriveEdge | None] = [
@@ -91,12 +102,12 @@ def place_box(
         rot0 = Rotation.R0
     layout.rotations[box[0]] = rot0
     w0, h0 = rot0.size(first.width, first.height)
-    x = _space(network, first, rot0, Side.LEFT, extra_space)
-    y = _space(network, first, rot0, Side.DOWN, extra_space)
+    x = space(first, rot0, Side.LEFT)
+    y = space(first, rot0, Side.DOWN)
     layout.positions[box[0]] = Point(x, y)
     left, down = 0, 0
-    right = x + w0 + _space(network, first, rot0, Side.RIGHT, extra_space)
-    up = y + h0 + _space(network, first, rot0, Side.UP, extra_space)
+    right = x + w0 + space(first, rot0, Side.RIGHT)
+    up = y + h0 + space(first, rot0, Side.UP)
 
     for edge in edges:
         assert edge is not None
@@ -128,12 +139,12 @@ def place_box(
             else:
                 y = prev_pos.y + prev_h + 1 - t_off.y
 
-        x = right + _space(network, mod, rot, Side.LEFT, extra_space)
+        x = right + space(mod, rot, Side.LEFT)
         layout.positions[edge.sink] = Point(x, y)
         w, h = rot.size(mod.width, mod.height)
-        right = x + w + _space(network, mod, rot, Side.RIGHT, extra_space)
-        up = max(up, y + h + _space(network, mod, rot, Side.UP, extra_space))
-        down = min(down, y - _space(network, mod, rot, Side.DOWN, extra_space))
+        right = x + w + space(mod, rot, Side.RIGHT)
+        up = max(up, y + h + space(mod, rot, Side.UP))
+        down = min(down, y - space(mod, rot, Side.DOWN))
 
     # Translate so the box lower-left corner is the local origin.
     dx, dy = -left, -down

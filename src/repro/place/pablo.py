@@ -80,21 +80,31 @@ def place_network(
         exclude = set(preplaced.placements)
 
     with span("pablo.place", modules=len(network.modules)):
+        # Every stage counts connections on this one snapshot; the network
+        # does not change while it is placed.
+        adjacency = network.adjacency()
         with span("pablo.partitioning"):
             report.partitions = partition_network(
-                network, options.limits, exclude=exclude
+                network, options.limits, exclude=exclude, adjacency=adjacency
             )
 
         with span("pablo.box_formation"):
             for partition in report.partitions:
                 report.boxes.append(
-                    form_boxes(network, partition, options.box_size)
+                    form_boxes(
+                        network, partition, options.box_size, adjacency=adjacency
+                    )
                 )
 
         with span("pablo.module_placement"):
             partition_box_layouts = [
                 [
-                    place_box(network, box, extra_space=options.module_extra_space)
+                    place_box(
+                        network,
+                        box,
+                        extra_space=options.module_extra_space,
+                        adjacency=adjacency,
+                    )
                     for box in boxes
                 ]
                 for boxes in report.boxes
@@ -102,14 +112,23 @@ def place_network(
 
         with span("pablo.box_placement"):
             layouts: list[PartitionLayout] = [
-                place_partition(network, box_layouts, spacing=options.box_spacing)
+                place_partition(
+                    network,
+                    box_layouts,
+                    spacing=options.box_spacing,
+                    adjacency=adjacency,
+                )
                 for box_layouts in partition_box_layouts
             ]
 
         with span("pablo.partition_placement"):
             fixed = _fixed_part(preplaced) if preplaced is not None else None
             positions = place_partitions(
-                network, layouts, spacing=options.partition_spacing, fixed=fixed
+                network,
+                layouts,
+                spacing=options.partition_spacing,
+                fixed=fixed,
+                adjacency=adjacency,
             )
 
         diagram = (

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.geometry import Point
-from ..core.netlist import Network
+from ..core.netlist import Adjacency, Network
 from .box_place import PartitionLayout
 from .gravity import GravityItem, place_by_gravity
 
@@ -34,14 +34,16 @@ def place_partitions(
     *,
     spacing: int = 0,
     fixed: FixedPart | None = None,
+    adjacency: Adjacency | None = None,
 ) -> list[Point]:
     """Absolute lower-left positions for the partitions, in order."""
+    adjacency = adjacency or network.adjacency()
     items = [
         GravityItem(
             key=f"part{i}",
             width=layout.width,
             height=layout.height,
-            net_points=layout.net_points(network),
+            net_points=layout.net_points(network, adjacency),
             weight=layout.module_count,
         )
         for i, layout in enumerate(layouts)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..core.netlist import Network
+from ..core.netlist import Adjacency, Network
 
 
 @dataclass(frozen=True)
@@ -26,45 +26,59 @@ class PartitionLimits:
             raise ValueError("partition size limit must be at least 1")
 
 
-def take_a_seed(network: Network, free: set[str], placed: set[str]) -> str:
+def take_a_seed(
+    network: Network,
+    free: set[str],
+    placed: set[str],
+    *,
+    adjacency: Adjacency | None = None,
+) -> str:
     """TAKE_A_SEED: the free module with the most nets to other free
     modules; ties prefer fewest nets to already-partitioned modules, then
-    lexicographic order for determinism."""
+    lexicographic order for determinism.  ``adjacency`` is a snapshot of
+    ``network`` to count on (one is taken when it is omitted)."""
+    adjacency = adjacency or network.adjacency()
 
     def key(module: str) -> tuple[int, int, str]:
-        to_free = network.connections_to_set(module, free - {module})
-        to_placed = network.connections_to_set(module, placed)
+        # A module never counts as its own connection.
+        to_free = adjacency.connections_to_set(module, free)
+        to_placed = adjacency.connections_to_set(module, placed)
         return (-to_free, to_placed, module)
 
     return min(free, key=key)
 
 
 def form_partition(
-    network: Network, free: set[str], seed: str, limits: PartitionLimits
+    network: Network,
+    free: set[str],
+    seed: str,
+    limits: PartitionLimits,
+    *,
+    adjacency: Adjacency | None = None,
 ) -> list[str]:
     """FORM_PARTITION: grow a cluster around ``seed`` out of ``free``
     (which the call consumes) until a limit trips."""
+    adjacency = adjacency or network.adjacency()
     partition = [seed]
     free.discard(seed)
-    connections = network.external_connections(partition)
+    connections = adjacency.external_connections(partition)
     while (
         free
         and len(partition) < limits.max_size
         and connections < limits.max_connections
     ):
         member_set = set(partition)
+        outside = set(network.modules) - member_set
 
         def key(module: str) -> tuple[int, int, str]:
-            inward = network.connections_to_set(module, member_set)
-            outward = network.connections_to_set(
-                module, set(network.modules) - member_set - {module}
-            )
+            inward = adjacency.connections_to_set(module, member_set)
+            outward = adjacency.connections_to_set(module, outside)
             return (-inward, outward, module)
 
         best = min(free, key=key)
         partition.append(best)
         free.discard(best)
-        connections = network.external_connections(partition)
+        connections = adjacency.external_connections(partition)
     return partition
 
 
@@ -73,16 +87,18 @@ def partition_network(
     limits: PartitionLimits | None = None,
     *,
     exclude: set[str] | None = None,
+    adjacency: Adjacency | None = None,
 ) -> list[list[str]]:
     """PARTITIONING: split all modules (minus ``exclude``, the preplaced
     part) into functional partitions."""
     limits = limits or PartitionLimits()
+    adjacency = adjacency or network.adjacency()
     free = set(network.modules) - (exclude or set())
     placed: set[str] = set()
     partitions: list[list[str]] = []
     while free:
-        seed = take_a_seed(network, free, placed)
-        partition = form_partition(network, free, seed, limits)
+        seed = take_a_seed(network, free, placed, adjacency=adjacency)
+        partition = form_partition(network, free, seed, limits, adjacency=adjacency)
         partitions.append(partition)
         placed.update(partition)
     return partitions

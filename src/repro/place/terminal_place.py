@@ -65,7 +65,11 @@ def _escape_points(diagram: Diagram) -> dict[Point, set[str]]:
 
 def place_terminals(diagram: Diagram, *, offset: int = 1) -> None:
     """TERMINAL_PLACEMENT: place every still-unplaced system terminal on
-    the free ring position nearest its net's gravity center."""
+    the free ring position nearest its net's gravity center.
+
+    The ring is ``offset`` tracks outside the bounding box; a terminal
+    that finds every position of it taken, or kept for a foreign pin's
+    escape, goes to the next ring out that has a free position."""
     unplaced = [
         name
         for name in diagram.network.system_terminals
@@ -75,7 +79,7 @@ def place_terminals(diagram: Diagram, *, offset: int = 1) -> None:
         return
     bbox = diagram.bounding_box(include_routes=False)
     escapes = _escape_points(diagram)
-    ring = _ring_positions(bbox, offset)
+    rings = {offset: _ring_positions(bbox, offset)}
     taken = set(diagram.terminal_positions.values())
 
     def nets_of(terminal: str) -> set[str]:
@@ -96,12 +100,19 @@ def place_terminals(diagram: Diagram, *, offset: int = 1) -> None:
     for name in sorted(unplaced, key=lambda n: (-pin_count(n), n)):
         own_nets = nets_of(name)
         gx, gy = _gravity(diagram, name)
-        candidates = [
-            p
-            for p in ring
-            if p not in taken
-            and (p not in escapes or escapes[p] <= own_nets)
-        ]
+        track = offset
+        while True:
+            if track not in rings:
+                rings[track] = _ring_positions(bbox, track)
+            candidates = [
+                p
+                for p in rings[track]
+                if p not in taken
+                and (p not in escapes or escapes[p] <= own_nets)
+            ]
+            if candidates:
+                break
+            track += 1
         best = min(
             candidates,
             key=lambda p: (p.x - gx) ** 2 + (p.y - gy) ** 2,

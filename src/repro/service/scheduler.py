@@ -295,11 +295,13 @@ class BatchScheduler:
     #: its lifecycle (``artwork-batch --keep-warm`` reuses one pool
     #: across manifests this way).
     pool: "WorkerPool | None" = None
-    #: Jobs whose first (probe) execution finishes within this budget are
-    #: presumed spawn-dominated and the whole batch runs serially in the
-    #: parent — for the paper's sub-30ms artworks this beats any pool, so
-    #: four workers are never slower than one.  Set to 0/None to always
-    #: fan out.  Only engages for the stock :func:`execute_job` worker.
+    #: Seconds the probe job may take for the batch to stay in the parent.
+    #: Unless this is 0/None, the first pending job always runs in the
+    #: parent as a probe; if it finishes within the budget the rest run
+    #: serially there too, otherwise the rest fan out to the pool.  This
+    #: does not make the serial path the faster one: a cold multi-worker
+    #: batch can beat it (README, "Batch generation and caching").  Only
+    #: engages for the stock :func:`execute_job` worker.
     serial_threshold: float | None = 0.03
 
     def __post_init__(self) -> None:

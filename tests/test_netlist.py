@@ -10,6 +10,7 @@ from repro.core.netlist import (
     Pin,
     TermType,
 )
+from repro.workloads.random_nets import RandomNetworkSpec, random_network
 from repro.workloads.stdlib import instantiate, make_module
 
 
@@ -114,14 +115,20 @@ class TestNetworkQueries:
         assert trio.connection_count("a", "a") == 0
 
     def test_connections_to_set(self, trio):
-        assert trio.connections_to_set("a", {"b", "c"}) == 2
-        assert trio.connections_to_set("c", {"a"}) == 0
-        assert trio.connections_to_set("b", {"a", "c"}) == 3
+        # The network and a snapshot of it answer alike.
+        for counts in (trio, trio.adjacency()):
+            assert counts.connections_to_set("a", {"b", "c"}) == 2
+            assert counts.connections_to_set("c", {"a"}) == 0
+            assert counts.connections_to_set("b", {"a", "c"}) == 3
+            assert counts.connections_to_set("a", ["a", "b"]) == 2  # never itself
+            assert counts.connections_to_set("ghost", {"a"}) == 0
 
     def test_external_connections(self, trio):
-        assert trio.external_connections({"a", "b"}) == 1  # only n2 leaves
-        assert trio.external_connections({"a", "b", "c"}) == 0
-        assert trio.external_connections({"b"}) == 3
+        for counts in (trio, trio.adjacency()):
+            assert counts.external_connections({"a", "b"}) == 1  # only n2 leaves
+            assert counts.external_connections({"a", "b", "c"}) == 0
+            assert counts.external_connections({"b"}) == 3
+            assert counts.external_connections([]) == 0
 
     def test_external_counts_system_pins(self):
         net = Network()
@@ -129,6 +136,41 @@ class TestNetworkQueries:
         net.add_system_terminal("t", TermType.IN)
         net.connect("n", "u.a", "t")
         assert net.external_connections({"u"}) == 1
+        assert net.adjacency().external_connections({"u"}) == 1
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_snapshot_matches_brute_force(self, seed):
+        net = random_network(
+            RandomNetworkSpec(modules=6 + 2 * seed, system_terminals=3, seed=seed)
+        )
+        assert any(n.system_pins for n in net.nets.values())
+        snapshot = net.adjacency()
+        names = sorted(net.modules)
+
+        def mods(n):
+            return {p.module for p in n.pins if not p.is_system}
+
+        for i, module in enumerate(names):
+            others = set(names[i % 3 :: 3])  # sometimes holds ``module``
+            want = sum(
+                1 for n in net.nets.values()
+                if module in mods(n) and mods(n) & (others - {module})
+            )
+            assert snapshot.connections_to_set(module, others) == want
+            members = set(names[: i + 1])
+            want = sum(
+                1 for n in net.nets.values()
+                if mods(n) & members and (mods(n) - members or n.system_pins)
+            )
+            assert snapshot.external_connections(members) == want
+            assert snapshot.pins_of_module(module) == list(net.pins_of_module(module))
+
+    def test_snapshot_does_not_follow_edits(self, trio):
+        snapshot = trio.adjacency()
+        del trio.nets["n2"]
+        assert trio.external_connections({"a", "b"}) == 0
+        assert snapshot.external_connections({"a", "b"}) == 1
+        assert trio.adjacency() is not trio.adjacency()
 
     def test_net_of_and_pins_of_module(self, trio):
         assert trio.net_of(Pin("a", "y")).name == "n0"
