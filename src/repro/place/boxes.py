@@ -154,10 +154,19 @@ def form_boxes(
 
 
 def string_edge(
-    network: Network, prev: str, nxt: str, members: set[str]
+    network: Network,
+    prev: str,
+    nxt: str,
+    members: set[str],
+    edges: dict[str, list[DriveEdge]] | None = None,
 ) -> DriveEdge:
-    """The drive edge the placement aligns two string neighbours on."""
-    for edge in drive_edges(network, members).get(prev, ()):
+    """The drive edge the placement aligns two string neighbours on.
+
+    ``edges`` is :func:`drive_edges` over ``members``, when the caller
+    already has it."""
+    if edges is None:
+        edges = drive_edges(network, members)
+    for edge in edges.get(prev, ()):
         if edge.sink == nxt:
             return edge
     raise ValueError(f"no drive edge from {prev!r} to {nxt!r}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from ..core.geometry import Point, Side
 from ..core.netlist import Adjacency, Module, Network
 from ..core.rotation import Rotation
-from .boxes import DriveEdge, string_edge
+from .boxes import DriveEdge, drive_edges, string_edge
 
 
 @dataclass
@@ -89,10 +89,14 @@ def place_box(
         return connected_terminals_on(network, module, rot, side, adjacency) + 1 + extra_space
 
     layout = BoxLayout(modules=list(box))
-    members = set(box)
-    edges: list[DriveEdge | None] = [
-        string_edge(network, prev, nxt, members) for prev, nxt in zip(box, box[1:])
-    ]
+    edges: list[DriveEdge | None] = []
+    if len(box) > 1:
+        members = set(box)
+        drives = drive_edges(network, members)
+        edges = [
+            string_edge(network, prev, nxt, members, drives)
+            for prev, nxt in zip(box, box[1:])
+        ]
 
     first = network.modules[box[0]]
     if edges:

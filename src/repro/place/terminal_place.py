@@ -11,17 +11,18 @@ from __future__ import annotations
 
 from ..core.diagram import Diagram
 from ..core.geometry import Point, Rect
+from ..core.netlist import Net
 
 
-def _gravity(diagram: Diagram, terminal: str) -> tuple[float, float]:
-    """GRAVITY_TERMINAL: mean position of the module terminals on the same
-    net; falls back to the placement center for unconnected terminals."""
+def _gravity(diagram: Diagram, nets: list[Net]) -> tuple[float, float]:
+    """GRAVITY_TERMINAL: mean position of the module terminals on a
+    terminal's ``nets``; falls back to the placement center for
+    unconnected terminals."""
     points: list[Point] = []
-    for net in diagram.network.nets.values():
-        if any(p.is_system and p.terminal == terminal for p in net.pins):
-            for pin in net.pins:
-                if not pin.is_system and pin.module in diagram.placements:
-                    points.append(diagram.pin_position(pin))
+    for net in nets:
+        for pin in net.pins:
+            if not pin.is_system and pin.module in diagram.placements:
+                points.append(diagram.pin_position(pin))
     if not points:
         return diagram.bounding_box(include_routes=False).center
     return (
@@ -82,24 +83,21 @@ def place_terminals(diagram: Diagram, *, offset: int = 1) -> None:
     rings = {offset: _ring_positions(bbox, offset)}
     taken = set(diagram.terminal_positions.values())
 
-    def nets_of(terminal: str) -> set[str]:
-        return {
-            net.name
-            for net in diagram.network.nets.values()
-            if any(p.is_system and p.terminal == terminal for p in net.pins)
-        }
+    # Each system terminal's nets, once each and in network order, so the
+    # gravity sums add up in the same order as a scan of every net.
+    terminal_nets: dict[str, list[Net]] = {}
+    for net in diagram.network.nets.values():
+        for terminal in dict.fromkeys(p.terminal for p in net.pins if p.is_system):
+            terminal_nets.setdefault(terminal, []).append(net)
 
     # Strongly connected terminals first so they get the best positions.
     def pin_count(name: str) -> int:
-        return sum(
-            len(net.pins)
-            for net in diagram.network.nets.values()
-            if any(p.is_system and p.terminal == name for p in net.pins)
-        )
+        return sum(len(net.pins) for net in terminal_nets.get(name, ()))
 
     for name in sorted(unplaced, key=lambda n: (-pin_count(n), n)):
-        own_nets = nets_of(name)
-        gx, gy = _gravity(diagram, name)
+        nets = terminal_nets.get(name, [])
+        own_nets = {net.name for net in nets}
+        gx, gy = _gravity(diagram, nets)
         track = offset
         while True:
             if track not in rings:
