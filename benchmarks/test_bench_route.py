@@ -36,7 +36,7 @@ from repro.core.generator import route_placed
 from repro.core.validate import check_diagram
 from repro.obs import counters
 from repro.place.pablo import PabloOptions, place_network
-from repro.route import RouterOptions, line_expansion, route_diagram
+from repro.route import RouterOptions, route_diagram
 from repro.route.plane import Plane
 from repro.route.reference import ReferenceSnapshot
 from repro.workloads import (
@@ -204,11 +204,10 @@ def test_bench_snapshot_vs_view(benchmark, experiment_store):
     assert warm < cold, "index overlay failed to beat the snapshot rebuild"
 
 
-def test_bench_route_verified_examples(benchmark, experiment_store, monkeypatch):
+def test_bench_route_verified_examples(benchmark, experiment_store):
     """Every connection of the example netlists must have the exact
-    reference optimum: identical (bends, crossings, length) per net, at
-    the default escalation threshold and with every connection escalated
-    to the cost-to-go field."""
+    reference optimum: identical (bends, crossings, length) per net, with
+    every connection searching under the cost-to-go field."""
     examples = {
         "example1_string": example1_string(),
         "example2_controller": example2_controller(),
@@ -221,24 +220,20 @@ def test_bench_route_verified_examples(benchmark, experiment_store, monkeypatch)
     def run():
         reg = counters.get_registry()
         out = []
-        for escalate_after in (line_expansion._ESCALATE_AFTER, 0):
-            monkeypatch.setattr(line_expansion, "_ESCALATE_AFTER", escalate_after)
-            for name, diagram in placed.items():
-                v0 = reg.get("route.verified_connections")
-                m0 = reg.get("route.verify_mismatch")
-                e0 = reg.get("route.heur_escalations")
-                _, report, _ = _route_once(diagram, RouterOptions(verify_optimum=True))
-                out.append(
-                    {
-                        "netlist": name,
-                        "escalate_after": escalate_after,
-                        "verified": reg.get("route.verified_connections") - v0,
-                        "escalated": reg.get("route.heur_escalations") - e0,
-                        "mismatches": reg.get("route.verify_mismatch") - m0,
-                        "routed": f"{report.nets_routed}/{report.nets_total}",
-                    }
-                )
-            monkeypatch.undo()
+        for name, diagram in placed.items():
+            v0 = reg.get("route.verified_connections")
+            m0 = reg.get("route.verify_mismatch")
+            e0 = reg.get("route.heur_escalations")
+            _, report, _ = _route_once(diagram, RouterOptions(verify_optimum=True))
+            out.append(
+                {
+                    "netlist": name,
+                    "verified": reg.get("route.verified_connections") - v0,
+                    "escalated": reg.get("route.heur_escalations") - e0,
+                    "mismatches": reg.get("route.verify_mismatch") - m0,
+                    "routed": f"{report.nets_routed}/{report.nets_total}",
+                }
+            )
         return out
 
     rows = once(benchmark, run)
@@ -247,13 +242,12 @@ def test_bench_route_verified_examples(benchmark, experiment_store, monkeypatch)
     for row in rows:
         assert row["verified"] > 0, row
         assert row["mismatches"] == 0, row
-        if row["escalate_after"] == 0:
-            assert row["escalated"] == row["verified"], row
+        assert row["escalated"] == row["verified"], row
 
 
 def test_bench_route_life_pitch18(benchmark, experiment_store):
     """The LIFE hand placement packed to pitch 18, denser than fig 6.6's
-    24, routed without the claim-free retry and checked as a whole
+    24, routed without the rip-up pass and checked as a whole
     diagram: every wire legal, every routed net connected."""
 
     def run():

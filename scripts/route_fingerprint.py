@@ -28,8 +28,11 @@ Usage::
     PYTHONPATH=src python scripts/route_fingerprint.py --against parent.json
 
 With ``--against FILE`` the exit code is 1 when any job's fingerprint
-differs from the one in FILE (or is missing from either side), and every
-such job is named on stderr.
+differs from the one in FILE (or is missing from either side).  Every
+such job is named on stderr with its change in nets routed and in
+states (``route.expansions``), and the closing line adds the totals of
+both over all jobs on each side, so a change that moves outputs reports
+its routing and search effort from one command.
 """
 
 from __future__ import annotations
@@ -168,11 +171,35 @@ def main(argv: list[str] | None = None) -> int:
         name for name in set(want) | set(result) if want.get(name) != result.get(name)
     )
     for name in differ:
+        before, after = want.get(name), result.get(name)
+        same = _field(before, 0) == _field(after, 0)
+        escher = "ESCHER same" if same else "ESCHER differs"
         print(
-            f"differs: {name}: {want.get(name)} -> {result.get(name)}", file=sys.stderr
+            f"differs: {name}: {escher}, nets routed {_field(before, 3)} -> "
+            f"{_field(after, 3)}, states {_field(before, 1)} -> {_field(after, 1)}",
+            file=sys.stderr,
         )
-    print(f"{len(result)} jobs, {len(differ)} differ", file=sys.stderr)
+    summary = f"{len(result)} jobs, {len(differ)} differ"
+    if differ:
+        summary += (
+            f"; nets routed {_total(want, 3)} -> {_total(result, 3)}, "
+            f"states {_total(want, 1)} -> {_total(result, 1)}"
+        )
+    print(summary, file=sys.stderr)
     return 1 if differ else 0
+
+
+def _field(fingerprint: list | None, k: int):
+    """Field ``k`` of a job's fingerprint, or ``None`` for a job that is
+    missing or did not finish ``ok``."""
+    if fingerprint is None or len(fingerprint) != 4:
+        return None
+    return fingerprint[k]
+
+
+def _total(fingerprints: dict[str, list], k: int) -> int:
+    """Field ``k`` summed over every job that finished ``ok``."""
+    return sum(_field(f, k) or 0 for f in fingerprints.values())
 
 
 if __name__ == "__main__":

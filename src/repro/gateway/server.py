@@ -120,7 +120,7 @@ STAGE_WINDOW_SPANS = frozenset({
     "pablo.module_placement", "pablo.box_placement",
     "pablo.partition_placement", "pablo.terminal_placement",
     "eureka.route", "eureka.plane", "eureka.claims",
-    "eureka.first_pass", "eureka.retry",
+    "eureka.first_pass", "eureka.ripup",
 })
 
 #: Worker telemetry a finished job drops once its run record, the stage

@@ -108,7 +108,8 @@ class RunRecord:
     counters: dict = field(default_factory=dict)
     #: ``DiagramMetrics.as_row()`` shape.
     metrics: dict = field(default_factory=dict)
-    #: Per-net failure drill-down: ``{net: {reason, unconnected_pins}}``.
+    #: Per-net failure drill-down: ``{net: {reason, unconnected_pins,
+    #: certificate}}``.
     failures: dict[str, dict] = field(default_factory=dict)
     #: ``CongestionMap.to_dict()`` shape (may be empty for placement-only runs).
     congestion: dict = field(default_factory=dict)
@@ -233,6 +234,7 @@ class RunLog:
             str(f): {
                 "reason": f.reason.value,
                 "unconnected_pins": getattr(f, "unconnected_pins", 0),
+                "certificate": getattr(f, "certificate", None),
             }
             for f in routing.failed_nets
         }

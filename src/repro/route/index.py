@@ -23,9 +23,9 @@ left corner and ``nx`` the number of points in a row:
   horizontal/vertical passage of the point pays over all nets,
 * ``occ`` — how many nets use the point at all.
 
-The router reads and writes them per cell from Python, and
+The router reads them per cell from Python, and
 :meth:`PlaneIndex.grid` views a whole buffer as a numpy array indexed
-``[y - y1, x - x1]`` without a copy, which the escalated A* bound
+``[y - y1, x - x1]`` without a copy, which the A*'s cost-to-go field
 sweeps.  ``contrib`` records per net that net's own contribution at
 every point it uses: ``remove_net`` unwinds it, and a :class:`NetView`,
 the router's per-connection window, turns it into a few exception sets
@@ -40,19 +40,8 @@ stops every sweep) and ``foreign_at`` with ``False``, and
 :func:`~repro.route.line_expansion.route_connection` refuses a start
 there.
 
-The A*'s geometric lower bound reads per-line views of the buffers,
-each cached per line and dropped whenever a stop or crossing cell of its
-line changes:
-
-* ``sorted_row``/``sorted_col`` — the sorted stop coordinates of a line,
-  so the bound finds the first stop ahead of a straight run with a
-  bisect,
-* ``range_cross_h``/``range_cross_v`` — prefix sums of a line's crossing
-  counts, so the bound prices a straight run over ``[a..b]`` with one
-  index lookup instead of O(b-a) probes.
-
 Invariants (checked by ``tests/test_route_index.py`` against an index
-rebuilt from scratch, sums recomputed from ``contrib``, and brute force):
+rebuilt from scratch and sums recomputed from ``contrib``):
 
 * ``contrib[n][p]`` equals net ``n``'s contribution at ``p`` recomputed
   from ``plane.usage``/``plane.nodes``,
@@ -150,10 +139,6 @@ class PlaneIndex:
         "cross_v",
         "occ",
         "contrib",
-        "_rows_sorted",
-        "_cols_sorted",
-        "_cross_rows",
-        "_cross_cols",
     )
 
     def __init__(self, plane: "Plane") -> None:
@@ -170,12 +155,6 @@ class PlaneIndex:
         self.occ = array("i", [0]) * cells
         # net -> point -> (h_block, v_block, cross_h, cross_v) contribution
         self.contrib: dict[str, dict[Point, tuple[int, int, int, int]]] = {}
-        # Per-line views, keyed by row y / column x: sorted stop
-        # coordinates and crossing prefix sums.
-        self._rows_sorted: dict[int, list[int]] = {}
-        self._cols_sorted: dict[int, list[int]] = {}
-        self._cross_rows: dict[int, list[int]] = {}
-        self._cross_cols: dict[int, list[int]] = {}
 
     @property
     def plane(self) -> "Plane":
@@ -206,13 +185,7 @@ class PlaneIndex:
         if not value:
             plane = self.plane
             value = p in plane.blocked or p in plane.claims
-        if self.hard[cell] == value:
-            return
         self.hard[cell] = value
-        if not self.h_block[cell]:
-            self._rows_sorted.pop(p[1], None)
-        if not self.v_block[cell]:
-            self._cols_sorted.pop(p[0], None)
 
     def net_path_added(self, net: str, points: Iterable[Point]) -> None:
         """Refresh ``net``'s contribution at every covered point of a
@@ -242,7 +215,7 @@ class PlaneIndex:
             if old is None:
                 old = (0, 0, 0, 0)
                 self.occ[cell] += 1
-            self._shift(p, cell, old, new)
+            self._shift(cell, old, new)
 
     def remove_net(self, net: str) -> None:
         """Unwind every contribution of ``net`` in O(own net), leaving
@@ -252,7 +225,7 @@ class PlaneIndex:
             cell = self.cell(p)
             if cell is not None:
                 self.occ[cell] -= 1
-                self._shift(p, cell, old, (0, 0, 0, 0))
+                self._shift(cell, old, (0, 0, 0, 0))
 
     def rebuild(self) -> None:
         """Ingest a pre-populated plane (dataclass construction with
@@ -267,86 +240,12 @@ class PlaneIndex:
         for net, points in per_net.items():
             self.net_path_added(net, points)
 
-    def _shift(self, p: Point, cell: int, old: tuple, new: tuple) -> None:
-        """Replace one net's contribution ``old`` at ``p`` by ``new``,
-        dropping the line views whose stops or sums change."""
-        dhb, dvb = new[0] - old[0], new[1] - old[1]
-        dch, dcv = new[2] - old[2], new[3] - old[3]
-        if dhb:
-            n = self.h_block[cell]
-            self.h_block[cell] = n + dhb
-            if not (n and n + dhb) and not self.hard[cell]:
-                self._rows_sorted.pop(p[1], None)
-        if dvb:
-            n = self.v_block[cell]
-            self.v_block[cell] = n + dvb
-            if not (n and n + dvb) and not self.hard[cell]:
-                self._cols_sorted.pop(p[0], None)
-        if dch:
-            self.cross_h[cell] += dch
-            self._cross_rows.pop(p[1], None)
-        if dcv:
-            self.cross_v[cell] += dcv
-            self._cross_cols.pop(p[0], None)
-
-    # -- per-line views -------------------------------------------------
-
-    def _stop_line(self, k: int, column: bool) -> list[int]:
-        """Sorted coordinates, inside the bounds, of the stops on row
-        ``k`` of the grid (column ``k`` with ``column``)."""
-        hard = self.grid(self.hard)
-        blocks = self.grid(self.v_block if column else self.h_block)
-        if column:
-            hard, blocks = hard.T, blocks.T
-        if not 0 <= k < len(hard):
-            return []
-        origin = self.y1 if column else self.x1
-        return (np.flatnonzero(hard[k] | (blocks[k] != 0)) + origin).tolist()
-
-    def _cross_sums(self, k: int, column: bool) -> list[int]:
-        """Prefix sums of the crossing counts on row ``k`` of the grid
-        (column ``k`` with ``column``)."""
-        counts = self.grid(self.cross_v if column else self.cross_h)
-        if column:
-            counts = counts.T
-        if not 0 <= k < len(counts):
-            return [0]
-        return [0, *np.cumsum(counts[k]).tolist()]
-
-    def sorted_row(self, y: int) -> list[int]:
-        """Sorted x coordinates inside the bounds obstructing horizontal
-        movement on row y."""
-        lst = self._rows_sorted.get(y)
-        if lst is None:
-            lst = self._rows_sorted[y] = self._stop_line(y - self.y1, False)
-        return lst
-
-    def sorted_col(self, x: int) -> list[int]:
-        """Sorted y coordinates inside the bounds obstructing vertical
-        movement on column x."""
-        lst = self._cols_sorted.get(x)
-        if lst is None:
-            lst = self._cols_sorted[x] = self._stop_line(x - self.x1, True)
-        return lst
-
-    def range_cross_h(self, y: int, a: int, b: int) -> int:
-        """Total crossings a horizontal run entering ``x in [a..b]`` on
-        row ``y`` would pay inside the bounds, over all nets (callers
-        subtract their own)."""
-        sums = self._cross_rows.get(y)
-        if sums is None:
-            sums = self._cross_rows[y] = self._cross_sums(y - self.y1, False)
-        lo, hi = max(a - self.x1, 0), min(b - self.x1 + 1, len(sums) - 1)
-        return sums[hi] - sums[lo] if lo < hi else 0
-
-    def range_cross_v(self, x: int, a: int, b: int) -> int:
-        """Total crossings a vertical run entering ``y in [a..b]`` on
-        column ``x`` would pay inside the bounds, over all nets."""
-        sums = self._cross_cols.get(x)
-        if sums is None:
-            sums = self._cross_cols[x] = self._cross_sums(x - self.x1, True)
-        lo, hi = max(a - self.y1, 0), min(b - self.y1 + 1, len(sums) - 1)
-        return sums[hi] - sums[lo] if lo < hi else 0
+    def _shift(self, cell: int, old: tuple, new: tuple) -> None:
+        """Replace one net's contribution ``old`` at ``cell`` by ``new``."""
+        self.h_block[cell] += new[0] - old[0]
+        self.v_block[cell] += new[1] - old[1]
+        self.cross_h[cell] += new[2] - old[2]
+        self.cross_v[cell] += new[3] - old[3]
 
     # -- per-net queries -------------------------------------------------
 

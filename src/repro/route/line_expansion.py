@@ -16,38 +16,32 @@ search over states ``(point, travel direction)`` on the routing plane:
   points block (section 5.5.2: "the only obstacles are modules and bends
   in nets").
 
-The search is an *admissible lexicographic A\\**: each state is ordered by
-its cost-so-far plus a per-state lower bound of (minimum remaining bends —
-0/1/2/3 from the geometric relation of ``(point, direction)`` to the
-nearest target —, minimum remaining crossings, and remaining Manhattan
-length to the targets' bounding box).  The crossing bound is
-*crossover-aware*: when zero or one bend suffices, every minimum-bend
-completion must sweep a straight run to (or towards) a nearest target, and
-the index's per-row/column crossing prefix sums price that run exactly
-(minus the net's own contributions) in O(1).  The bound only has to
-hold among minimum-bend completions — paths with more bends already lose
-on the first lexicographic component — and range sums over nested
-intervals only grow, so truncating at the *nearest* target keeps it a
-lower bound.  No bound ever overestimates, so the first target state
-popped is still the paper's exact optimum (bends, then crossings, then
-length, and the ``-s`` swap) while states pointing away from every target
-— or staring at a wall of foreign wires — are pruned.
-Like the paper's algorithm (section 5.5.4) the search stays exhaustive: a
-connection is found whenever one exists.
+The search is an *admissible lexicographic A\\**.  Before its first pop
+every connection computes :func:`cost_to_go`: the exact lexicographic
+(bends, crossings, length) cost to the targets on the problem with only
+the U-turn ban lifted, found as the paper's segment wavefront run
+backwards from the targets with costs attached.  Each state is ordered
+by its cost so far plus that cost-to-go.  The relaxation never
+overestimates, so the first target state popped is still the paper's
+exact optimum (bends, then crossings, then length, and the ``-s`` swap),
+and like the paper's algorithm (section 5.5.4) the search stays
+exhaustive: a connection is found whenever one exists.
 
-A connection that is still searching after ``_ESCALATE_AFTER`` pops
-escalates to :func:`cost_to_go`: the exact lexicographic cost on the
-problem with only the U-turn ban lifted, computed as the paper's segment
-wavefront with costs attached, and the search restarts under that bound.
 The field is exact on the start's *corridor* — the intervals that some
 minimum-bend relaxed path from the start passes — and elsewhere carries
 only a bend count that already exceeds the relaxed optimum, so states
 off the corridor are never popped.  When start-direction or arrival
 constraints make the real optimum bendier than the relaxed one, the
 field widens once to every interval a target reaches and the search
-restarts again.  Among states of equal ``f`` the one with the longer
-path so far pops first, so plateaus of equal-cost states are walked
-depth-first.
+restarts.  A start on a stop of its own axis, which the sweep never
+enters, is bounded by ``(0, 0, 0)``: the search only has to leave it.
+Among states of equal ``f`` the one with the longer path so far pops
+first, so plateaus of equal-cost states are walked depth-first.
+
+A failed connection carries a certificate of how its failure was
+proven: ``field`` when the field left no start state to pop (the
+relaxation already proves the targets unreachable), ``exhausted`` when
+the heap emptied after at least one pop.
 
 Obstacle queries come from the plane's incremental
 :class:`~repro.route.index.PlaneIndex` — a per-connection
@@ -62,7 +56,6 @@ from __future__ import annotations
 import enum
 import heapq
 import time
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -111,11 +104,14 @@ class SearchStats:
     failures: int = 0
     #: Heap entries skipped as stale/superseded (A* pruning bookkeeping).
     pruned: int = 0
-    #: Connections that escalated to the exact cost-to-go bound.
+    #: Connections that built the cost-to-go field (every search does).
     escalations: int = 0
+    #: How the latest failed connection's failure was proven:
+    #: :data:`FIELD` or :data:`EXHAUSTED`.
+    certificate: str | None = None
     #: Per-connection introspection rows ("why was this net slow") —
-    #: pops vs the initial bound estimate, escalation, search area,
-    #: final cost.  Bounded by :data:`MAX_CONNECTION_ROWS`.
+    #: pops vs the initial bound, search area, final cost, and a failed
+    #: search's certificate.  Bounded by :data:`MAX_CONNECTION_ROWS`.
     connections: list[dict] = field(default_factory=list)
 
     def record_connection(self, row: dict) -> None:
@@ -123,15 +119,18 @@ class SearchStats:
             self.connections.append(row)
 
 
+#: Failure certificates: the cost-to-go field left no start state to pop
+#: (the relaxation proves the targets unreachable), or the heap emptied
+#: after at least one pop.
+FIELD = "field"
+EXHAUSTED = "exhausted"
+
+
 #: (dx, dy, moves_horizontally) per direction, and the opposite's index.
 _DIR_ORDER = [Direction.LEFT, Direction.RIGHT, Direction.UP, Direction.DOWN]
 _DIR_STEPS = [(d.dx, d.dy, d.dy == 0) for d in _DIR_ORDER]
 _DIR_INDEX = {d: i for i, d in enumerate(_DIR_ORDER)}
 _OPPOSITE = [1, 0, 3, 2]
-
-#: Pops a connection may spend under the geometric bound before the
-#: search escalates to the exact cost-to-go field.
-_ESCALATE_AFTER = 256
 
 #: Wave of an interval no target reaches (above every real wave).
 _UNREACHED = 1 << 30
@@ -508,14 +507,12 @@ def route_connection(
 
     # Arrival constraints, by point for the cost-to-go field and by cell
     # for the goal test (a target outside the bounds is never reached),
-    # plus the target geometry the heuristic needs: bounding box and
-    # sorted per-row/per-column target coordinates.
+    # plus the targets' bounding box for the search-area telemetry.
     target_dirs: dict[tuple[int, int], frozenset[int] | None] = {}
     goal_dirs: dict[int, frozenset[int] | None] = {}
-    t_in_row: dict[int, list[int]] = {}
-    t_in_col: dict[int, list[int]] = {}
-    tx1 = ty1 = 1 << 60
-    tx2 = ty2 = -(1 << 60)
+    sx, sy = start.x, start.y
+    fx1 = fx2 = sx
+    fy1 = fy2 = sy
     for p, dirs in targets.items():
         tx, ty = p.x, p.y
         accepted = None if dirs is None else frozenset(_DIR_INDEX[d] for d in dirs)
@@ -523,460 +520,166 @@ def route_connection(
         cell = index.cell(p)
         if cell is not None:
             goal_dirs[cell] = accepted
-        t_in_row.setdefault(ty, []).append(tx)
-        t_in_col.setdefault(tx, []).append(ty)
-        if tx < tx1:
-            tx1 = tx
-        if tx > tx2:
-            tx2 = tx
-        if ty < ty1:
-            ty1 = ty
-        if ty > ty2:
-            ty2 = ty
-    for lst in t_in_row.values():
-        lst.sort()
-    for lst in t_in_col.values():
-        lst.sort()
-    t_rows_sorted = sorted(t_in_row)  # rows containing a target
-    t_cols_sorted = sorted(t_in_col)  # columns containing a target
+        if tx < fx1:
+            fx1 = tx
+        elif tx > fx2:
+            fx2 = tx
+        if ty < fy1:
+            fy1 = ty
+        elif ty > fy2:
+            fy2 = ty
 
     crossings_first = cost_order is CostOrder.BENDS_CROSSINGS_LENGTH
     # Every probe reads the index's buffers and the view's exceptions by
     # cell, ``(y - y1) * nx + x - x1``; per direction: the step, the cell
-    # offset, and the buffers and exceptions of the axis it moves along.
+    # offset, the buffers and exceptions of the axis it moves along, and
+    # that axis's offset into the packed field.
     x1, y1, x2, y2, nx = view.x1, view.y1, view.x2, view.y2, view.nx
+    plane_cells = nx * (y2 - y1 + 1)
     hard, occ = index.hard, index.occ
     allow_cells, self_clear = view.allow_cells, view.self_clear
     axes = (
-        (index.h_block, view.unblock_h, index.cross_h, view.own_cross_h),
-        (index.v_block, view.unblock_v, index.cross_v, view.own_cross_v),
+        (index.h_block, view.unblock_h, index.cross_h, view.own_cross_h, 0),
+        (index.v_block, view.unblock_v, index.cross_v, view.own_cross_v, plane_cells),
     )
     moves = [
         (dx, dy, dx + dy * nx, *axes[0 if moves_h else 1])
         for dx, dy, moves_h in _DIR_STEPS
     ]
-
-    # -- crossover-aware bound plumbing ---------------------------------
-    # The index prices a straight run's crossings over all nets inside
-    # the bounds; the net's own contributions there, one to a few per
-    # line, are summed and subtracted.
-    range_cross_h = index.range_cross_h
-    range_cross_v = index.range_cross_v
-    own_h_rows: dict[int, list[tuple[int, int]]] = {}
-    for c, n in view.own_cross_h.items():
-        i, j = divmod(c, nx)
-        own_h_rows.setdefault(y1 + i, []).append((x1 + j, n))
-    own_v_cols: dict[int, list[tuple[int, int]]] = {}
-    for c, n in view.own_cross_v.items():
-        i, j = divmod(c, nx)
-        own_v_cols.setdefault(x1 + j, []).append((y1 + i, n))
-
-    def _hrange(y: int, a: int, b: int) -> int:
-        """Foreign crossings a horizontal run entering ``x in [a..b]``
-        on row ``y`` must pay."""
-        total = range_cross_h(y, a, b)
-        if total and y in own_h_rows:
-            total -= sum(c for x, c in own_h_rows[y] if a <= x <= b)
-        return total
-
-    def _vrange(x: int, a: int, b: int) -> int:
-        total = range_cross_v(x, a, b)
-        if total and x in own_v_cols:
-            total -= sum(c for y, c in own_v_cols[x] if a <= y <= b)
-        return total
-
-    # Per-line *stop* coordinates for this net, bisected.  A straight
-    # run cannot pass its first stop, which upgrades the bend bound
-    # behind walls.  A line holding none of the view's exemptions
-    # (``allow``, own-wire unblocks) stops exactly at the index's
-    # obstacles, so it reads the index's shared sorted list (read-only
-    # here); the few exempt lines are filtered once per connection.
-    exempt_rows = {y1 + c // nx for c in allow_cells | view.unblock_h}
-    exempt_cols = {x1 + c % nx for c in allow_cells | view.unblock_v}
-    stop_rows: dict[int, list[int]] = {}
-    stop_cols: dict[int, list[int]] = {}
-    sorted_row, sorted_col = index.sorted_row, index.sorted_col
-    stops_at = view.stops_at
-
-    def _stops_row(y: int) -> list[int]:
-        lst = stop_rows.get(y)
-        if lst is None:
-            lst = sorted_row(y)
-            if y in exempt_rows:
-                base = (y - y1) * nx - x1
-                lst = [x for x in lst if stops_at(base + x, False)]
-            stop_rows[y] = lst
-        return lst
-
-    def _stops_col(x: int) -> list[int]:
-        lst = stop_cols.get(x)
-        if lst is None:
-            lst = sorted_col(x)
-            if x in exempt_cols:
-                lst = [y for y in lst if stops_at((y - y1) * nx + x - x1, True)]
-            stop_cols[x] = lst
-        return lst
-
-    def _hc1_horiz(qx: int, qy: int, sgn: int, lim: int | None) -> int | None:
-        """Crossing bound over the exactly-one-bend completions when
-        travel is horizontal — or ``None`` when no such completion can
-        exist.  Every 1-bend completion either bends *here* (family A —
-        a vertical run in this column to a target row, needs a bendable
-        point and a reachable target) or sweeps on and bends ahead
-        (family B — a horizontal run at least to the nearest reachable
-        target column ahead, bounded by the first stop ``lim``)."""
-        best = None
-        cell = (qy - y1) * nx + qx - x1
-        if not occ[cell] or cell in self_clear:
-            col = t_in_col.get(qx)
-            if col:
-                scol = _stops_col(qx)
-                i = bisect_left(col, qy + 1)
-                if i < len(col):
-                    ty = col[i]
-                    j = bisect_right(scol, qy)
-                    if j >= len(scol) or ty < scol[j]:
-                        best = _vrange(qx, qy + 1, ty)
-                i = bisect_right(col, qy - 1) - 1
-                if i >= 0:
-                    ty = col[i]
-                    j = bisect_left(scol, qy) - 1
-                    if j < 0 or ty > scol[j]:
-                        c = _vrange(qx, ty, qy - 1)
-                        if best is None or c < best:
-                            best = c
-        if sgn > 0:
-            i = bisect_left(t_cols_sorted, qx + 1)
-            if i < len(t_cols_sorted):
-                c_near = t_cols_sorted[i]
-                if lim is None or c_near < lim:
-                    c = _hrange(qy, qx + 1, c_near)
-                    if best is None or c < best:
-                        best = c
-        else:
-            i = bisect_right(t_cols_sorted, qx - 1) - 1
-            if i >= 0:
-                c_near = t_cols_sorted[i]
-                if lim is None or c_near > lim:
-                    c = _hrange(qy, c_near, qx - 1)
-                    if best is None or c < best:
-                        best = c
-        return best
-
-    def _hc1_vert(qx: int, qy: int, sgn: int, lim: int | None) -> int | None:
-        best = None
-        cell = (qy - y1) * nx + qx - x1
-        if not occ[cell] or cell in self_clear:
-            row = t_in_row.get(qy)
-            if row:
-                srow = _stops_row(qy)
-                i = bisect_left(row, qx + 1)
-                if i < len(row):
-                    tx = row[i]
-                    j = bisect_right(srow, qx)
-                    if j >= len(srow) or tx < srow[j]:
-                        best = _hrange(qy, qx + 1, tx)
-                i = bisect_right(row, qx - 1) - 1
-                if i >= 0:
-                    tx = row[i]
-                    j = bisect_left(srow, qx) - 1
-                    if j < 0 or tx > srow[j]:
-                        c = _hrange(qy, tx, qx - 1)
-                        if best is None or c < best:
-                            best = c
-        if sgn > 0:
-            i = bisect_left(t_rows_sorted, qy + 1)
-            if i < len(t_rows_sorted):
-                r_near = t_rows_sorted[i]
-                if lim is None or r_near < lim:
-                    c = _vrange(qx, qy + 1, r_near)
-                    if best is None or c < best:
-                        best = c
-        else:
-            i = bisect_right(t_rows_sorted, qy - 1) - 1
-            if i >= 0:
-                r_near = t_rows_sorted[i]
-                if lim is None or r_near > lim:
-                    c = _vrange(qx, r_near, qy - 1)
-                    if best is None or c < best:
-                        best = c
-        return best
-
-    def heur(qx: int, qy: int, di: int) -> tuple[int, int, int]:
-        """Admissible (remaining bends, crossings, length) lower bound
-        for state ``((qx, qy), direction di)`` against the whole target
-        set.  The crossing component only has to hold among completions
-        with exactly the minimum bends — bendier completions already
-        lose on the first lexicographic component."""
-        # Manhattan distance to the targets' bounding box.
-        hl = 0
-        if qx < tx1:
-            hl = tx1 - qx
-        elif qx > tx2:
-            hl = qx - tx2
-        if qy < ty1:
-            hl += ty1 - qy
-        elif qy > ty2:
-            hl += qy - ty2
-        # Minimum bends from the geometric relation to the nearest
-        # *reachable* target: 0 when one lies straight ahead of the
-        # first stop, 1 when a one-bend family A/B completion survives
-        # the stop tests, else 2 (3 when every target is strictly behind
-        # on the travel line itself).
-        if di == 0:  # LEFT
-            srow = _stops_row(qy)
-            j = bisect_left(srow, qx) - 1
-            lim = srow[j] if j >= 0 else None
-            row = t_in_row.get(qy)
-            if row is not None and row[0] <= qx:
-                i = bisect_right(row, qx) - 1
-                tx = row[i]
-                if lim is None or tx > lim:
-                    return 0, _hrange(qy, tx, qx - 1), hl
-            if tx1 <= qx:
-                hc = _hc1_horiz(qx, qy, -1, lim)
-                if hc is not None:
-                    return 1, hc, hl
-                return 2, 0, hl
-            off_line = ty1 != qy or ty2 != qy
-        elif di == 1:  # RIGHT
-            srow = _stops_row(qy)
-            j = bisect_right(srow, qx)
-            lim = srow[j] if j < len(srow) else None
-            row = t_in_row.get(qy)
-            if row is not None and row[-1] >= qx:
-                i = bisect_left(row, qx)
-                tx = row[i]
-                if lim is None or tx < lim:
-                    return 0, _hrange(qy, qx + 1, tx), hl
-            if tx2 >= qx:
-                hc = _hc1_horiz(qx, qy, +1, lim)
-                if hc is not None:
-                    return 1, hc, hl
-                return 2, 0, hl
-            off_line = ty1 != qy or ty2 != qy
-        elif di == 2:  # UP
-            scol = _stops_col(qx)
-            j = bisect_right(scol, qy)
-            lim = scol[j] if j < len(scol) else None
-            col = t_in_col.get(qx)
-            if col is not None and col[-1] >= qy:
-                i = bisect_left(col, qy)
-                ty = col[i]
-                if lim is None or ty < lim:
-                    return 0, _vrange(qx, qy + 1, ty), hl
-            if ty2 >= qy:
-                hc = _hc1_vert(qx, qy, +1, lim)
-                if hc is not None:
-                    return 1, hc, hl
-                return 2, 0, hl
-            off_line = tx1 != qx or tx2 != qx
-        else:  # DOWN
-            scol = _stops_col(qx)
-            j = bisect_left(scol, qy) - 1
-            lim = scol[j] if j >= 0 else None
-            col = t_in_col.get(qx)
-            if col is not None and col[0] <= qy:
-                i = bisect_right(col, qy) - 1
-                ty = col[i]
-                if lim is None or ty > lim:
-                    return 0, _vrange(qx, ty, qy - 1), hl
-            if ty1 <= qy:
-                hc = _hc1_vert(qx, qy, -1, lim)
-                if hc is not None:
-                    return 1, hc, hl
-                return 2, 0, hl
-            off_line = tx1 != qx or tx2 != qx
-        return (2 if off_line else 3), 0, hl
-
-    def heur_key(qx: int, qy: int, di: int) -> tuple[int, int, int]:
-        """:func:`heur` in the ``-s`` key order."""
-        hb, hc, hl = heur(qx, qy, di)
-        return hb, hl, hc
-
-    # Every bound below is in key order, like the costs it is added to.
-    geometric = heur if crossings_first else heur_key
-    # Heap entries are (f, -length so far, push counter, g, state): among
-    # equal f the state with the longer path so far pops first, so
-    # plateaus of equal-cost states are walked depth-first instead of
-    # breadth-first, and the push counter keeps the order deterministic.
-    counter = 0
-    heap: list = []
-    # state key: cell * 4 + dir_index -> best cost-so-far tuple (key order)
-    best: dict[int, tuple[int, int, int]] = {}
-    parents: dict[int, int | None] = {}
-    sx, sy = start.x, start.y
+    dir_indices = [_DIR_INDEX[d] for d in start_directions]
+    heappush, heappop = heapq.heappush, heapq.heappop
     zero = (0, 0, 0)
     t_search = time.perf_counter()
     initial_bound: tuple[int, int, int] | None = None
-    for d in start_directions:
-        di = _DIR_INDEX[d]
-        state = start_cell * 4 + di
-        best[state] = zero
-        parents[state] = None
-        f = geometric(sx, sy, di)
-        if initial_bound is None or f < initial_bound:
-            initial_bound = f
-        heapq.heappush(heap, (f, 0, counter, zero, state))
-        counter += 1
-
     expanded = 0
     pruned = 0
+    field_s = 0.0
     goal_state = None
     goal_cost = None
-    heappush, heappop = heapq.heappush, heapq.heappop
+    if stats is not None:
+        stats.escalations += 1
+    counters.inc("route.heur_escalations")
 
-    # -- escalation: exact lexicographic cost-to-go ---------------------
-    # Most connections finish in a few hundred pops under the geometric
-    # bound, but its bend component saturates at 3 and its crossing
-    # component at the nearest target, while congested connections need
-    # 4-11 bends, so the search floods plateaus of equal-bend states.
-    # Such a connection escalates: :func:`cost_to_go` computes the
-    # *exact* (bends, crossings, length) cost-to-go (relaxed only by
-    # ignoring U-turn bans) of every state a search from the start can
-    # pop while its bends stay within the start's relaxed bend count,
-    # ``budget``, and the search restarts under it.  When start-direction
-    # or arrival constraints make the optimum bendier than that, the
+    # The search runs under the cost-to-go field swept over the start's
+    # corridor.  When start-direction or arrival constraints make the
+    # optimum bendier than the start's relaxed bend count ``budget``, the
     # heap's minimum outgrows the budget before any goal pops: the field
     # widens once to every interval a target reaches and the search
-    # restarts again.
-    # Expansions spent before a restart stay counted; the escalation
-    # threshold keeps that waste small against the tail it removes.
-    field = memoryview(b"")
-    plane_cells = nx * (y2 - y1 + 1)
-    s1 = s2 = mask = 0
-    budget: int | None = None
-    field_s = 0.0
-    dir_indices = [_DIR_INDEX[d] for d in start_directions]
-
-    def heur_exact(qx: int, qy: int, di: int) -> tuple[int, int, int] | None:
-        """The field's cost-to-go in key order; ``None`` prunes states no
-        relaxed completion reaches (then no real completion exists
-        either)."""
-        v = field[(di >> 1) * plane_cells + (qy - y1) * nx + qx - x1]
-        if v < 0:
-            return None
-        return v >> s2, (v >> s1) & mask, v & mask
-
-    cur_heur: object = geometric
-    escalated = False
-    # Search-area hull for the telemetry row: the expanded states and the
-    # start/target box the heuristic ranges towards.
-    fx1, fy1 = min(sx, tx1), min(sy, ty1)
-    fx2, fy2 = max(sx, tx2), max(sy, ty2)
-
-    while heap:
-        widen = budget is not None and heap[0][0][0] > budget
-        if widen or (not escalated and expanded >= _ESCALATE_AFTER):
-            t_field = time.perf_counter()
-            grid, s1, budget = cost_to_go(
-                view, target_dirs, cost_order, None if widen else (sx, sy), dir_indices
-            )
-            field_s += time.perf_counter() - t_field
-            field = memoryview(grid.reshape(-1))
-            s2, mask = 2 * s1, (1 << s1) - 1
-            cur_heur = heur_exact
-            if widen:
-                counters.inc("route.field_widenings")
+    # restarts.  Expansions spent before the restart stay counted.
+    for corridor in (True, False):
+        t_field = time.perf_counter()
+        grid, s1, budget = cost_to_go(
+            view, target_dirs, cost_order, (sx, sy) if corridor else None, dir_indices
+        )
+        field_s += time.perf_counter() - t_field
+        if not corridor:
+            counters.inc("route.field_widenings")
+        field = memoryview(grid.reshape(-1))
+        s2, mask = 2 * s1, (1 << s1) - 1
+        # Heap entries are (f, -length so far, push counter, g, state):
+        # among equal f the state with the longer path so far pops first,
+        # so plateaus of equal-cost states are walked depth-first instead
+        # of breadth-first, and the push counter keeps the order
+        # deterministic.  States are keyed ``cell * 4 + dir_index``.
+        heap: list = []
+        best: dict[int, tuple[int, int, int]] = {}
+        parents: dict[int, int | None] = {}
+        for counter, di in enumerate(dir_indices):
+            state = start_cell * 4 + di
+            if view.stops_at(start_cell, not _DIR_STEPS[di][2]):
+                f = zero  # the sweep never enters a stop of its own axis
             else:
-                escalated = True
-                counters.inc("route.heur_escalations")
-                if stats is not None:
-                    stats.escalations += 1
-            heap = []
-            best = {}
-            parents = {}
-            for di in dir_indices:
-                state = start_cell * 4 + di
-                best[state] = zero
-                parents[state] = None
-                # The search only has to leave the start, so a start on a
-                # stop of its own axis (which the sweep never enters)
-                # keeps the geometric bound.
-                if stops_at(start_cell, not _DIR_STEPS[di][2]):
-                    f = geometric(sx, sy, di)
-                else:
-                    f = heur_exact(sx, sy, di)
-                    if f is None:
-                        continue
-                heappush(heap, (f, 0, counter, zero, state))
-                counter += 1
-            if not heap:
-                break
-        _f, _, _, cost, state = heappop(heap)
-        if cost != best.get(state):
-            pruned += 1  # stale entry, superseded by a better push
-            continue
-        expanded += 1
-        cell, di = state >> 2, state & 3
-        i, j = divmod(cell, nx)
-        px, py = x1 + j, y1 + i
-        if px < fx1:
-            fx1 = px
-        elif px > fx2:
-            fx2 = px
-        if py < fy1:
-            fy1 = py
-        elif py > fy2:
-            fy2 = py
+                v = field[(di >> 1) * plane_cells + start_cell]
+                if v < 0:
+                    continue  # no relaxed completion, so no real one
+                f = (v >> s2, (v >> s1) & mask, v & mask)
+            best[state] = zero
+            parents[state] = None
+            if initial_bound is None or f < initial_bound:
+                initial_bound = f
+            heappush(heap, (f, 0, counter, zero, state))
+        counter = len(dir_indices)
 
-        can_turn = not occ[cell] or cell in self_clear
-        arrival_ok = goal_dirs.get(cell, _MISSING)
-        if arrival_ok is not _MISSING and parents[state] is not None:
-            if (arrival_ok is None or di in arrival_ok) and can_turn:
-                goal_state, goal_cost = state, cost
-                break
+        while heap:
+            if budget is not None and heap[0][0][0] > budget:
+                break  # widen
+            _f, _, _, cost, state = heappop(heap)
+            if cost != best.get(state):
+                pruned += 1  # stale entry, superseded by a better push
+                continue
+            expanded += 1
+            cell, di = state >> 2, state & 3
+            i, j = divmod(cell, nx)
+            px, py = x1 + j, y1 + i
+            if px < fx1:
+                fx1 = px
+            elif px > fx2:
+                fx2 = px
+            if py < fy1:
+                fy1 = py
+            elif py > fy2:
+                fy2 = py
 
-        c0, c1, c2 = cost
-        for ndi in range(4):
-            if ndi == _OPPOSITE[di]:
-                continue
-            turning = ndi != di
-            if turning and not can_turn:
-                continue
-            dx, dy, step, blocks, unblock, crosses, own = moves[ndi]
-            qx, qy = px + dx, py + dy
-            if not (x1 <= qx <= x2 and y1 <= qy <= y2):
-                continue
-            q = cell + step
-            if hard[q] and q not in allow_cells:
-                continue
-            if blocks[q] and q not in unblock:
-                continue
-            cross = crosses[q]
-            if cross:
-                cross -= own.get(q, 0)
-            n0 = c0 + turning
-            if crossings_first:
-                n1, n2 = c1 + cross, c2 + 1
-                depth = -n2
-            else:
-                n1, n2 = c1 + 1, c2 + cross
-                depth = -n1
-            ncost = (n0, n1, n2)
-            nstate = q * 4 + ndi
-            old = best.get(nstate)
-            if old is None or ncost < old:
-                h = cur_heur(qx, qy, ndi)
-                if h is None:
+            can_turn = not occ[cell] or cell in self_clear
+            arrival_ok = goal_dirs.get(cell, _MISSING)
+            if arrival_ok is not _MISSING and parents[state] is not None:
+                if (arrival_ok is None or di in arrival_ok) and can_turn:
+                    goal_state, goal_cost = state, cost
+                    break
+
+            c0, c1, c2 = cost
+            for ndi in range(4):
+                if ndi == _OPPOSITE[di]:
                     continue
-                best[nstate] = ncost
-                parents[nstate] = state
-                h0, h1, h2 = h
-                f = (n0 + h0, n1 + h1, n2 + h2)
-                heappush(heap, (f, depth, counter, ncost, nstate))
-                counter += 1
+                turning = ndi != di
+                if turning and not can_turn:
+                    continue
+                dx, dy, step, blocks, unblock, crosses, own, axis = moves[ndi]
+                qx, qy = px + dx, py + dy
+                if not (x1 <= qx <= x2 and y1 <= qy <= y2):
+                    continue
+                q = cell + step
+                if hard[q] and q not in allow_cells:
+                    continue
+                if blocks[q] and q not in unblock:
+                    continue
+                cross = crosses[q]
+                if cross:
+                    cross -= own.get(q, 0)
+                n0 = c0 + turning
+                if crossings_first:
+                    n1, n2 = c1 + cross, c2 + 1
+                    depth = -n2
+                else:
+                    n1, n2 = c1 + 1, c2 + cross
+                    depth = -n1
+                ncost = (n0, n1, n2)
+                nstate = q * 4 + ndi
+                old = best.get(nstate)
+                if old is None or ncost < old:
+                    v = field[axis + q]
+                    if v < 0:
+                        continue  # no relaxed completion, so no real one
+                    best[nstate] = ncost
+                    parents[nstate] = state
+                    f = (n0 + (v >> s2), n1 + ((v >> s1) & mask), n2 + (v & mask))
+                    heappush(heap, (f, depth, counter, ncost, nstate))
+                    counter += 1
+        else:
+            break  # the heap emptied: no connection exists
+        if goal_state is not None:
+            break
 
-    found = goal_state is not None and goal_cost is not None
-    final_cost = (
-        _unkey(goal_cost, cost_order) if found else None
-    )  # (bends, crossings, length)
+    found = goal_state is not None
+    final_cost = _unkey(goal_cost, cost_order) if found else None
+    certificate = None if found else (EXHAUSTED if expanded else FIELD)
     if stats is not None:
         stats.states_expanded += expanded
         stats.pruned += pruned
         stats.routes += 1
         if not found:
             stats.failures += 1
+            stats.certificate = certificate
         row = {
             "net": net,
             "start": [sx, sy],
@@ -987,9 +690,10 @@ def route_connection(
                 list(_unkey(initial_bound, cost_order)) if initial_bound else None
             ),
             "cost": list(final_cost) if final_cost else None,
-            "escalated": escalated,
+            "escalated": True,
             "field_s": round(field_s, 6),
             "found": found,
+            "certificate": certificate,
             "area": (fx2 - fx1 + 1) * (fy2 - fy1 + 1),
             "seconds": round(time.perf_counter() - t_search, 6),
         }

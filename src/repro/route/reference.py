@@ -30,6 +30,7 @@ from .line_expansion import (
     _DIR_STEPS,
     _MISSING,
     _OPPOSITE,
+    EXHAUSTED,
     CostOrder,
     RouteResult,
     SearchStats,
@@ -203,6 +204,7 @@ def route_connection_reference(
         stats.routes += 1
         if goal_state is None:
             stats.failures += 1
+            stats.certificate = EXHAUSTED
     if goal_state is None or goal_cost is None:
         return None
 

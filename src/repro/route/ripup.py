@@ -1,11 +1,13 @@
-"""Rip-up-and-reroute: the paper's manual completion flow, automated.
+"""Rip-up-and-reroute: the paper's manual completion flow, iterated.
 
 In example 3 the paper finishes the two unroutable LIFE nets by hand:
 "After adjusting some nets by hand, the routing program was started again
-to complete the diagram."  This module automates that: for every failed
-net, rip up the routed nets whose geometry crowds the failed terminals,
-then run EUREKA again over everything unrouted.  Repeated a few times
-this completes diagrams the single-pass router leaves at 99%.
+to complete the diagram."  :func:`~repro.route.eureka.route_diagram`
+already runs one bounded rip-up pass on its live plane.  This module
+repeats the flow over a routed diagram until it completes: for every
+failed net, rip up the routed nets whose geometry crowds the failed
+terminals (:func:`~repro.route.eureka.blockers_near`, prerouted nets
+included), then run EUREKA again over everything unrouted.
 """
 
 from __future__ import annotations
@@ -13,8 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..core.diagram import Diagram
-from ..core.geometry import Point
-from .eureka import RouterOptions, route_diagram
+from .eureka import (
+    RIP_PER_NET,
+    RIP_RADIUS,
+    RouterOptions,
+    blockers_near,
+    route_diagram,
+)
 
 
 @dataclass
@@ -30,41 +37,13 @@ class RipupReport:
         return not self.still_failed
 
 
-def _blockers_near(
-    diagram: Diagram, failed_net: str, radius: int, limit: int
-) -> list[str]:
-    """Routed nets with geometry within ``radius`` of the failed net's
-    pins, nearest first."""
-    net = diagram.network.nets[failed_net]
-    pin_points = [diagram.pin_position(p) for p in net.pins]
-    scored: list[tuple[int, str]] = []
-    for name, route in diagram.routes.items():
-        if name == failed_net or not route.paths:
-            continue
-        best = min(
-            (
-                min(abs(q.x - p.x) + abs(q.y - p.y) for p in pin_points)
-                for q in _route_vertices(route)
-            ),
-            default=1 << 30,
-        )
-        if best <= radius:
-            scored.append((best, name))
-    scored.sort()
-    return [name for _d, name in scored[:limit]]
-
-
-def _route_vertices(route) -> list[Point]:
-    return [p for path in route.paths for p in path]
-
-
 def reroute_failed(
     diagram: Diagram,
     options: RouterOptions | None = None,
     *,
     max_iterations: int = 4,
-    radius: int = 6,
-    rip_per_net: int = 4,
+    radius: int = RIP_RADIUS,
+    rip_per_net: int = RIP_PER_NET,
 ) -> RipupReport:
     """Complete a mostly-routed diagram by ripping up local blockers of
     each failed net and rerouting.  Mutates the diagram in place."""
@@ -83,7 +62,7 @@ def reroute_failed(
             break
         report.iterations += 1
         for name in failed:
-            for blocker in _blockers_near(diagram, name, radius, rip_per_net):
+            for blocker in blockers_near(diagram, name, radius, rip_per_net):
                 diagram.routes.pop(blocker, None)
                 report.ripped_nets.append(blocker)
             diagram.routes.pop(name, None)

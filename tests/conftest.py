@@ -65,3 +65,42 @@ def example1():
 @pytest.fixture
 def example2():
     return example2_controller()
+
+
+def _corridor_diagram(b_pin_in_corridor: bool = False) -> Diagram:
+    """Net ``a`` leaves ``m`` rightwards into a one-track corridor
+    between modules ``u`` and ``d`` and turns down at its open end,
+    x = 4, towards ``e``.  Net ``b`` has the shorter span, so it routes
+    first, and its one-bend optimum bends exactly there: ``a``'s terminal
+    is walled in.  ``b`` has a three-bend detour above the corridor.
+    With ``b_pin_in_corridor`` its source pin sits inside the corridor
+    instead, on ``u``'s bottom side at x = 2, where ``b`` must bend on
+    the only track ``a`` has."""
+    net = Network(name="corridor")
+    net.add_module(make_module("m", 2, 2, [("y", "out", 2, 1)]))
+    net.add_module(
+        make_module("u", 2, 2, [("x", "in", 1, 0)] if b_pin_in_corridor else [])
+    )
+    net.add_module(make_module("d", 2, 2, []))
+    net.add_module(make_module("e", 2, 2, [("x", "in", 1, 2)]))
+    net.add_module(make_module("nb", 2, 2, [("y", "out", 1, 0)]))
+    net.add_module(make_module("nc", 2, 2, [("x", "in", 0, 1)]))
+    net.connect("a", "m.y", "e.x")
+    net.connect("b", "u.x" if b_pin_in_corridor else "nb.y", "nc.x")
+    diagram = Diagram(net)
+    for name, corner in (
+        ("m", Point(-2, -1)),
+        ("u", Point(1, 1)),
+        ("d", Point(1, -3)),
+        ("e", Point(3, -22)),
+        ("nb", Point(3, 10)),
+        ("nc", Point(10, -1)),
+    ):
+        diagram.place_module(name, corner)
+    return diagram
+
+
+@pytest.fixture
+def corridor_diagram():
+    """Factory of :func:`_corridor_diagram` scenes."""
+    return _corridor_diagram

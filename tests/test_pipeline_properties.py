@@ -17,7 +17,6 @@ from repro.core.validate import (
 )
 from repro.formats.escher import read_escher, write_escher
 from repro.place.pablo import PabloOptions
-from repro.route import line_expansion
 from repro.route.eureka import RouterOptions
 from repro.workloads.random_nets import random_network
 
@@ -32,22 +31,19 @@ def _geometry(diagram):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_generated_diagram_invariants(seed, monkeypatch):
-    # At the default escalation threshold and with every connection
-    # escalated at once, so each one also searches under the cost-to-go
-    # field built from the plane index's buffers.
-    for escalate_after in (256, 0):
-        monkeypatch.setattr(line_expansion, "_ESCALATE_AFTER", escalate_after)
-        net = random_network(modules=10, extra_nets=5, seed=seed)
-        result = generate(net, PABLO, RouterOptions(margin=6))
-        check_diagram(result.diagram)
-        assert connectivity_matches_netlist(result.diagram)
-        metrics = diagram_metrics(result.diagram)
-        assert metrics.nets_routed + metrics.nets_failed == metrics.nets_total
-        # Sanity on metric consistency.
-        assert metrics.length >= 0 and metrics.bends >= 0
-        # The congestion map read off the index counts the same crossovers.
-        assert result.routing.congestion["crossover_total"] == metrics.crossovers
+def test_generated_diagram_invariants(seed):
+    # Every connection searches under the cost-to-go field built from the
+    # plane index's buffers.
+    net = random_network(modules=10, extra_nets=5, seed=seed)
+    result = generate(net, PABLO, RouterOptions(margin=6))
+    check_diagram(result.diagram)
+    assert connectivity_matches_netlist(result.diagram)
+    metrics = diagram_metrics(result.diagram)
+    assert metrics.nets_routed + metrics.nets_failed == metrics.nets_total
+    # Sanity on metric consistency.
+    assert metrics.length >= 0 and metrics.bends >= 0
+    # The congestion map read off the index counts the same crossovers.
+    assert result.routing.congestion["crossover_total"] == metrics.crossovers
 
 
 @pytest.mark.parametrize("seed", SEEDS)

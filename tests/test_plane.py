@@ -137,7 +137,7 @@ class TestOccupied:
 
 
 class TestLifetime:
-    def test_routed_plane_freed_without_cycle_collector(self, monkeypatch):
+    def test_routed_plane_freed_without_cycle_collector(self):
         # The plane owns its index; the index must not own the plane back,
         # or every finished plane waits for the cycle collector.
         import gc
@@ -145,7 +145,6 @@ class TestLifetime:
 
         from repro.route import line_expansion
 
-        monkeypatch.setattr(line_expansion, "_ESCALATE_AFTER", 0)
         p = _plane()
         p.block_rect(Rect(8, 0, 2, 15))
         p.add_net_path("other", [Point(0, 17), Point(20, 17)])

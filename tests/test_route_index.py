@@ -11,9 +11,9 @@ Two layers of evidence:
 * behavioural — the indexed A* returns the same optimum cost tuple
   (bends, crossings, length) as the snapshot-rebuilding reference
   Dijkstra on randomized scenes, under both tie-break orders, also when
-  every connection escalates to the interval-sweep cost-to-go, and that
-  field equals a per-state Dijkstra on the U-turn relaxation: at every
-  state without a start, on the start's corridor with one.
+  constraints make the cost-to-go field widen, and that field equals a
+  per-state Dijkstra on the U-turn relaxation: at every state without a
+  start, on the start's corridor with one.
 """
 
 import collections
@@ -75,20 +75,6 @@ def _grid_points(grid: np.ndarray, bounds: Rect) -> dict[Point, int]:
     }
 
 
-def _ranges(lo: int, hi: int) -> list[tuple[int, int]]:
-    """Query ranges over a line spanning ``[lo..hi]``: from one beyond
-    each end, every prefix, suffix and single point, plus a range wholly
-    beyond the line and an empty one."""
-    ks = range(lo - 1, hi + 2)
-    return [
-        *((lo - 2, k) for k in ks),
-        *((k, hi + 2) for k in ks),
-        *((k, k) for k in ks),
-        (hi + 1, hi + 3),
-        (hi, lo),
-    ]
-
-
 def assert_index_matches_rebuild(plane: Plane) -> None:
     live, fresh = plane.index, _fresh_index(plane)
     assert {n: c for n, c in live.contrib.items() if c} == {
@@ -105,40 +91,6 @@ def assert_index_matches_rebuild(plane: Plane) -> None:
         assert _grid_points(live.grid(buffer), b) == {
             p: n for p, n in want[name].items() if b.contains(p)
         }, name
-    # The live index's cached per-line views equal the rebuild's on every
-    # line of the bounds and one beyond each edge.
-    for y in range(b.y - 1, b.y2 + 2):
-        assert live.sorted_row(y) == fresh.sorted_row(y), y
-        for lo, hi in _ranges(b.x, b.x2):
-            assert live.range_cross_h(y, lo, hi) == fresh.range_cross_h(y, lo, hi)
-    for x in range(b.x - 1, b.x2 + 2):
-        assert live.sorted_col(x) == fresh.sorted_col(x), x
-        for lo, hi in _ranges(b.y, b.y2):
-            assert live.range_cross_v(x, lo, hi) == fresh.range_cross_v(x, lo, hi)
-
-
-def assert_line_views_brute_force(plane: Plane) -> None:
-    """The per-line views list exactly the in-bounds stop points of each
-    line and sum its in-bounds crossing counts, both recomputed from the
-    hard points and ``contrib``."""
-    index, b = plane.index, plane.bounds
-    want = _expected_counts(plane)
-    for vertical, blocks, crossings, sorted_line, range_cross in (
-        (False, "h_block", "cross_h", index.sorted_row, index.range_cross_h),
-        (True, "v_block", "cross_v", index.sorted_col, index.range_cross_v),
-    ):
-        def key(p):  # (line, position along it)
-            return (p.x, p.y) if vertical else (p.y, p.x)
-
-        stops = [key(p) for p in want["hard"].keys() | want[blocks] if b.contains(p)]
-        counts = [(*key(p), c) for p, c in want[crossings].items() if b.contains(p)]
-        lines, span = ((b.x, b.x2), (b.y, b.y2)) if vertical else ((b.y, b.y2), (b.x, b.x2))
-        for line in range(lines[0] - 1, lines[1] + 2):
-            assert sorted_line(line) == sorted(pos for ln, pos in stops if ln == line)
-            on_line = [(pos, c) for ln, pos, c in counts if ln == line]
-            for lo, hi in _ranges(*span):
-                want_sum = sum(c for pos, c in on_line if lo <= pos <= hi)
-                assert range_cross(line, lo, hi) == want_sum, (vertical, line, lo, hi)
 
 
 def assert_view_matches_snapshot(plane: Plane, net: str, allow=frozenset()) -> None:
@@ -197,25 +149,26 @@ class TestIncrementalConsistency:
         p.blocked.update([Point(5, 5)])
         p.blocked.add(Point(12, 4))  # outside the bounds: no grid cell
         assert_index_matches_rebuild(p)
-        assert p.index.sorted_row(4) == [4]  # per-line views stay in bounds
-        assert 4 in p.index.sorted_row(5)
+        hard = p.index.grid(p.index.hard)
+        assert hard[4].nonzero()[0].tolist() == [4]  # (12, 4) has no cell
+        assert hard[5, 4]
         p.blocked.discard(Point(4, 5))
         assert_index_matches_rebuild(p)
-        assert 4 not in p.index.sorted_row(5)
+        assert not hard[5, 4]
         p.blocked.clear()
         assert not p.blocked
         assert_index_matches_rebuild(p)
-        assert p.index.sorted_row(4) == []
+        assert not hard.any()
 
-    def test_set_operators_notify_index(self, monkeypatch):
-        # Opening a wall with ``-=`` must reach the index: a search that
-        # escalates at once (cost-to-go over the stop grids) and the
-        # per-line views both see the gap.
-        monkeypatch.setattr(line_expansion, "_ESCALATE_AFTER", 0)
+    def test_set_operators_notify_index(self):
+        # Opening a wall with ``-=`` must reach the index: the hard buffer
+        # and a search under the cost-to-go field over the stop grids
+        # both see the gap.
         p = Plane(bounds=Rect(0, 0, 10, 10))
         p.block_rect(Rect(5, 0, 0, 10))
         p.blocked -= {Point(5, 5)}
-        assert Point(5, 5) not in p.blocked and 5 not in p.index.sorted_row(5)
+        assert Point(5, 5) not in p.blocked
+        assert not p.index.hard[p.index.cell(Point(5, 5))]
         assert_index_matches_rebuild(p)
         for router in (route_connection, route_connection_reference):
             r = router(p, "mine", Point(0, 5), list(Direction), [Point(10, 5)])
@@ -227,7 +180,6 @@ class TestIncrementalConsistency:
         popped = p.blocked.pop()
         assert popped not in p.blocked
         assert_index_matches_rebuild(p)
-        assert_line_views_brute_force(p)
         for name in ("difference_update", "intersection_update", "symmetric_difference_update"):
             assert not hasattr(p.blocked, name), name
         assert isinstance(p.blocked | {Point(0, 0)}, set)
@@ -239,27 +191,30 @@ class TestIncrementalConsistency:
         p.add_net_path("w", [Point(2, 5), Point(6, 5)])  # blocks h on row 5
         assert p.add_claim(Point(8, 5), "c")
         assert p.release_claims(["c"]) == 1
-        assert 8 not in p.index.sorted_row(5)
-        assert set(p.index.sorted_row(5)) == {2, 3, 4, 5, 6}
+        stop_h = p.index.view("mine").grids()[0]
+        assert stop_h[5].nonzero()[0].tolist() == [2, 3, 4, 5, 6]
         assert_index_matches_rebuild(p)
         # Unblocking a claimed point keeps the claim's stop.
         assert p.add_claim(Point(8, 3), "d")
         p.blocked.add(Point(8, 3))
         p.blocked.discard(Point(8, 3))
-        assert p.index.sorted_row(3) == [8] and p.index.sorted_col(8) == [3]
+        stop_h, stop_v = p.index.view("mine").grids()[:2]
+        assert stop_h[3].nonzero()[0].tolist() == [8]
+        assert stop_v[:, 8].nonzero()[0].tolist() == [3]
         assert_index_matches_rebuild(p)
 
-    def test_line_views_at_and_past_the_border(self):
+    def test_stops_at_and_past_the_border(self):
         # Stops and crossings on the last row and column, a wire running
-        # out of the bounds and obstacles past them: the per-line views
-        # show exactly the part inside the bounds.
+        # out of the bounds and obstacles past them: the buffers hold
+        # exactly the part inside the bounds.
         p = Plane(bounds=Rect(0, 0, 10, 10))
         p.blocked |= {Point(0, 0), Point(10, 10), Point(-1, 4), Point(12, 4)}
         p.add_net_path("edge", [Point(7, 13), Point(7, 7), Point(13, 7)])
         assert_index_matches_rebuild(p)
-        assert_line_views_brute_force(p)
-        assert p.index.sorted_row(4) == [] and p.index.sorted_row(10) == [10]
-        assert p.index.range_cross_h(10, -5, 20) == 1  # (7, 11) on: no cells
+        stop_h = p.index.view("mine").grids()[0]
+        assert not stop_h[4].any() and stop_h[10].nonzero()[0].tolist() == [10]
+        cross_h = p.index.grid(p.index.cross_h)
+        assert cross_h[10].sum() == 1  # (7, 11) on: no cells
         # Outside the bounds there is no cell: every sweep stops at the
         # border, and no foreign wire counts there, even a real one.
         view = p.index.view("mine")
@@ -269,7 +224,6 @@ class TestIncrementalConsistency:
         assert view.foreign_at(Point(7, 8)) and not view._stops(Point(7, 8), False)
         p.remove_net("edge")
         assert_index_matches_rebuild(p)
-        assert_line_views_brute_force(p)
 
     def test_prepopulated_plane_ingested(self):
         usage = {Point(3, 3): {"w": {Orientation.HORIZONTAL}}}
@@ -319,7 +273,6 @@ class TestIncrementalConsistency:
                 p.blocked.pop()
             if step % 10 == 9:
                 assert_index_matches_rebuild(p)
-                assert_line_views_brute_force(p)
                 for net in ("net0", "net1", "net2", "net3"):
                     assert_view_matches_snapshot(p, net)
         p.release_all_claims()
@@ -327,7 +280,6 @@ class TestIncrementalConsistency:
         for net in ("net0", "net1", "net2", "net3"):
             p.remove_net(net)
             assert_index_matches_rebuild(p)
-        assert_line_views_brute_force(p)
         for name in _BUFFERS[1:]:
             assert not any(getattr(p.index, name)), name
 
@@ -358,7 +310,6 @@ class TestRemoveNet:
         plane.remove_net(victim)
 
         assert_index_matches_rebuild(plane)
-        assert_line_views_brute_force(plane)
         assert victim not in plane.nodes
         assert not plane.net_points(victim)
         assert all(victim not in nets for nets in plane.usage.values())
@@ -429,14 +380,13 @@ class TestAStarMatchesReference:
         for seed in range(12):
             self._compare(seed, CostOrder.BENDS_LENGTH_CROSSINGS)
 
-    def test_escalated_search_matches_reference(self, monkeypatch):
-        # Escalating at the first pop runs every connection under the
-        # exact bend bound, starts on a foreign wire included: the search
+    def test_escalated_search_matches_reference(self):
+        # Every connection searches under the exact cost-to-go field from
+        # its first pop, starts on a foreign wire included: the search
         # only has to leave such a start, so it must not be pruned.
         # Start-direction and arrival constraints can make the optimum
         # bendier than the relaxation's budget from the start, so some
         # connections must widen the field to the whole plane.
-        monkeypatch.setattr(line_expansion, "_ESCALATE_AFTER", 0)
         reg = counters.get_registry()
         widened = reg.get("route.field_widenings")
         for order in CostOrder:
@@ -688,11 +638,10 @@ class TestBendDistance:
 
 
 class TestEscalatedSearch:
-    def test_z_route_pops_at_most_twice_its_length(self, monkeypatch):
-        # Under the exact cost-to-go an escalated search on an open plane
-        # walks one of its equal-cost optima instead of flooding the
-        # plateau around them.
-        monkeypatch.setattr(line_expansion, "_ESCALATE_AFTER", 0)
+    def test_z_route_pops_at_most_twice_its_length(self):
+        # Under the exact cost-to-go a search on an open plane walks one
+        # of its equal-cost optima instead of flooding the plateau around
+        # them.
         plane = Plane(bounds=Rect(0, 0, 40, 40))
         stats = SearchStats()
         r = route_connection(

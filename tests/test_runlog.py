@@ -18,7 +18,6 @@ from repro.obs.runlog import (
     diff_records,
     stages_from_spans,
 )
-from repro.route import line_expansion
 from repro.service.jobs import JobSpec
 from repro.service.scheduler import BatchScheduler
 from repro.workloads.examples import example1_string
@@ -242,12 +241,9 @@ class TestInspectCli:
         text = svg.read_text()
         assert "#d9534f" in text  # congestion underlay cells present
 
-    def test_explain_shows_field_time(
-        self, tmp_path, network_files, capsys, registry, monkeypatch
-    ):
-        # Every connection escalates, so every net spends time on the
-        # cost-to-go field; explain reports it per net next to the pops.
-        monkeypatch.setattr(line_expansion, "_ESCALATE_AFTER", 0)
+    def test_explain_shows_field_time(self, tmp_path, network_files, capsys, registry):
+        # Every connection builds the cost-to-go field, so every net
+        # spends time on it; explain reports it per net next to the pops.
         log = str(tmp_path / "runs.jsonl")
         assert inspect_main(["record"] + _net_args(network_files) + ["--runlog", log]) == 0
         record = RunLog(log).load()[0]
@@ -263,6 +259,25 @@ class TestInspectCli:
         out = capsys.readouterr().out
         assert f"field_s       {agg['field_s']:.4f}" in out
         assert "per-connection search detail" in out
+
+    def test_explain_shows_certificate_and_ripped_blockers(
+        self, tmp_path, capsys, corridor_diagram
+    ):
+        # ``a`` fails the first pass and the rip-up pass: explain says how
+        # its failing search was proven and which blockers were ripped.
+        from repro.route.eureka import route_diagram
+
+        report = route_diagram(corridor_diagram(b_pin_in_corridor=True))
+        log = RunLog(tmp_path / "runs.jsonl")
+        search = {"search": report.search_detail}
+        record = log.append(RunRecord(kind="eureka", name="corridor", extra=search))
+        argv = ["explain", record.run_id, "a", "--runlog", str(log.path)]
+        assert inspect_main(argv) == 0
+        out = capsys.readouterr().out
+        assert "certificate   field" in out
+        assert "ripped        b" in out
+        detail = out.split("per-connection search detail")[1]
+        assert "proof" in detail and "field" in detail
 
     def test_unknown_run_id_is_usage_error(self, tmp_path, capsys):
         log = RunLog(tmp_path / "runs.jsonl")
