@@ -5,7 +5,7 @@ grid point of the track just outside its module side.  Claims act as
 module-type obstacles for every other net, so no net can wall a terminal
 in before its own net is routed.  A terminal's claims are removed the
 moment routing of its net starts; any remaining claims are removed before
-the final retry pass.  The paper reports this cuts the number of
+the rip-up pass.  The paper reports this cuts the number of
 unroutable nets by roughly 75%.
 """
 
