@@ -251,7 +251,7 @@ class TestRoutingReportFailures:
         assert failure.reason is FailureReason.RETRY_EXHAUSTED
         assert "n" in report.retried_nets
         assert "n" not in report.recovered_nets
-        # Without the retry pass the claims get the blame instead.
+        # Without the rip-up pass the claims get the blame instead.
         d2 = Diagram(net)
         d2.place_module("a", Point(0, 14))
         d2.place_module("b", Point(20, 14))
