@@ -16,6 +16,7 @@ from .geometry import (
     Rect,
     Side,
     bounding_rect,
+    net_geometry,
     normalize_path,
     path_bends,
     path_length,
@@ -103,13 +104,7 @@ class RoutedNet:
             yield from path_segments(path)
 
     def points(self) -> set[Point]:
-        out: set[Point] = set()
-        for path in self.paths:
-            for seg in path_segments(path):
-                out.update(seg.points())
-            if len(path) == 1:
-                out.add(path[0])
-        return out
+        return set(net_geometry(self.paths)[0])
 
 
 @dataclass

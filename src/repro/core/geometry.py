@@ -328,6 +328,29 @@ def path_bends(path: Sequence[Point]) -> int:
     return max(0, len(norm) - 2)
 
 
+def net_geometry(
+    paths: Iterable[Sequence[Point]],
+) -> tuple[dict[Point, set[Orientation]], set[Point]]:
+    """One net's routed geometry: every point its paths cover, with the
+    orientations of its wire there (none at a single-point path), and
+    its nodes, the path vertices where it ends, bends or branches.
+
+    This is the obstacle model of section 5.6.2: another net may cross
+    a covered point at right angles, but never overlap the wire or pass
+    a node.
+    """
+    covered: dict[Point, set[Orientation]] = {}
+    nodes: set[Point] = set()
+    for path in paths:
+        nodes.update(path)
+        if len(path) == 1:
+            covered.setdefault(path[0], set())
+        for seg in path_segments(path):
+            for p in seg.points():
+                covered.setdefault(p, set()).add(seg.orientation)
+    return covered, nodes
+
+
 def path_points(path: Sequence[Point]) -> Iterator[Point]:
     """Every grid point covered by the path, in order (vertices included
     once at segment joints)."""

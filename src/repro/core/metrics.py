@@ -8,12 +8,12 @@ numbers the placement/routing experiments report.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Mapping
 
 from .diagram import Diagram, RoutedNet
-from .geometry import Orientation, Point, path_segments
+from .geometry import Point, path_segments
 
 
 @dataclass(frozen=True)
@@ -69,34 +69,16 @@ def net_metrics(route: RoutedNet) -> NetMetrics:
     )
 
 
-def _net_usage(
-    diagram: Diagram,
-) -> dict[Point, dict[str, set[Orientation]]]:
-    """For every grid point, which nets run through it and in which
-    orientation(s).  Single-point paths register with no orientation."""
-    usage: dict[Point, dict[str, set[Orientation]]] = defaultdict(dict)
-    for name, route in diagram.routes.items():
-        for path in route.paths:
-            if len(path) == 1:
-                usage[path[0]].setdefault(name, set())
-            for seg in path_segments(path):
-                for p in seg.points():
-                    usage[p].setdefault(name, set()).add(seg.orientation)
-    return usage
-
-
 def count_crossovers(diagram: Diagram) -> int:
     """Number of points where two different nets cross each other.
 
     Every unordered pair of distinct nets sharing a grid point counts as
     one crossover at that point.
     """
-    crossings = 0
-    for nets in _net_usage(diagram).values():
-        k = len(nets)
-        if k >= 2:
-            crossings += k * (k - 1) // 2
-    return crossings
+    nets_at: Counter[Point] = Counter()
+    for route in diagram.routes.values():
+        nets_at.update(route.points())
+    return sum(k * (k - 1) // 2 for k in nets_at.values())
 
 
 def diagram_metrics(diagram: Diagram) -> DiagramMetrics:

@@ -17,36 +17,12 @@ from collections import defaultdict
 from typing import Iterable
 
 from .diagram import Diagram
-from .geometry import Orientation, Point, path_segments
+from .geometry import Orientation, Point, net_geometry
 from .netlist import Pin
 
 
 class DiagramViolation(AssertionError):
     """Raised by :func:`check_diagram` when a diagram breaks the rules."""
-
-
-def _net_geometry(diagram: Diagram):
-    """Per net: covered points with orientations, and node points
-    (path endpoints, bends and branch points block other nets there)."""
-    covered: dict[str, dict[Point, set[Orientation]]] = {}
-    nodes: dict[str, set[Point]] = {}
-    for name, route in diagram.routes.items():
-        pts: dict[Point, set[Orientation]] = defaultdict(set)
-        node_set: set[Point] = set()
-        for path in route.paths:
-            if len(path) >= 1:
-                node_set.add(path[0])
-                node_set.add(path[-1])
-            for vertex in path[1:-1]:
-                node_set.add(vertex)  # normalized paths bend at every vertex
-            for seg in path_segments(path):
-                for p in seg.points():
-                    pts[p].add(seg.orientation)
-            if len(path) == 1:
-                pts[path[0]]  # register the point with no orientation
-        covered[name] = dict(pts)
-        nodes[name] = node_set
-    return covered, nodes
 
 
 def placement_violations(diagram: Diagram) -> list[str]:
@@ -78,26 +54,31 @@ def placement_violations(diagram: Diagram) -> list[str]:
 def routing_violations(diagram: Diagram) -> list[str]:
     """Rule violations of the routed nets."""
     problems: list[str] = []
-    covered, nodes = _net_geometry(diagram)
+    covered: dict[str, dict[Point, set[Orientation]]] = {}
+    nodes: dict[str, set[Point]] = {}
+    for name, route in diagram.routes.items():
+        covered[name], nodes[name] = net_geometry(route.paths)
 
-    own_touchpoints: dict[str, set[Point]] = {}
-    for name in covered:
-        net = diagram.network.nets[name]
-        own_touchpoints[name] = {diagram.pin_position(p) for p in net.pins}
-
-    rects = diagram.module_rects()
+    # Every module point, with the modules on it and whether it lies
+    # strictly inside each, in ``module_rects`` order.
+    modules_at: dict[Point, list[tuple[str, bool]]] = defaultdict(list)
+    for mod_name, r in diagram.module_rects().items():
+        for x in range(r.x, r.x2 + 1):
+            for y in range(r.y, r.y2 + 1):
+                inside = r.x < x < r.x2 and r.y < y < r.y2
+                modules_at[Point(x, y)].append((mod_name, inside))
     terminal_points = {
         pos: name for name, pos in diagram.terminal_positions.items()
     }
     for name, pts in covered.items():
         net = diagram.network.nets[name]
-        allowed = own_touchpoints[name]
+        allowed = {diagram.pin_position(p) for p in net.pins}
         net_system_terms = {p.terminal for p in net.system_pins}
         for p in pts:
-            for mod_name, rect in rects.items():
-                if rect.contains(p, strict=True):
+            for mod_name, inside in modules_at.get(p, ()):
+                if inside:
                     problems.append(f"net {name!r} runs inside module {mod_name!r} at {p}")
-                elif rect.contains(p) and p not in allowed:
+                elif p not in allowed:
                     problems.append(
                         f"net {name!r} touches module {mod_name!r} border at {p} "
                         "which is not one of its terminals"

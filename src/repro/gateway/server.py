@@ -73,6 +73,7 @@ from ..obs.sampler import (
     get_sampler,
     label_thread,
     render_flamegraph_html,
+    sampler_running,
 )
 from ..obs.trace import (
     Span,
@@ -402,6 +403,8 @@ class ArtworkGateway:
         self._conn_tasks: set[asyncio.Task] = set()
         self._draining = False
         self._stopped = asyncio.Event()
+        # The always-on sampler if :meth:`start` started it, to stop on stop.
+        self._own_sampler = None
         self._routes = [
             ("POST", re.compile(r"^/v1/jobs$"), "/v1/jobs", self._post_job),
             ("GET", re.compile(r"^/v1/jobs$"), "/v1/jobs", self._list_jobs),
@@ -428,7 +431,8 @@ class ArtworkGateway:
         # Always-on low-hz profiling of the gateway process itself; the
         # event-loop thread carries no spans while it waits, so label it.
         label_thread("gateway.loop")
-        ensure_sampler()
+        if not sampler_running():
+            self._own_sampler = ensure_sampler()
         self.pool.start()
         self._replay_journal()
         self._server = await asyncio.start_server(
@@ -559,6 +563,8 @@ class ArtworkGateway:
             task.cancel()
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+        if self._own_sampler is not None:
+            self._own_sampler.stop()
         self._stopped.set()
 
     async def wait_stopped(self) -> None:

@@ -524,6 +524,14 @@ def set_sampler(sampler: Sampler | None) -> Sampler | None:
     return previous
 
 
+def sampler_running() -> bool:
+    """Is the process's always-on sampler running?  A caller that starts
+    it with :func:`ensure_sampler` when it was not stops it again when
+    done, so no sampler thread outlives an inline job or an embedded
+    gateway."""
+    return _SAMPLER is not None and _SAMPLER.running
+
+
 def ensure_sampler(*, hz: float | None = None, **kwargs: Any) -> Sampler | None:
     """Start (or return) the process's always-on sampler.
 

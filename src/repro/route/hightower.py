@@ -18,6 +18,7 @@ from ..core.geometry import Direction, Orientation, Point, normalize_path, path_
 from .lee import path_crossings
 from .line_expansion import RouteResult, SearchStats
 from .plane import Plane
+from .reference import ReferenceSnapshot
 
 MAX_LEVELS = 14
 MAX_ESCAPES_PER_LINE = 6
@@ -46,8 +47,7 @@ class _Line:
         return Point(self.index, v)
 
 
-def _trace_line(plane: Plane, net: str, start: Point, orientation: Orientation,
-                allow: frozenset[Point]) -> _Line | None:
+def _trace_line(snap: ReferenceSnapshot, start: Point, orientation: Orientation) -> _Line:
     """Longest legal wire segment through ``start`` along ``orientation``."""
     if orientation is Orientation.HORIZONTAL:
         pos_dir, neg_dir = Direction.RIGHT, Direction.LEFT
@@ -59,7 +59,7 @@ def _trace_line(plane: Plane, net: str, start: Point, orientation: Orientation,
     p = start
     while True:
         q = p.step(pos_dir)
-        if not plane.enterable(q, pos_dir, net, allow):
+        if not snap.enterable(q, pos_dir):
             break
         p = q
         hi += 1
@@ -67,7 +67,7 @@ def _trace_line(plane: Plane, net: str, start: Point, orientation: Orientation,
     p = start
     while True:
         q = p.step(neg_dir)
-        if not plane.enterable(q, neg_dir, net, allow):
+        if not snap.enterable(q, neg_dir):
             break
         p = q
         lo -= 1
@@ -95,7 +95,7 @@ def _escape_points(line: _Line, toward: Point) -> list[int]:
     return out[:MAX_ESCAPES_PER_LINE]
 
 
-def _intersection(a: _Line, b: _Line, plane: Plane, net: str) -> Point | None:
+def _intersection(a: _Line, b: _Line, snap: ReferenceSnapshot) -> Point | None:
     if a.orientation is b.orientation:
         if a.orientation is not b.orientation or a.index != b.index:
             return None
@@ -103,11 +103,11 @@ def _intersection(a: _Line, b: _Line, plane: Plane, net: str) -> Point | None:
         if lo > hi:
             return None
         p = a.point_at(lo)
-        return p if plane.can_turn_at(p, net) else None
+        return p if p not in snap.foreign_any else None
     h, v = (a, b) if a.orientation is Orientation.HORIZONTAL else (b, a)
     if v.lo <= h.index <= v.hi and h.lo <= v.index <= h.hi:
         p = Point(v.index, h.index)
-        if plane.can_turn_at(p, net):
+        if p not in snap.foreign_any:
             return p
     return None
 
@@ -145,29 +145,24 @@ def route_hightower(
         return RouteResult(path=[start], bends=0, crossings=0, length=0)
     goal = min(targets, key=lambda p: p.manhattan(start))
 
-    start_dirs = list(start_directions)
-    a_lines = [
-        line
-        for d in start_dirs
-        if (line := _trace_line(plane, net, start, d.orientation, allow)) is not None
-    ]
+    snap = ReferenceSnapshot(plane, net, allow)
+    a_lines = [_trace_line(snap, start, d.orientation) for d in start_directions]
     b_lines = [
-        line
+        _trace_line(snap, goal, o)
         for o in (Orientation.HORIZONTAL, Orientation.VERTICAL)
-        if (line := _trace_line(plane, net, goal, o, allow)) is not None
     ]
     expanded = len(a_lines) + len(b_lines)
 
     for _level in range(MAX_LEVELS):
-        meet = _find_meeting(a_lines, b_lines, plane, net)
+        meet = _find_meeting(a_lines, b_lines, snap)
         if meet is not None:
-            return _build_result(plane, net, meet, stats, expanded)
-        a_lines, grew_a = _expand(plane, net, a_lines, goal, allow)
+            return _build_result(snap, meet, stats, expanded)
+        a_lines, grew_a = _expand(snap, a_lines, goal)
         expanded += grew_a
-        meet = _find_meeting(a_lines, b_lines, plane, net)
+        meet = _find_meeting(a_lines, b_lines, snap)
         if meet is not None:
-            return _build_result(plane, net, meet, stats, expanded)
-        b_lines, grew_b = _expand(plane, net, b_lines, start, allow)
+            return _build_result(snap, meet, stats, expanded)
+        b_lines, grew_b = _expand(snap, b_lines, start)
         expanded += grew_b
         if not grew_a and not grew_b:
             break
@@ -178,29 +173,25 @@ def route_hightower(
     return None
 
 
-def _find_meeting(a_lines, b_lines, plane, net):
+def _find_meeting(a_lines, b_lines, snap):
     for la in a_lines:
         for lb in b_lines:
-            p = _intersection(la, lb, plane, net)
+            p = _intersection(la, lb, snap)
             if p is not None:
                 return (la, lb, p)
     return None
 
 
-def _expand(plane, net, lines, toward, allow):
+def _expand(snap, lines, toward):
     new_lines = list(lines)
     seen = {(l.orientation, l.index, l.lo, l.hi) for l in lines}
     grown = 0
     for line in lines:
         for v in _escape_points(line, toward):
             origin = line.point_at(v)
-            if not plane.can_turn_at(origin, net):
+            if origin in snap.foreign_any:
                 continue
-            escape = _trace_line(
-                plane, net, origin, line.orientation.perpendicular, allow
-            )
-            if escape is None:
-                continue
+            escape = _trace_line(snap, origin, line.orientation.perpendicular)
             key = (escape.orientation, escape.index, escape.lo, escape.hi)
             if key in seen:
                 continue
@@ -219,7 +210,7 @@ def _expand(plane, net, lines, toward, allow):
     return new_lines, grown
 
 
-def _build_result(plane, net, meeting, stats, expanded):
+def _build_result(snap, meeting, stats, expanded):
     la, lb, p = meeting
     forward = _walk_back(la, p)[::-1]  # start ... meet
     backward = _walk_back(lb, p)[1:]  # meet-exclusive ... goal
@@ -232,6 +223,6 @@ def _build_result(plane, net, meeting, stats, expanded):
     return RouteResult(
         path=path,
         bends=path_bends(path),
-        crossings=path_crossings(plane, net, path),
+        crossings=path_crossings(snap, path),
         length=path_length(path),
     )

@@ -27,10 +27,11 @@ The router reads them per cell from Python, and
 :meth:`PlaneIndex.grid` views a whole buffer as a numpy array indexed
 ``[y - y1, x - x1]`` without a copy, which the A*'s cost-to-go field
 sweeps.  ``contrib`` records per net that net's own contribution at
-every point it uses: ``remove_net`` unwinds it, and a :class:`NetView`,
-the router's per-connection window, turns it into a few exception sets
-keyed by cell, an O(own net) overlay ("all minus own net") on the
-shared buffers instead of an O(plane) rebuild.
+every point it uses, merged path by path from the plane's one record of
+routed geometry, ``plane.paths``: ``remove_net`` unwinds it, and a
+:class:`NetView`, the router's per-connection window, turns it into a
+few exception sets keyed by cell, an O(own net) overlay ("all minus own
+net") on the shared buffers instead of an O(plane) rebuild.
 
 Outside the bounds there is no cell.  ``contrib`` still records a net's
 points there, so ``net_points`` and ``remove_net`` see the whole net,
@@ -40,11 +41,14 @@ stops every sweep) and ``foreign_at`` with ``False``, and
 :func:`~repro.route.line_expansion.route_connection` refuses a start
 there.
 
-Invariants (checked by ``tests/test_route_index.py`` against an index
-rebuilt from scratch and sums recomputed from ``contrib``):
+Invariants (checked by ``assert_index_matches_rebuild`` in
+``tests/conftest.py`` against an index rebuilt from scratch and sums
+recomputed from ``contrib``):
 
 * ``contrib[n][p]`` equals net ``n``'s contribution at ``p`` recomputed
-  from ``plane.usage``/``plane.nodes``,
+  from :func:`~repro.core.geometry.net_geometry` of ``plane.paths[n]``:
+  ``(1, 1, 0, 0)`` at a node, else the axis flags of the wire there,
+  ``(h, v, v, h)``,
 * each cell of ``h_block``, ``v_block``, ``cross_h`` and ``cross_v`` is
   the sum of the ``contrib`` entries at its point, and ``occ`` counts
   them,
@@ -61,14 +65,20 @@ from __future__ import annotations
 import weakref
 from array import array
 from collections.abc import MutableSet
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ..core.geometry import Orientation, Point
+from ..core.geometry import Point, path_points
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .plane import Plane
+
+
+# A net's contribution where it has no wire, and at one of its nodes,
+# which blocks both axes and is never crossed.
+_FREE = (0, 0, 0, 0)
+_NODE = (1, 1, 0, 0)
 
 
 class IndexedPointSet(MutableSet):
@@ -187,35 +197,35 @@ class PlaneIndex:
             value = p in plane.blocked or p in plane.claims
         self.hard[cell] = value
 
-    def net_path_added(self, net: str, points: Iterable[Point]) -> None:
-        """Refresh ``net``'s contribution at every covered point of a
-        newly registered path (orientations may have grown, vertices may
-        have become nodes)."""
-        plane = self.plane
-        usage = plane.usage
-        nodes = plane.nodes.get(net, ())
-        horizontal = Orientation.HORIZONTAL
-        vertical = Orientation.VERTICAL
+    def net_path_added(self, net: str, path: Sequence[Point]) -> None:
+        """Merge a newly committed normalized path into ``net``'s
+        contribution: a vertex is a node, ``(1, 1, 0, 0)``, and stays
+        one; at every other covered point the path's axis flag is ORed
+        into what the net already had there."""
         cmap = self.contrib.setdefault(net, {})
-        for p in points:
-            oris = usage[p][net]
-            if p in nodes or not oris:
-                new = (1, 1, 0, 0)
-            else:
-                hb = 1 if horizontal in oris else 0
-                vb = 1 if vertical in oris else 0
-                new = (hb, vb, vb, hb)
-            old = cmap.get(p)
-            if old == new:
-                continue
-            cmap[p] = new
-            cell = self.cell(p)
-            if cell is None:
-                continue
-            if old is None:
-                old = (0, 0, 0, 0)
-                self.occ[cell] += 1
-            self._shift(cell, old, new)
+        for p in path:
+            self._merge(cmap, p, _NODE)
+        for a, b in zip(path, path[1:]):
+            h, v = (1, 0) if a.y == b.y else (0, 1)
+            for p in path_points((a, b)):
+                old = cmap.get(p, _FREE)
+                if old != _NODE:
+                    hb, vb = old[0] | h, old[1] | v
+                    self._merge(cmap, p, (hb, vb, vb, hb))
+
+    def _merge(self, cmap: dict, p: Point, new: tuple) -> None:
+        """Set one net's contribution at ``p`` to ``new``."""
+        old = cmap.get(p)
+        if old == new:
+            return
+        cmap[p] = new
+        cell = self.cell(p)
+        if cell is None:
+            return
+        if old is None:
+            old = _FREE
+            self.occ[cell] += 1
+        self._shift(cell, old, new)
 
     def remove_net(self, net: str) -> None:
         """Unwind every contribution of ``net`` in O(own net), leaving
@@ -225,20 +235,18 @@ class PlaneIndex:
             cell = self.cell(p)
             if cell is not None:
                 self.occ[cell] -= 1
-                self._shift(cell, old, (0, 0, 0, 0))
+                self._shift(cell, old, _FREE)
 
     def rebuild(self) -> None:
         """Ingest a pre-populated plane (dataclass construction with
-        existing claims/usage; ``blocked`` notifies through its own
+        existing claims or paths; ``blocked`` notifies through its own
         container)."""
-        for p in self.plane.claims:
+        plane = self.plane
+        for p in plane.claims:
             self.hard_changed(p, True)
-        per_net: dict[str, set[Point]] = {}
-        for p, nets in self.plane.usage.items():
-            for net in nets:
-                per_net.setdefault(net, set()).add(p)
-        for net, points in per_net.items():
-            self.net_path_added(net, points)
+        for net, paths in plane.paths.items():
+            for path in paths:
+                self.net_path_added(net, path)
 
     def _shift(self, cell: int, old: tuple, new: tuple) -> None:
         """Replace one net's contribution ``old`` at ``cell`` by ``new``."""
@@ -250,8 +258,8 @@ class PlaneIndex:
     # -- per-net queries -------------------------------------------------
 
     def net_points(self, net: str) -> set[Point]:
-        """All points ``net`` uses — served from the contribution map in
-        O(net size) instead of a full ``usage`` scan."""
+        """All points ``net`` uses, served from the contribution map in
+        O(net size)."""
         return set(self.contrib.get(net, ()))
 
     def view(self, net: str, allow: frozenset[Point] = frozenset()) -> "NetView":

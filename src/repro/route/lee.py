@@ -4,8 +4,11 @@ Classic wave expansion minimising *wire length only*: every grid step
 costs 1, bends and crossovers are free.  It guarantees a minimum-length
 connection whenever one exists, but — as the paper argues when choosing
 line-expansion instead — the result trades bends for length, which hurts
-schematic readability.  It runs on the same plane and obstacle semantics
-as the main router so the comparison is apples-to-apples.
+schematic readability.  It asks one
+:class:`~repro.route.reference.ReferenceSnapshot` per connection where
+a wire may enter and turn and what it crosses, the obstacle semantics
+the main router's index views are tested against, so the comparison is
+apples-to-apples.
 """
 
 from __future__ import annotations
@@ -13,9 +16,17 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Mapping
 
-from ..core.geometry import Direction, Point, normalize_path, path_bends
+from ..core.geometry import (
+    Direction,
+    Orientation,
+    Point,
+    normalize_path,
+    path_bends,
+    path_segments,
+)
 from .line_expansion import RouteResult, SearchStats
 from .plane import Plane
+from .reference import ReferenceSnapshot
 
 _State = tuple[Point, Direction]
 
@@ -37,6 +48,7 @@ def route_lee(
         return None
     if start in targets:
         return RouteResult(path=[start], bends=0, crossings=0, length=0)
+    snap = ReferenceSnapshot(plane, net, allow)
 
     queue: deque[tuple[int, _State]] = deque()
     parents: dict[_State, _State | None] = {}
@@ -55,22 +67,21 @@ def route_lee(
 
         arrival = targets.get(point, _MISSING)
         if arrival is not _MISSING and point != start:
-            if (arrival is None or direction in arrival) and plane.can_turn_at(
-                point, net
-            ):
+            if (arrival is None or direction in arrival) and point not in snap.foreign_any:
                 goal, goal_length = state, length
                 break
 
+        can_turn = point not in snap.foreign_any
         for nd in Direction:
             if nd is direction.opposite:
                 continue
-            if nd is not direction and not plane.can_turn_at(point, net):
+            if nd is not direction and not can_turn:
                 continue
             q = point.step(nd)
             nstate = (q, nd)
             if nstate in parents:
                 continue
-            if not plane.enterable(q, nd, net, allow):
+            if not snap.enterable(q, nd):
                 continue
             parents[nstate] = state
             queue.append((length + 1, nstate))
@@ -93,21 +104,19 @@ def route_lee(
     return RouteResult(
         path=norm,
         bends=path_bends(norm),
-        crossings=path_crossings(plane, net, norm),
+        crossings=path_crossings(snap, norm),
         length=goal_length,
     )
 
 
-def path_crossings(plane: Plane, net: str, path: list[Point]) -> int:
+def path_crossings(snap: ReferenceSnapshot, path: list[Point]) -> int:
     """Foreign nets crossed along a path (vertices can carry no foreign
     wire, so counting per segment point never double-counts)."""
-    from ..core.geometry import path_segments
-
     total = 0
     for seg in path_segments(path):
-        direction = Direction.RIGHT if seg.orientation.name == "HORIZONTAL" else Direction.UP
+        direction = Direction.RIGHT if seg.orientation is Orientation.HORIZONTAL else Direction.UP
         for p in seg.points():
-            total += plane.crossings_at(p, direction, net)
+            total += snap.crossings(p, direction)
     return total
 
 

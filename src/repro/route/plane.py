@@ -12,28 +12,20 @@ passing through it:
   in nets"),
 * claimpoints (section 5.7) block like modules until released.
 
-Routers ask the plane three questions: can a wire *enter* a point moving
-in a direction, can it *turn or terminate* there, and how many foreign
-nets does it cross there.
+The plane keeps each net's committed paths, and its
+:class:`~repro.route.index.PlaneIndex` derives every obstacle count the
+routers read from them.  The reference engine and the baselines ask a
+:class:`~repro.route.reference.ReferenceSnapshot` instead, which derives
+the same obstacles from the paths without the index.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Sequence
 
 from ..core.diagram import Diagram
-from ..core.geometry import (
-    Direction,
-    Orientation,
-    Point,
-    Rect,
-    Side,
-    normalize_path,
-    path_points,
-    path_segments,
-)
+from ..core.geometry import Point, Rect, Side, normalize_path
 from .index import IndexedPointSet, PlaneIndex
 
 DEFAULT_MARGIN = 4
@@ -51,12 +43,8 @@ class Plane:
     bounds: Rect
     blocked: set[Point] = field(default_factory=set)
     claims: dict[Point, Hashable] = field(default_factory=dict)
-    # point -> net name -> orientations of wire through the point
-    usage: dict[Point, dict[str, set[Orientation]]] = field(
-        default_factory=lambda: defaultdict(dict)
-    )
-    # net name -> points where the net bends, ends or branches
-    nodes: dict[str, set[Point]] = field(default_factory=lambda: defaultdict(set))
+    # net name -> the net's committed paths, normalized
+    paths: dict[str, list[list[Point]]] = field(default_factory=dict)
     index: PlaneIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -113,9 +101,7 @@ class Plane:
 
     def add_claim(self, point: Point, owner: Hashable) -> bool:
         """Reserve a point for ``owner``; fails on already-occupied points."""
-        if point in self.blocked or point in self.claims or point in self.usage:
-            return False
-        if not self.bounds.contains(point):
+        if not self.bounds.contains(point) or self.occupied(point):
             return False
         self.claims[point] = owner
         self._claims_by_owner.setdefault(owner, set()).add(point)
@@ -145,94 +131,31 @@ class Plane:
     # -- net registration -------------------------------------------------
 
     def add_net_path(self, net: str, path: Sequence[Point]) -> None:
-        """Register a routed path: its covered points become wire usage,
-        its vertices become blocking nodes."""
+        """Commit a routed path of ``net``: foreign wires may cross its
+        covered points at right angles, and its vertices block them."""
         norm = normalize_path(path)
-        if not norm:
-            return
-        self.nodes[net].update(norm)  # endpoints and every bend vertex
-        for seg in path_segments(norm):
-            for p in seg.points():
-                self.usage[p].setdefault(net, set()).add(seg.orientation)
-        if len(norm) == 1:
-            self.usage[norm[0]].setdefault(net, set())
-        self._update_branch_nodes(net, norm)
-        self.index.net_path_added(net, set(path_points(norm)))
-
-    def _update_branch_nodes(self, net: str, path: Sequence[Point]) -> None:
-        """A later path joining earlier geometry creates a branch node at
-        the junction; junctions must block other nets."""
-        for endpoint in (path[0], path[-1]):
-            self.nodes[net].add(endpoint)
+        if norm:
+            self.paths.setdefault(net, []).append(norm)
+            self.index.net_path_added(net, norm)
 
     def net_points(self, net: str) -> set[Point]:
         return self.index.net_points(net)
 
     def remove_net(self, net: str) -> None:
-        """Erase every trace of ``net`` from the plane in O(own net):
-        usage entries, node points and the index contribution.  Afterwards
-        the plane (and its index) is indistinguishable from one that never
-        routed the net."""
-        for p in self.index.net_points(net):
-            here = self.usage.get(p)
-            if here is not None and net in here:
-                del here[net]
-                if not here:
-                    del self.usage[p]
-        self.nodes.pop(net, None)
+        """Erase every trace of ``net`` from the plane in O(own net): its
+        paths and its index contribution.  Afterwards the plane (and its
+        index) is indistinguishable from one that never routed the net."""
+        self.paths.pop(net, None)
         self.index.remove_net(net)
-
-    # -- router queries ----------------------------------------------------
-
-    def enterable(
-        self,
-        point: Point,
-        direction: Direction,
-        net: str,
-        allow: frozenset[Point] = frozenset(),
-    ) -> bool:
-        """Can a wire of ``net`` move into ``point`` travelling in
-        ``direction``?  ``allow`` exempts the net's own terminal points
-        from the module/terminal blocks."""
-        if not self.bounds.contains(point):
-            return False
-        if (point in self.blocked or point in self.claims) and point not in allow:
-            return False
-        ori = direction.orientation
-        here = self.usage.get(point)
-        if here:
-            for other, orientations in here.items():
-                if other == net:
-                    continue
-                if ori in orientations or not orientations:
-                    return False  # overlap with a parallel foreign wire
-                if point in self.nodes.get(other, ()):
-                    return False  # foreign bend/end/branch point blocks
-        return True
-
-    def can_turn_at(self, point: Point, net: str) -> bool:
-        """Bending or terminating at ``point`` is only legal when no
-        foreign wire passes through it (a bend on a foreign wire would be
-        an overlap, not a crossing)."""
-        here = self.usage.get(point)
-        if not here:
-            return True
-        return all(other == net for other in here)
-
-    def crossings_at(self, point: Point, direction: Direction, net: str) -> int:
-        """Number of foreign nets crossed when passing straight through
-        ``point`` in ``direction``."""
-        here = self.usage.get(point)
-        if not here:
-            return 0
-        ori = direction.orientation
-        return sum(
-            1
-            for other, orientations in here.items()
-            if other != net and ori.perpendicular in orientations
-        )
 
     # -- misc ---------------------------------------------------------------
 
     def occupied(self, point: Point) -> bool:
-        return point in self.blocked or point in self.claims or point in self.usage
+        """Is ``point`` blocked, claimed or on a routed wire?  Wires
+        count only inside the bounds, where the index has cells."""
+        cell = self.index.cell(point)
+        return (
+            point in self.blocked
+            or point in self.claims
+            or (cell is not None and self.index.occ[cell] != 0)
+        )

@@ -3,8 +3,10 @@
 This is the line-expansion search exactly as it ran before the
 :class:`~repro.route.index.PlaneIndex` existed: a full
 :class:`ReferenceSnapshot` of the plane is rebuilt per connection —
-copying ``blocked | claims`` and re-scanning every ``usage`` point — and
-the search is an undirected lexicographic Dijkstra.  It returns the same
+copying ``blocked | claims`` and deriving every foreign net's obstacles
+from its paths with :func:`~repro.core.geometry.net_geometry`, never
+from the index — and the search is an undirected lexicographic
+Dijkstra.  It returns the same
 optimum (bends, then crossings, then length, and the ``-s`` swap) as the
 indexed A* in :mod:`repro.route.line_expansion`, just slower, which is
 precisely what makes it useful:
@@ -13,7 +15,9 @@ precisely what makes it useful:
 * ``RouterOptions(verify_optimum=True)`` cross-checks every connection's
   cost tuple against it,
 * the property tests assert cost-tuple equality under both
-  :class:`~repro.route.line_expansion.CostOrder` values.
+  :class:`~repro.route.line_expansion.CostOrder` values,
+* the Lee and Hightower baselines ask a snapshot whether a wire may
+  enter or turn at a point and how many nets it crosses there.
 
 The goal-acceptance rules (zero-length connections included) mirror the
 production router so the two are cost-for-cost comparable.
@@ -24,7 +28,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Mapping
 
-from ..core.geometry import Direction, Orientation, Point, normalize_path
+from ..core.geometry import Direction, Orientation, Point, net_geometry, normalize_path
 from .line_expansion import (
     _DIR_INDEX,
     _DIR_STEPS,
@@ -42,8 +46,8 @@ from .plane import Plane
 class ReferenceSnapshot:
     """Flat per-net view of the plane, rebuilt from scratch.
 
-    Built once per connection in O(blocked + claims + occupied points);
-    this is the cost the incremental index amortises away.
+    Built once per connection in O(blocked + claims + foreign nets'
+    geometry); this is the cost the incremental index amortises away.
     """
 
     __slots__ = (
@@ -74,17 +78,13 @@ class ReferenceSnapshot:
         self.cross_v: dict[tuple[int, int], int] = {}
         horizontal = Orientation.HORIZONTAL
         vertical = Orientation.VERTICAL
-        for point, nets in plane.usage.items():
-            foreign = False
-            for other, orientations in nets.items():
-                if other == net:
-                    continue
-                foreign = True
-                if point in plane.nodes.get(other, ()):  # bend/end/branch
-                    self.blocked_h.add(point)
-                    self.blocked_v.add(point)
-                    continue
-                if not orientations:  # degenerate single-point wire
+        for other, paths in plane.paths.items():
+            if other == net:
+                continue
+            covered, nodes = net_geometry(paths)
+            self.foreign_any.update(covered)
+            for point, orientations in covered.items():
+                if point in nodes or not orientations:  # bend/end/branch
                     self.blocked_h.add(point)
                     self.blocked_v.add(point)
                     continue
@@ -94,8 +94,22 @@ class ReferenceSnapshot:
                 if vertical in orientations:
                     self.blocked_v.add(point)
                     self.cross_h[point] = self.cross_h.get(point, 0) + 1
-            if foreign:
-                self.foreign_any.add(point)
+
+    def enterable(self, point: Point, direction: Direction) -> bool:
+        """Can the net's wire move into ``point`` travelling in
+        ``direction``?"""
+        if not (self.x1 <= point.x <= self.x2 and self.y1 <= point.y <= self.y2):
+            return False
+        if direction.orientation is Orientation.HORIZONTAL:
+            return point not in self.hard and point not in self.blocked_h
+        return point not in self.hard and point not in self.blocked_v
+
+    def crossings(self, point: Point, direction: Direction) -> int:
+        """Foreign nets crossed passing straight through ``point`` in
+        ``direction``."""
+        if direction.orientation is Orientation.HORIZONTAL:
+            return self.cross_h.get(point, 0)
+        return self.cross_v.get(point, 0)
 
 
 def route_connection_reference(

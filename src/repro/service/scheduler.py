@@ -40,7 +40,7 @@ from ..formats.escher import read_escher, write_escher
 from ..obs import get_logger, get_registry, get_tracer, span
 from ..obs.counters import Registry, set_registry
 from ..obs.runlog import RunLog, stages_from_spans
-from ..obs.sampler import ensure_sampler
+from ..obs.sampler import ensure_sampler, sampler_running
 from ..obs.trace import Tracer, current_trace_context, set_tracer
 from .cache import ResultCache
 from .jobs import JobSpec
@@ -122,8 +122,10 @@ def execute_job(payload: dict, progress: Callable[[str], None] | None = None) ->
     """
     started = time.perf_counter()
     started_epoch = time.time()
-    # The always-on sampler survives across jobs in a pool worker; each
-    # job ships only the profile windows that overlap its own run.
+    # The always-on sampler survives across jobs in a pool worker, which
+    # starts it at spawn; a job run inline stops the one it started.
+    # Each job ships only the profile windows that overlap its own run.
+    owns_sampler = not sampler_running()
     sampler = ensure_sampler()
     # Record the job under a private tracer/registry: the spans and
     # counters travel back in the payload and are re-parented into the
@@ -176,6 +178,8 @@ def execute_job(payload: dict, progress: Callable[[str], None] | None = None) ->
     finally:
         set_tracer(previous_tracer)
         set_registry(previous_registry)
+        if owns_sampler and sampler is not None:
+            sampler.stop()
 
 
 def error_payload(

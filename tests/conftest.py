@@ -1,12 +1,18 @@
-"""Shared fixtures: small hand-built networks and diagrams."""
+"""Shared fixtures: small hand-built networks and diagrams, and the
+check that a plane's index equals one rebuilt from its paths."""
 
 from __future__ import annotations
 
+import collections
+
+import numpy as np
 import pytest
 
 from repro.core.diagram import Diagram
-from repro.core.geometry import Point
+from repro.core.geometry import Orientation, Point, Rect, net_geometry
 from repro.core.netlist import Network, TermType
+from repro.route.index import PlaneIndex
+from repro.route.plane import Plane
 from repro.workloads.examples import example1_string, example2_controller
 from repro.workloads.stdlib import instantiate, make_module
 
@@ -104,3 +110,73 @@ def _corridor_diagram(b_pin_in_corridor: bool = False) -> Diagram:
 def corridor_diagram():
     """Factory of :func:`_corridor_diagram` scenes."""
     return _corridor_diagram
+
+
+def _fresh_index(plane: Plane) -> PlaneIndex:
+    """An index rebuilt from scratch off the plane's current state."""
+    fresh = PlaneIndex(plane)
+    for p in plane.blocked:
+        fresh.hard_changed(p, True)
+    fresh.rebuild()
+    return fresh
+
+
+INDEX_BUFFERS = ("hard", "h_block", "v_block", "cross_h", "cross_v", "occ")
+
+
+def _contribution(paths) -> dict[Point, tuple[int, int, int, int]]:
+    """One net's ``contrib`` recomputed from :func:`net_geometry` of its
+    paths: ``(1, 1, 0, 0)`` at a node or a single-point wire, else the
+    axis flags of its wire, ``(h, v, v, h)``."""
+    covered, nodes = net_geometry(paths)
+    out = {}
+    for p, orientations in covered.items():
+        if p in nodes or not orientations:
+            out[p] = (1, 1, 0, 0)
+        else:
+            h = int(Orientation.HORIZONTAL in orientations)
+            v = int(Orientation.VERTICAL in orientations)
+            out[p] = (h, v, v, h)
+    return out
+
+
+def _expected_counts(plane: Plane) -> dict[str, dict[Point, int]]:
+    """Per buffer, the nonzero count at every point, recomputed from the
+    plane's hard points and the index's per-net ``contrib`` records
+    (points outside the bounds included)."""
+    want = {name: collections.Counter() for name in INDEX_BUFFERS}
+    for p in set(plane.blocked) | set(plane.claims):
+        want["hard"][p] = 1
+    for own in plane.index.contrib.values():
+        for p, contribution in own.items():
+            for name, n in zip(INDEX_BUFFERS[1:], (*contribution, 1)):
+                want[name][p] += n
+    return {name: {p: n for p, n in c.items() if n} for name, c in want.items()}
+
+
+def _grid_points(grid: np.ndarray, bounds: Rect) -> dict[Point, int]:
+    ys, xs = np.nonzero(grid)
+    return {
+        Point(int(x) + bounds.x, int(y) + bounds.y): int(grid[y, x])
+        for y, x in zip(ys, xs)
+    }
+
+
+def assert_index_matches_rebuild(plane: Plane) -> None:
+    live, fresh = plane.index, _fresh_index(plane)
+    contrib = {n: c for n, c in live.contrib.items() if c}
+    assert contrib == {n: c for n, c in fresh.contrib.items() if c}
+    # Every net's contribution equals the one derived from its paths
+    # without the index.
+    assert contrib == {n: _contribution(paths) for n, paths in plane.paths.items()}
+    # Every buffer equals the rebuild's and, cell by cell, the hard points
+    # and the sums recomputed from ``contrib`` inside the bounds.
+    b = plane.bounds
+    want = _expected_counts(plane)
+    for name in INDEX_BUFFERS:
+        buffer = getattr(live, name)
+        assert len(buffer) == (b.w + 1) * (b.h + 1), name
+        assert buffer == getattr(fresh, name), name
+        assert _grid_points(live.grid(buffer), b) == {
+            p: n for p, n in want[name].items() if b.contains(p)
+        }, name

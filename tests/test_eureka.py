@@ -12,7 +12,10 @@ from repro.formats.escher import write_escher
 from repro.obs import counters
 from repro.route.eureka import FailureReason, RouterOptions, route_diagram
 from repro.route.line_expansion import CostOrder
+from repro.route.plane import Plane
 from repro.workloads.stdlib import instantiate, make_module
+
+from .conftest import assert_index_matches_rebuild
 
 
 class TestSimpleRouting:
@@ -184,10 +187,34 @@ class TestOptions:
         assert report.retried_nets  # the rip-up pass ran and still failed
 
 
+def _keep_planes(monkeypatch) -> list[Plane]:
+    """Collect every plane ``route_diagram`` builds, to inspect the live
+    plane after the run."""
+    planes = []
+    build = Plane.for_diagram
+
+    def for_diagram(*args, **kwargs):
+        planes.append(build(*args, **kwargs))
+        return planes[-1]
+
+    monkeypatch.setattr(Plane, "for_diagram", for_diagram)
+    return planes
+
+
+def _assert_plane_matches_diagram(plane: Plane, diagram: Diagram) -> None:
+    """The live plane holds exactly the diagram's paths, and its index
+    equals one rebuilt from them."""
+    assert plane.paths == {
+        name: route.paths for name, route in diagram.routes.items() if route.paths
+    }
+    assert_index_matches_rebuild(plane)
+
+
 class TestRipupPass:
     """The one bounded rip-up pass that follows the first pass."""
 
-    def test_walled_in_terminal_completed(self, corridor_diagram):
+    def test_walled_in_terminal_completed(self, corridor_diagram, monkeypatch):
+        planes = _keep_planes(monkeypatch)
         d = corridor_diagram()
         report = route_diagram(d)
         # ``b`` bent at the corridor's end and walled ``a`` in; the
@@ -202,13 +229,18 @@ class TestRipupPass:
         assert d.routes["b"].bends == 3
         check_diagram(d)
         assert connectivity_matches_netlist(d)
+        [plane] = planes
+        _assert_plane_matches_diagram(plane, d)
 
-    def test_no_improvement_restores_every_touched_net(self, corridor_diagram):
+    def test_no_improvement_restores_every_touched_net(
+        self, corridor_diagram, monkeypatch
+    ):
         # ``b`` must bend on ``a``'s only track: ripped, ``a`` routes but
         # ``b`` no longer can, so the pass completes no more nets than the
         # first pass did and both nets get their first-pass state back.
         first = corridor_diagram(b_pin_in_corridor=True)
         first_report = route_diagram(first, RouterOptions(retry_failed=False))
+        planes = _keep_planes(monkeypatch)
         d = corridor_diagram(b_pin_in_corridor=True)
         report = route_diagram(d)
         assert report.ripped == {"a": ["b"]}
@@ -220,6 +252,8 @@ class TestRipupPass:
         assert failure == "a" and failure.reason is FailureReason.RETRY_EXHAUSTED
         assert failure.certificate == "field"
         check_diagram(d)
+        [plane] = planes
+        _assert_plane_matches_diagram(plane, d)
 
     def test_retry_failed_false_runs_no_pass(self, corridor_diagram):
         registry = counters.get_registry()

@@ -1,73 +1,92 @@
-"""Unit tests for the routing plane obstacle model."""
+"""Unit tests for the routing plane obstacle model.
 
-from repro.core.geometry import Direction, Orientation, Point, Rect, Side
+The obstacle questions (may a wire enter a point, turn there, how many
+nets does it cross) are asked of a
+:class:`~repro.route.reference.ReferenceSnapshot` of the plane, which
+derives them from the committed paths.
+"""
+
+from repro.core.geometry import Direction, Point, Rect, Side
 from repro.route.plane import Plane
+from repro.route.reference import ReferenceSnapshot
 
 
 def _plane(w=20, h=20) -> Plane:
     return Plane(bounds=Rect(0, 0, w, h))
 
 
+def _enterable(plane, point, direction, net, allow=frozenset()) -> bool:
+    return ReferenceSnapshot(plane, net, allow).enterable(point, direction)
+
+
+def _can_turn_at(plane, point, net) -> bool:
+    return point not in ReferenceSnapshot(plane, net, frozenset()).foreign_any
+
+
+def _crossings_at(plane, point, direction, net) -> int:
+    return ReferenceSnapshot(plane, net, frozenset()).crossings(point, direction)
+
+
 class TestBlocking:
     def test_out_of_bounds(self):
         p = _plane(5, 5)
-        assert not p.enterable(Point(6, 0), Direction.RIGHT, "n")
-        assert not p.enterable(Point(-1, 0), Direction.LEFT, "n")
-        assert p.enterable(Point(5, 5), Direction.RIGHT, "n")
+        assert not _enterable(p, Point(6, 0), Direction.RIGHT, "n")
+        assert not _enterable(p, Point(-1, 0), Direction.LEFT, "n")
+        assert _enterable(p, Point(5, 5), Direction.RIGHT, "n")
 
     def test_block_rect_covers_border_and_interior(self):
         p = _plane()
         p.block_rect(Rect(2, 2, 3, 3))
-        assert not p.enterable(Point(2, 2), Direction.RIGHT, "n")  # corner
-        assert not p.enterable(Point(3, 3), Direction.RIGHT, "n")  # interior
-        assert not p.enterable(Point(5, 5), Direction.RIGHT, "n")  # far corner
-        assert p.enterable(Point(6, 5), Direction.RIGHT, "n")
+        assert not _enterable(p, Point(2, 2), Direction.RIGHT, "n")  # corner
+        assert not _enterable(p, Point(3, 3), Direction.RIGHT, "n")  # interior
+        assert not _enterable(p, Point(5, 5), Direction.RIGHT, "n")  # far corner
+        assert _enterable(p, Point(6, 5), Direction.RIGHT, "n")
 
     def test_allow_exempts_terminal(self):
         p = _plane()
         p.block_rect(Rect(2, 2, 3, 3))
         term = Point(2, 3)
-        assert not p.enterable(term, Direction.RIGHT, "n")
-        assert p.enterable(term, Direction.RIGHT, "n", allow=frozenset({term}))
+        assert not _enterable(p, term, Direction.RIGHT, "n")
+        assert _enterable(p, term, Direction.RIGHT, "n", allow=frozenset({term}))
 
 
 class TestNetObstacles:
     def test_parallel_overlap_forbidden(self):
         p = _plane()
         p.add_net_path("other", [Point(0, 5), Point(10, 5)])
-        assert not p.enterable(Point(4, 5), Direction.RIGHT, "n")
+        assert not _enterable(p, Point(4, 5), Direction.RIGHT, "n")
 
     def test_perpendicular_cross_allowed_and_counted(self):
         p = _plane()
         p.add_net_path("other", [Point(0, 5), Point(10, 5)])
-        assert p.enterable(Point(4, 5), Direction.UP, "n")
-        assert p.crossings_at(Point(4, 5), Direction.UP, "n") == 1
-        assert p.crossings_at(Point(4, 5), Direction.UP, "other") == 0
+        assert _enterable(p, Point(4, 5), Direction.UP, "n")
+        assert _crossings_at(p, Point(4, 5), Direction.UP, "n") == 1
+        assert _crossings_at(p, Point(4, 5), Direction.UP, "other") == 0
 
     def test_bend_point_blocks_even_perpendicular(self):
         p = _plane()
         p.add_net_path("other", [Point(0, 5), Point(6, 5), Point(6, 9)])
         # (6,5) is a bend of "other": nothing may pass through it.
-        assert not p.enterable(Point(6, 5), Direction.UP, "n")
-        assert not p.enterable(Point(6, 5), Direction.RIGHT, "n")
+        assert not _enterable(p, Point(6, 5), Direction.UP, "n")
+        assert not _enterable(p, Point(6, 5), Direction.RIGHT, "n")
 
     def test_endpoints_block(self):
         p = _plane()
         p.add_net_path("other", [Point(2, 5), Point(8, 5)])
-        assert not p.enterable(Point(2, 5), Direction.UP, "n")
-        assert not p.enterable(Point(8, 5), Direction.UP, "n")
+        assert not _enterable(p, Point(2, 5), Direction.UP, "n")
+        assert not _enterable(p, Point(8, 5), Direction.UP, "n")
 
     def test_own_net_is_transparent(self):
         p = _plane()
         p.add_net_path("n", [Point(0, 5), Point(10, 5)])
-        assert p.enterable(Point(4, 5), Direction.RIGHT, "n")
-        assert p.can_turn_at(Point(4, 5), "n")
+        assert _enterable(p, Point(4, 5), Direction.RIGHT, "n")
+        assert _can_turn_at(p, Point(4, 5), "n")
 
     def test_can_turn_blocked_by_foreign_wire(self):
         p = _plane()
         p.add_net_path("other", [Point(0, 5), Point(10, 5)])
-        assert not p.can_turn_at(Point(4, 5), "n")
-        assert p.can_turn_at(Point(4, 6), "n")
+        assert not _can_turn_at(p, Point(4, 5), "n")
+        assert _can_turn_at(p, Point(4, 6), "n")
 
     def test_net_points(self):
         p = _plane()
@@ -79,9 +98,9 @@ class TestClaims:
     def test_claim_blocks_and_releases(self):
         p = _plane()
         assert p.add_claim(Point(3, 3), owner="o1")
-        assert not p.enterable(Point(3, 3), Direction.UP, "n")
+        assert not _enterable(p, Point(3, 3), Direction.UP, "n")
         p.release_claims(["o1"])
-        assert p.enterable(Point(3, 3), Direction.UP, "n")
+        assert _enterable(p, Point(3, 3), Direction.UP, "n")
 
     def test_claim_refused_on_occupied(self):
         p = _plane()
@@ -123,7 +142,7 @@ class TestForDiagram:
         two_buffer_diagram.route_for("n_mid").add_path([Point(3, 1), Point(8, 1)])
         p = Plane.for_diagram(two_buffer_diagram)
         assert p.net_points("n_mid")
-        assert not p.enterable(Point(5, 1), Direction.RIGHT, "n_in")
+        assert not _enterable(p, Point(5, 1), Direction.RIGHT, "n_in")
 
 
 class TestOccupied:

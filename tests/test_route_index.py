@@ -24,12 +24,11 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.geometry import Direction, Orientation, Point, Rect
+from repro.core.geometry import Direction, Point, Rect, net_geometry
 from repro.obs import counters
 from repro.place.pablo import PabloOptions, place_network
 from repro.route import line_expansion
 from repro.route.eureka import RouterOptions, route_diagram
-from repro.route.index import PlaneIndex
 from repro.route.line_expansion import (
     CostOrder,
     SearchStats,
@@ -40,57 +39,7 @@ from repro.route.plane import Plane
 from repro.route.reference import ReferenceSnapshot, route_connection_reference
 from repro.workloads import example1_string, random_network
 
-
-def _fresh_index(plane: Plane) -> PlaneIndex:
-    """An index rebuilt from scratch off the plane's current state."""
-    fresh = PlaneIndex(plane)
-    for p in plane.blocked:
-        fresh.hard_changed(p, True)
-    fresh.rebuild()
-    return fresh
-
-
-_BUFFERS = ("hard", "h_block", "v_block", "cross_h", "cross_v", "occ")
-
-
-def _expected_counts(plane: Plane) -> dict[str, dict[Point, int]]:
-    """Per buffer, the nonzero count at every point, recomputed from the
-    plane's hard points and the index's per-net ``contrib`` records
-    (points outside the bounds included)."""
-    want = {name: collections.Counter() for name in _BUFFERS}
-    for p in set(plane.blocked) | set(plane.claims):
-        want["hard"][p] = 1
-    for own in plane.index.contrib.values():
-        for p, contribution in own.items():
-            for name, n in zip(_BUFFERS[1:], (*contribution, 1)):
-                want[name][p] += n
-    return {name: {p: n for p, n in c.items() if n} for name, c in want.items()}
-
-
-def _grid_points(grid: np.ndarray, bounds: Rect) -> dict[Point, int]:
-    ys, xs = np.nonzero(grid)
-    return {
-        Point(int(x) + bounds.x, int(y) + bounds.y): int(grid[y, x])
-        for y, x in zip(ys, xs)
-    }
-
-
-def assert_index_matches_rebuild(plane: Plane) -> None:
-    live, fresh = plane.index, _fresh_index(plane)
-    assert {n: c for n, c in live.contrib.items() if c} == {
-        n: c for n, c in fresh.contrib.items() if c
-    }
-    # Every buffer equals the rebuild's and, cell by cell, the hard points
-    # and the sums recomputed from ``contrib`` inside the bounds.
-    b = plane.bounds
-    want = _expected_counts(plane)
-    for name in _BUFFERS:
-        buffer = getattr(live, name)
-        assert len(buffer) == (b.w + 1) * (b.h + 1), name
-        assert buffer == getattr(fresh, name), name
-        assert _grid_points(live.grid(buffer), b) == {
-            p: n for p, n in want[name].items() if b.contains(p)
-        }, name
+from .conftest import INDEX_BUFFERS, assert_index_matches_rebuild
 
 
 def assert_view_matches_snapshot(plane: Plane, net: str, allow=frozenset()) -> None:
@@ -103,7 +52,7 @@ def assert_view_matches_snapshot(plane: Plane, net: str, allow=frozenset()) -> N
     points = (
         set(plane.blocked)
         | set(plane.claims)
-        | set(plane.usage)
+        | {q for paths in plane.paths.values() for q in net_geometry(paths)[0]}
         | {Point(1, 1), Point(5, 5)}
     )
     for q in points:
@@ -226,17 +175,16 @@ class TestIncrementalConsistency:
         assert_index_matches_rebuild(p)
 
     def test_prepopulated_plane_ingested(self):
-        usage = {Point(3, 3): {"w": {Orientation.HORIZONTAL}}}
         p = Plane(
             bounds=Rect(0, 0, 10, 10),
             blocked={Point(1, 1)},
             claims={Point(2, 2): "c"},
-            usage=usage,
-            nodes={"w": set()},
+            paths={"w": [[Point(3, 3), Point(5, 3)]]},
         )
         assert_index_matches_rebuild(p)
-        assert list(p.index.occ).count(0) == len(p.index.occ) - 1
-        assert p.index.occ[p.index.cell(Point(3, 3))] == 1
+        assert list(p.index.occ).count(0) == len(p.index.occ) - 3
+        assert p.index.occ[p.index.cell(Point(4, 3))] == 1
+        assert p.index.contrib["w"][Point(4, 3)] == (1, 0, 0, 1)
         assert Point(1, 1) in p.blocked
 
     def test_randomized_mutation_storm(self):
@@ -280,7 +228,7 @@ class TestIncrementalConsistency:
         for net in ("net0", "net1", "net2", "net3"):
             p.remove_net(net)
             assert_index_matches_rebuild(p)
-        for name in _BUFFERS[1:]:
+        for name in INDEX_BUFFERS[1:]:
             assert not any(getattr(p.index, name)), name
 
     def test_net_points_served_from_contrib(self):
@@ -288,7 +236,7 @@ class TestIncrementalConsistency:
         p.add_net_path("a", [Point(0, 0), Point(4, 0), Point(4, 4)])
         p.add_net_path("b", [Point(4, 2), Point(8, 2)])
         for net in ("a", "b"):
-            expected = {q for q, nets in p.usage.items() if net in nets}
+            expected = set(net_geometry(p.paths[net])[0])
             assert p.net_points(net) == expected
         assert p.net_points("missing") == set()
 
@@ -310,20 +258,19 @@ class TestRemoveNet:
         plane.remove_net(victim)
 
         assert_index_matches_rebuild(plane)
-        assert victim not in plane.nodes
+        assert victim not in plane.paths
         assert not plane.net_points(victim)
-        assert all(victim not in nets for nets in plane.usage.values())
 
     def test_unknown_net_is_a_noop(self):
         diagram, _ = place_network(example1_string(), PabloOptions())
         route_diagram(diagram, RouterOptions())
         plane = Plane.for_diagram(diagram)
-        usage, nodes = copy.deepcopy(plane.usage), copy.deepcopy(plane.nodes)
-        assert usage
+        paths = copy.deepcopy(plane.paths)
+        assert paths
 
         plane.remove_net("no-such-net")
 
-        assert plane.usage == usage and plane.nodes == nodes
+        assert plane.paths == paths
         assert_index_matches_rebuild(plane)
 
 

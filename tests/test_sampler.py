@@ -9,6 +9,7 @@ import time
 import pytest
 
 from repro.faults import FaultRegistry, set_faults
+from repro.gateway import GatewayConfig, start_gateway
 from repro.obs.counters import Registry, set_registry
 from repro.obs.sampler import (
     DEFAULT_MAX_WINDOWS,
@@ -24,11 +25,14 @@ from repro.obs.sampler import (
     label_thread,
     merge_windows,
     render_flamegraph_html,
+    sampler_running,
     set_sampler,
     unlabel_thread,
     write_flamegraph_html,
 )
 from repro.obs.trace import Tracer, active_span_path, active_span_paths, set_tracer
+from repro.service import BatchScheduler, JobSpec
+from repro.workloads import random_network
 
 
 class FakeFrame:
@@ -310,6 +314,28 @@ class TestLifecycleAndGlobal:
             first = ensure_sampler(hz=50.0)
             assert first is not None and first.running
             assert ensure_sampler(hz=50.0) is first
+        finally:
+            current = set_sampler(previous)
+            if current is not None:
+                current.stop()
+
+    def test_no_sampler_outlives_an_inline_job_or_a_gateway(self):
+        # Whoever starts the always-on sampler stops it: a batch whose job
+        # ran inline in this process, and an in-process gateway, leave no
+        # sampler thread behind when none ran before them.
+        def sampler_threads():
+            return {t for t in threading.enumerate() if t.name == "repro-sampler"}
+
+        previous = set_sampler(None)
+        before = sampler_threads()
+        try:
+            spec = JobSpec.from_network(random_network(modules=5, seed=0))
+            [outcome] = BatchScheduler(max_workers=1, serial_threshold=60.0).run([spec])
+            assert outcome.ok and "profile" in outcome.payload
+            assert sampler_threads() <= before and not sampler_running()
+            with start_gateway(GatewayConfig(workers=1)):
+                assert sampler_running()
+            assert sampler_threads() <= before and not sampler_running()
         finally:
             current = set_sampler(previous)
             if current is not None:

@@ -80,6 +80,22 @@ class TestRoutingViolations:
         _route(two_buffer_diagram, "n_in", [Point(6, 0), Point(6, 5)])
         assert any("not a pure crossing" in p for p in routing_violations(two_buffer_diagram))
 
+    def test_wire_on_shared_border_of_abutting_modules(self, two_buffer_network):
+        # x = 3 is both u0's right side and u1's left side: each point of
+        # the wire there is reported once per module, in placement order.
+        d = Diagram(two_buffer_network)
+        d.place_module("u0", Point(0, 0))
+        d.place_module("u1", Point(3, 0))
+        d.place_system_terminal("din", Point(-4, 1))
+        d.place_system_terminal("dout", Point(10, 1))
+        _route(d, "n_in", [Point(3, -2), Point(3, 4)])
+        assert routing_violations(d) == [
+            f"net 'n_in' touches module {module!r} border at {Point(3, y)} "
+            "which is not one of its terminals"
+            for y in (0, 1, 2)
+            for module in ("u0", "u1")
+        ]
+
     def test_net_on_foreign_system_terminal(self, two_buffer_diagram):
         _route(two_buffer_diagram, "n_mid", [Point(-4, 0), Point(-4, 5)])
         # n_mid runs through din's position (-4, 1).
