@@ -36,9 +36,9 @@ from repro.core.generator import route_placed
 from repro.core.validate import check_diagram
 from repro.obs import counters
 from repro.place.pablo import PabloOptions, place_network
-from repro.route import RouterOptions, route_diagram
+from repro.route import RouterOptions, eureka, route_diagram
 from repro.route.plane import Plane
-from repro.route.reference import ReferenceSnapshot
+from repro.route.reference import ReferenceSnapshot, route_connection_reference
 from repro.workloads import (
     datapath_network,
     example1_string,
@@ -83,16 +83,17 @@ def _route_once(diagram, options):
     return d, report, wall
 
 
-def test_bench_route_engines(benchmark, experiment_store):
+def test_bench_route_engines(benchmark, experiment_store, monkeypatch):
     workloads = _workloads()
 
     def run():
         rows = []
         for name, placed in workloads.items():
             reg = counters.get_registry()
-            _, ref_report, ref_wall = _route_once(
-                placed, RouterOptions(engine="reference")
-            )
+            with monkeypatch.context() as patch:
+                # The reference Dijkstra in place of the router's search.
+                patch.setattr(eureka, "route_connection", route_connection_reference)
+                _, ref_report, ref_wall = _route_once(placed, RouterOptions())
             before = reg.get("route.astar_pruned")
             _, idx_report, idx_wall = _route_once(placed, RouterOptions())
             pruned = reg.get("route.astar_pruned") - before

@@ -4,7 +4,10 @@ change keeps them byte-identical.
 
 For the ``repro`` tree on ``PYTHONPATH`` it prints one JSON object that
 maps each job to ``[ESCHER sha256, route.expansions, route.connections,
-nets routed]``.  The 101 jobs:
+nets routed, metrics row]``.  The metrics row is the job's Table 6.1 row
+(``DiagramMetrics.as_row()``): ESCHER is written from the geometry, not
+by the metrics code, so only the row shows a change in how bends,
+crossovers, branch nodes or length are counted.  The 101 jobs:
 
 * the 60 perfbench ``batch`` jobs of seeds 1 and 2, as
   ``perfbench/workload_batch.py`` lists them, run through
@@ -29,8 +32,9 @@ Usage::
 
 With ``--against FILE`` the exit code is 1 when any job's fingerprint
 differs from the one in FILE (or is missing from either side).  Every
-such job is named on stderr with its change in nets routed and in
-states (``route.expansions``), and the closing line adds the totals of
+such job is named on stderr with whether its ESCHER and its metrics row
+changed and its change in nets routed and in states
+(``route.expansions``), and the closing line adds the totals of
 both over all jobs on each side, so a change that moves outputs reports
 its routing and search effort from one command.
 """
@@ -54,6 +58,7 @@ sys.path.append(str(PERFBENCH))
 from repro.core.diagram import Diagram  # noqa: E402
 from repro.core.generator import generate  # noqa: E402
 from repro.core.geometry import Point, Side  # noqa: E402
+from repro.core.metrics import diagram_metrics  # noqa: E402
 from repro.formats.escher import write_escher  # noqa: E402
 from repro.obs.counters import Registry, set_registry  # noqa: E402
 from repro.place.pablo import PabloOptions  # noqa: E402
@@ -88,6 +93,7 @@ def _job_fingerprint(spec: JobSpec) -> list:
         counters.get("route.expansions", 0),
         counters.get("route.connections", 0),
         payload["metrics"]["routed"],
+        payload["metrics"],
     ]
 
 
@@ -105,6 +111,7 @@ def _run_fingerprint(run) -> list:
         registry.get("route.expansions"),
         registry.get("route.connections"),
         report.nets_routed,
+        dict(diagram_metrics(diagram).as_row()),
     ]
 
 
@@ -172,10 +179,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     for name in differ:
         before, after = want.get(name), result.get(name)
-        same = _field(before, 0) == _field(after, 0)
-        escher = "ESCHER same" if same else "ESCHER differs"
+        escher = "same" if _field(before, 0) == _field(after, 0) else "differs"
+        metrics = "same" if _field(before, 4) == _field(after, 4) else "differs"
         print(
-            f"differs: {name}: {escher}, nets routed {_field(before, 3)} -> "
+            f"differs: {name}: ESCHER {escher}, metrics {metrics}, "
+            f"nets routed {_field(before, 3)} -> "
             f"{_field(after, 3)}, states {_field(before, 1)} -> {_field(after, 1)}",
             file=sys.stderr,
         )
@@ -192,7 +200,7 @@ def main(argv: list[str] | None = None) -> int:
 def _field(fingerprint: list | None, k: int):
     """Field ``k`` of a job's fingerprint, or ``None`` for a job that is
     missing or did not finish ``ok``."""
-    if fingerprint is None or len(fingerprint) != 4:
+    if fingerprint is None or len(fingerprint) != 5:
         return None
     return fingerprint[k]
 

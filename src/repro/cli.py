@@ -43,8 +43,8 @@ from .obs import (
     get_registry,
     setup_logging,
 )
-from .core.generator import generate
-from .core.metrics import diagram_metrics
+from .core.generator import generate, route_placed
+from .core.metrics import DiagramMetrics, diagram_metrics
 from .core.netlist import NetlistError, Network
 from .formats.escher import load_escher, save_escher
 from .formats.library import ModuleLibrary
@@ -53,7 +53,7 @@ from .formats.netlist_files import load_network_files
 from .core.geometry import Side
 from .place.pablo import PabloOptions, place_network
 from .render.svg import save_svg
-from .route.eureka import RouterOptions, route_diagram
+from .route.eureka import RouterOptions
 from .route.line_expansion import CostOrder
 from .service import BatchScheduler, JobError, JobSpec, ResultCache
 from .workloads.batch import workload_from_dict
@@ -269,8 +269,7 @@ def _eureka_options(args: argparse.Namespace) -> RouterOptions:
     )
 
 
-def _report(diagram) -> None:
-    metrics = diagram_metrics(diagram)
+def _report(metrics: DiagramMetrics) -> None:
     print(
         f"nets routed: {metrics.nets_routed}/{metrics.nets_total}  "
         f"length={metrics.length} bends={metrics.bends} "
@@ -340,33 +339,20 @@ def _eureka_body(argv: list[str] | None) -> int:
             diagram = load_escher(args.graphic, network)
         except _INPUT_ERRORS as exc:
             raise _fail(f"cannot load diagram {args.graphic!r}: {exc}") from exc
-        report = route_diagram(diagram, _eureka_options(args))
-        for failure in report.failed_nets:
+        result = route_placed(diagram, _eureka_options(args))
+        for failure in result.routing.failed_nets:
             print(
                 f"warning: net {str(failure)!r} is unroutable "
                 f"({failure.reason.value})",
                 file=sys.stderr,
             )
         save_escher(diagram, args.output)
-        _report(diagram)
+        _report(result.metrics)
         runlog = _runlog_for(args)
         if runlog is not None:
-            record = runlog.record(
-                kind="eureka",
-                name=network.name,
-                wall_seconds=report.seconds,
-                metrics=dict(diagram_metrics(diagram).as_row()),
-                failures={
-                    str(f): {
-                        "reason": f.reason.value,
-                        "unconnected_pins": f.unconnected_pins,
-                    }
-                    for f in report.failed_nets
-                },
-                congestion=report.congestion,
-            )
+            record = runlog.record_result(result, kind="eureka", name=network.name)
             print(f"runlog: {record.run_id} -> {args.runlog}")
-        return 0 if not report.failed_nets else 1
+        return 0 if not result.routing.failed_nets else 1
     finally:
         _obs_end(args, tracer)
 
@@ -423,7 +409,7 @@ def _artwork_body(argv: list[str] | None) -> int:
         save_svg(result.diagram, args.output)
         if args.escher:
             save_escher(result.diagram, args.escher)
-        _report(result.diagram)
+        _report(result.metrics)
         for net, reason in result.routing.failure_reasons.items():
             print(f"warning: net {net!r} is unroutable ({reason.value})", file=sys.stderr)
         print(f"wrote {args.output}")

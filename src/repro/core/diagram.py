@@ -9,7 +9,7 @@ a diagram with empty routes; the routing phase fills them in.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .geometry import (
     Point,
@@ -20,7 +20,6 @@ from .geometry import (
     normalize_path,
     path_bends,
     path_length,
-    path_segments,
 )
 from .netlist import Module, Net, Network, Pin
 from .rotation import Rotation
@@ -98,10 +97,6 @@ class RoutedNet:
     @property
     def bends(self) -> int:
         return sum(path_bends(p) for p in self.paths)
-
-    def segments(self) -> Iterator:
-        for path in self.paths:
-            yield from path_segments(path)
 
     def points(self) -> set[Point]:
         return set(net_geometry(self.paths)[0])

@@ -328,27 +328,52 @@ def path_bends(path: Sequence[Point]) -> int:
     return max(0, len(norm) - 2)
 
 
-def net_geometry(
-    paths: Iterable[Sequence[Point]],
-) -> tuple[dict[Point, set[Orientation]], set[Point]]:
-    """One net's routed geometry: every point its paths cover, with the
-    orientations of its wire there (none at a single-point path), and
-    its nodes, the path vertices where it ends, bends or branches.
+#: The arms of a wire at a point are the directions in which it leaves
+#: the point, one bit each: ``(bit, dx, dy)`` of LEFT, RIGHT, UP, DOWN.
+ARMS = ((1, -1, 0), (2, 1, 0), (4, 0, 1), (8, 0, -1))
+HORIZONTAL_ARMS = 1 | 2
+VERTICAL_ARMS = 4 | 8
 
-    This is the obstacle model of section 5.6.2: another net may cross
-    a covered point at right angles, but never overlap the wire or pass
-    a node.
+
+def net_geometry(paths: Iterable[Sequence[Point]]) -> tuple[dict[Point, int], set[Point]]:
+    """One net's routed geometry: every point its paths cover, with the
+    wire's arms there (a mask of :data:`ARMS` bits, 0 at a single-point
+    path), and its nodes, the path vertices where it ends, bends or
+    branches.
+
+    The arms give the wire's orientations at a point, its branch degree
+    (three or more arms) and its adjacency: the wire joins a point to
+    the neighbour each arm points at.  This is also the obstacle model
+    of section 5.6.2: another net may cross a covered point at right
+    angles, but never overlap the wire or pass a node.
     """
-    covered: dict[Point, set[Orientation]] = {}
+    arms: dict[Point, int] = {}
     nodes: set[Point] = set()
+    get = arms.get
     for path in paths:
         nodes.update(path)
         if len(path) == 1:
-            covered.setdefault(path[0], set())
-        for seg in path_segments(path):
-            for p in seg.points():
-                covered.setdefault(p, set()).add(seg.orientation)
-    return covered, nodes
+            arms.setdefault(path[0], 0)
+        for a, b in zip(path, path[1:]):
+            # A segment's points from its low end: the wire leaves the low
+            # end toward the high one, the high end back, and the points
+            # between both ways.
+            if a == b:
+                continue
+            if a.y == b.y:
+                line = [Point(x, a.y) for x in range(min(a.x, b.x), max(a.x, b.x) + 1)]
+                from_low, from_high = 2, 1  # RIGHT, LEFT
+            elif a.x == b.x:
+                line = [Point(a.x, y) for y in range(min(a.y, b.y), max(a.y, b.y) + 1)]
+                from_low, from_high = 4, 8  # UP, DOWN
+            else:
+                raise ValueError(f"points {a} and {b} are not axis-aligned")
+            low, high = line[0], line[-1]
+            arms[low] = get(low, 0) | from_low
+            arms[high] = get(high, 0) | from_high
+            for p in line[1:-1]:
+                arms[p] = get(p, 0) | from_low | from_high
+    return arms, nodes
 
 
 def path_points(path: Sequence[Point]) -> Iterator[Point]:

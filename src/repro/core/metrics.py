@@ -8,12 +8,13 @@ numbers the placement/routing experiments report.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping
 
 from .diagram import Diagram, RoutedNet
-from .geometry import Point, path_segments
+from .geometry import Point, net_geometry
 
 
 @dataclass(frozen=True)
@@ -51,14 +52,11 @@ class DiagramMetrics:
 
 def net_branch_nodes(route: RoutedNet) -> int:
     """Points of the net tree where three or more wire arms meet."""
-    neighbours: dict[Point, set[Point]] = defaultdict(set)
-    for path in route.paths:
-        for seg in path_segments(path):
-            pts = list(seg.points())
-            for a, b in zip(pts, pts[1:]):
-                neighbours[a].add(b)
-                neighbours[b].add(a)
-    return sum(1 for adj in neighbours.values() if len(adj) >= 3)
+    return _branch_nodes(net_geometry(route.paths)[0])
+
+
+def _branch_nodes(arms: Mapping[Point, int]) -> int:
+    return sum(1 for mask in arms.values() if mask.bit_count() >= 3)
 
 
 def net_metrics(route: RoutedNet) -> NetMetrics:
@@ -69,16 +67,23 @@ def net_metrics(route: RoutedNet) -> NetMetrics:
     )
 
 
+def nets_per_point(diagram: Diagram) -> Counter[Point]:
+    """How many nets cover each point of the routed diagram."""
+    routes = diagram.routes.values()
+    return Counter(chain.from_iterable(net_geometry(r.paths)[0] for r in routes))
+
+
+def _crossovers(nets_at: Counter[Point]) -> int:
+    return sum(k * (k - 1) // 2 for k in nets_at.values())
+
+
 def count_crossovers(diagram: Diagram) -> int:
     """Number of points where two different nets cross each other.
 
     Every unordered pair of distinct nets sharing a grid point counts as
     one crossover at that point.
     """
-    nets_at: Counter[Point] = Counter()
-    for route in diagram.routes.values():
-        nets_at.update(route.points())
-    return sum(k * (k - 1) // 2 for k in nets_at.values())
+    return _crossovers(nets_per_point(diagram))
 
 
 def diagram_metrics(diagram: Diagram) -> DiagramMetrics:
@@ -88,18 +93,21 @@ def diagram_metrics(diagram: Diagram) -> DiagramMetrics:
         for n in multi_pin
         if n.name in diagram.routes and diagram.routes[n.name].complete
     )
+    # One derivation per net serves its branch nodes and the crossovers.
+    nets_at: Counter[Point] = Counter()
     length = bends = branches = 0
     for route in diagram.routes.values():
-        m = net_metrics(route)
-        length += m.length
-        bends += m.bends
-        branches += m.branch_nodes
+        arms, _ = net_geometry(route.paths)
+        nets_at.update(arms.keys())
+        length += route.length
+        bends += route.bends
+        branches += _branch_nodes(arms)
     return DiagramMetrics(
         nets_total=len(multi_pin),
         nets_routed=routed,
         nets_failed=len(multi_pin) - routed,
         length=length,
         bends=bends,
-        crossovers=count_crossovers(diagram),
+        crossovers=_crossovers(nets_at),
         branch_nodes=branches,
     )

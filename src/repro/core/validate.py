@@ -9,6 +9,12 @@ Implements the postcondition of section 3.2:
 plus the validation step the paper performed with the ESCHER+ simulator:
 rebuilding the electrical connectivity from the routed geometry and
 checking it equals the input net-list.
+
+Both read each net's geometry from
+:func:`~repro.core.geometry.net_geometry`: the pure-crossing test reads
+the wire's arms and nodes at a shared point, and a net is connected
+when a walk along its arms reaches every point it covers, so two wires
+on adjacent tracks do not join.
 """
 
 from __future__ import annotations
@@ -17,12 +23,17 @@ from collections import defaultdict
 from typing import Iterable
 
 from .diagram import Diagram
-from .geometry import Orientation, Point, net_geometry
+from .geometry import ARMS, HORIZONTAL_ARMS, VERTICAL_ARMS, Point, net_geometry
 from .netlist import Pin
 
 
 class DiagramViolation(AssertionError):
     """Raised by :func:`check_diagram` when a diagram breaks the rules."""
+
+
+#: The arms of two nets at a pure crossing: one runs straight across,
+#: the other straight along.
+_CROSSING = {HORIZONTAL_ARMS, VERTICAL_ARMS}
 
 
 def placement_violations(diagram: Diagram) -> list[str]:
@@ -54,7 +65,7 @@ def placement_violations(diagram: Diagram) -> list[str]:
 def routing_violations(diagram: Diagram) -> list[str]:
     """Rule violations of the routed nets."""
     problems: list[str] = []
-    covered: dict[str, dict[Point, set[Orientation]]] = {}
+    covered: dict[str, dict[Point, int]] = {}
     nodes: dict[str, set[Point]] = {}
     for name, route in diagram.routes.items():
         covered[name], nodes[name] = net_geometry(route.paths)
@@ -99,11 +110,10 @@ def routing_violations(diagram: Diagram) -> list[str]:
             continue
         for i, a in enumerate(here):
             for b in here[i + 1 :]:
-                ori_a, ori_b = covered[a][p], covered[b][p]
+                # Off its nodes a wire's arms at a point span one whole
+                # axis (or both, where the net crosses itself).
                 pure_cross = (
-                    len(ori_a) == 1
-                    and len(ori_b) == 1
-                    and ori_a != ori_b
+                    {covered[a][p], covered[b][p]} == _CROSSING
                     and p not in nodes[a]
                     and p not in nodes[b]
                 )
@@ -122,38 +132,37 @@ def connectivity_violations(diagram: Diagram) -> list[str]:
         net = diagram.network.nets[name]
         if route.failed_pins:
             continue  # incompleteness is reported by metrics, not here
-        pts = route.points()
-        if not pts and len(net.pins) >= 2:
+        arms, _ = net_geometry(route.paths)
+        if not arms and len(net.pins) >= 2:
             positions = {diagram.pin_position(p) for p in net.pins}
             if len(positions) > 1:
                 problems.append(f"net {name!r} has no geometry but {len(net.pins)} pins")
             continue
         for pin in net.pins:
-            if diagram.pin_position(pin) not in pts:
+            if diagram.pin_position(pin) not in arms:
                 problems.append(f"net {name!r} does not reach pin {pin}")
-        if pts and not _is_connected(pts):
+        if arms and not _is_connected(arms):
             problems.append(f"net {name!r} geometry is disconnected")
     return problems
 
 
-def _is_connected(points: set[Point]) -> bool:
-    if not points:
-        return True
-    start = next(iter(points))
+def _is_connected(arms: dict[Point, int]) -> bool:
+    """Whether one piece of wire joins every covered point: the walk
+    follows the wire's arms, so parallel wires on adjacent tracks stay
+    apart."""
+    start = next(iter(arms))
     seen = {start}
     stack = [start]
     while stack:
-        p = stack.pop()
-        for q in (
-            Point(p.x + 1, p.y),
-            Point(p.x - 1, p.y),
-            Point(p.x, p.y + 1),
-            Point(p.x, p.y - 1),
-        ):
-            if q in points and q not in seen:
-                seen.add(q)
-                stack.append(q)
-    return seen == points
+        x, y = stack.pop()
+        mask = arms[x, y]
+        for bit, dx, dy in ARMS:
+            if mask & bit:
+                q = (x + dx, y + dy)
+                if q not in seen:
+                    seen.add(q)
+                    stack.append(q)
+    return len(seen) == len(arms)
 
 
 def check_diagram(diagram: Diagram, *, routed: bool = True) -> None:

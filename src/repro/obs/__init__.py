@@ -15,8 +15,8 @@ Tier 2 — durable, comparable run telemetry built on tier 1:
 
 * :mod:`repro.obs.runlog` — the append-only JSONL run registry
   (:class:`RunRecord` / :class:`RunLog`) plus the regression gate;
-* :mod:`repro.obs.congestion` — occupancy/crossover heatmaps read off
-  the incremental :class:`~repro.route.index.PlaneIndex`;
+* :mod:`repro.obs.congestion` — occupancy/crossover heatmaps derived
+  from a routed diagram's geometry;
 * :mod:`repro.obs.report` — the self-contained HTML diagnostics report.
 """
 

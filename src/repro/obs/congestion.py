@@ -1,13 +1,12 @@
-"""Congestion diagnostics straight from the incremental plane index.
+"""Congestion diagnostics derived from a routed diagram.
 
 RoutePlacer's argument (PAPERS.md) is that routability has to be
-*observable* to be actionable.  This module turns the
-:class:`~repro.route.index.PlaneIndex` a routed
-:class:`~repro.route.plane.Plane` already maintains into a
-:class:`CongestionMap` — per-point wire occupancy and crossover counts
-plus per-track (row/column) totals — **without rescanning the plane**:
-everything is read off the index's ``occ`` buffer, which the router kept
-up to date while it worked.
+*observable* to be actionable.  :meth:`CongestionMap.from_diagram` turns
+a routed :class:`~repro.core.diagram.Diagram` into per-point wire
+occupancy and crossover counts plus per-track (row/column) totals, from
+the per-point net counts of :func:`~repro.core.metrics.nets_per_point`,
+the same counts Table 6.1's crossover column sums.  Routing builds no
+map; a job builds one when it finishes, for its run record.
 
 The map serializes into a :class:`~repro.obs.runlog.RunRecord` (sparse
 cell list) and renders two ways:
@@ -18,27 +17,23 @@ cell list) and renders two ways:
   :func:`repro.render.svg.render_svg` draws as an overlay *behind* the
   schematic when the diagram itself is at hand.
 
-Invariants (checked by ``tests/test_obs.py``):
-
-* ``occupancy_total`` equals ``sum(plane.index.occ)``;
-* ``crossover_total`` equals ``DiagramMetrics.crossovers`` for the same
-  routed diagram (both count unordered net pairs sharing a point).
+``crossover_total`` equals ``DiagramMetrics.crossovers`` by
+construction.  ``occupancy_total`` equals ``sum(plane.index.occ)`` of a
+plane that holds the same routes, which checks the router's index
+against the diagram (``tests/test_obs.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from ..route.plane import Plane
+from ..core.diagram import Diagram
+from ..core.metrics import nets_per_point
 
 
 @dataclass
 class CongestionMap:
-    """Sparse per-point congestion field over the routing plane bounds.
+    """Sparse per-point congestion field over the extent of the wires.
 
     ``cells`` maps ``(x, y)`` to ``(occupancy, crossovers)`` where
     occupancy is how many nets use the point and crossovers is the
@@ -53,16 +48,16 @@ class CongestionMap:
     cells: dict[tuple[int, int], tuple[int, int]] = field(default_factory=dict)
 
     @classmethod
-    def from_plane(cls, plane: "Plane") -> "CongestionMap":
-        """Read the congestion field off the live index's ``occ``
-        buffer: one vectorized pass, no per-net plane rescan."""
-        bounds, index = plane.bounds, plane.index
-        occ = index.grid(index.occ)
-        ys, xs = np.nonzero(occ)
-        cells: dict[tuple[int, int], tuple[int, int]] = {}
-        for i, j, n in zip(ys.tolist(), xs.tolist(), occ[ys, xs].tolist()):
-            cells[(index.x1 + j, index.y1 + i)] = (n, n * (n - 1) // 2)
-        return cls(x=bounds.x, y=bounds.y, w=bounds.w, h=bounds.h, cells=cells)
+    def from_diagram(cls, diagram: Diagram) -> "CongestionMap":
+        """The map of a routed diagram, bounded by the extent of the
+        points its nets cover."""
+        cells = {p: (n, n * (n - 1) // 2) for p, n in nets_per_point(diagram).items()}
+        if not cells:
+            return cls()
+        xs = [x for x, _ in cells]
+        ys = [y for _, y in cells]
+        x, y = min(xs), min(ys)
+        return cls(x=x, y=y, w=max(xs) - x, h=max(ys) - y, cells=cells)
 
     # -- aggregates -----------------------------------------------------
 
@@ -179,9 +174,3 @@ class CongestionMap:
                 )
         parts.append("</svg>")
         return "\n".join(parts)
-
-
-def snapshot(plane: "Plane") -> dict:
-    """The JSON-able congestion snapshot EUREKA attaches to its
-    :class:`~repro.route.eureka.RoutingReport`."""
-    return CongestionMap.from_plane(plane).to_dict()

@@ -30,6 +30,7 @@ from pathlib import Path
 from time import gmtime, strftime
 from typing import TYPE_CHECKING, Any, Iterable
 
+from .congestion import CongestionMap
 from .counters import get_registry
 from .sampler import get_sampler
 from .trace import get_tracer
@@ -227,8 +228,8 @@ class RunLog:
         spec_digest: str = "",
         extra: dict | None = None,
     ) -> RunRecord:
-        """Record one generator run: metrics, failure reasons and the
-        congestion snapshot come straight off the result."""
+        """Record one generator run: metrics and failure reasons come
+        straight off the result, the congestion map from its diagram."""
         routing = result.routing
         failures = {
             str(f): {
@@ -249,7 +250,7 @@ class RunLog:
             spec_digest=spec_digest,
             metrics=dict(result.metrics.as_row()),
             failures=failures,
-            congestion=dict(getattr(routing, "congestion", {}) or {}),
+            congestion=CongestionMap.from_diagram(result.diagram).to_dict(),
             extra=extra,
         )
 

@@ -32,7 +32,6 @@ from ..core.diagram import Diagram, RoutedNet
 from ..core.geometry import Direction, Point, Side
 from ..core.netlist import Net, Pin
 from ..obs import counters, get_logger, span
-from ..obs.congestion import snapshot as congestion_snapshot
 from . import claimpoints
 from .line_expansion import (
     CostOrder,
@@ -44,7 +43,6 @@ from .line_expansion import (
 from .plane import DEFAULT_MARGIN, Plane
 
 NetOrder = Literal["input", "shortest_first", "fewest_pins_first"]
-Engine = Literal["state", "reference"]
 
 
 @dataclass(frozen=True)
@@ -58,11 +56,6 @@ class RouterOptions:
     #: Give the nets the first pass fails one rip-up pass.
     retry_failed: bool = True
     net_order: NetOrder = "shortest_first"
-    #: "state" = the indexed A* over (point, direction) states, searching
-    #: under the paper's segment-wavefront cost-to-go field; "reference" =
-    #: the pre-index snapshot-rebuilding Dijkstra, kept as the oracle for
-    #: ``verify_optimum`` and the routing bench.
-    engine: Engine = "state"
     #: Cross-check every connection against the reference engine and
     #: count cost-tuple mismatches under ``route.verify_mismatch`` (slow;
     #: for tests and the routing bench).
@@ -157,10 +150,6 @@ class RoutingReport:
     claims_placed: int = 0
     seconds: float = 0.0
     search: SearchStats = field(default_factory=SearchStats)
-    #: Congestion snapshot read off the plane index when routing finished
-    #: (:meth:`repro.obs.congestion.CongestionMap.to_dict` shape) — this
-    #: is what makes congestion observable per run without a plane rescan.
-    congestion: dict = field(default_factory=dict)
     #: Search introspection built from :attr:`search`: per-net aggregates,
     #: the noisiest per-connection rows and a bound-tightness histogram —
     #: the JSON-able payload a :class:`~repro.obs.runlog.RunRecord`
@@ -251,7 +240,6 @@ def route_diagram(
         report.failed_nets = failed
         report.nets_failed = len(failed)
         report.nets_routed = report.nets_total - report.nets_failed
-        report.congestion = congestion_snapshot(plane)
         report.search_detail = _search_detail(report)
         report.seconds = time.perf_counter() - started
         root_span.set(
@@ -607,19 +595,6 @@ def _route_pin_to_targets(
     dirs = start_directions_for(side.outward if side is not None else None)
     if not targets:
         return None
-    if options.engine == "reference":
-        from .reference import route_connection_reference
-
-        return route_connection_reference(
-            plane,
-            net.name,
-            start,
-            dirs,
-            targets,
-            allow=allow,
-            cost_order=options.cost_order,
-            stats=stats,
-        )
     result = route_connection(
         plane,
         net.name,

@@ -28,7 +28,15 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Mapping
 
-from ..core.geometry import Direction, Orientation, Point, net_geometry, normalize_path
+from ..core.geometry import (
+    HORIZONTAL_ARMS,
+    VERTICAL_ARMS,
+    Direction,
+    Orientation,
+    Point,
+    net_geometry,
+    normalize_path,
+)
 from .line_expansion import (
     _DIR_INDEX,
     _DIR_STEPS,
@@ -76,22 +84,20 @@ class ReferenceSnapshot:
         # Crossing counts per point for horizontal/vertical passage.
         self.cross_h: dict[tuple[int, int], int] = {}
         self.cross_v: dict[tuple[int, int], int] = {}
-        horizontal = Orientation.HORIZONTAL
-        vertical = Orientation.VERTICAL
         for other, paths in plane.paths.items():
             if other == net:
                 continue
             covered, nodes = net_geometry(paths)
             self.foreign_any.update(covered)
-            for point, orientations in covered.items():
-                if point in nodes or not orientations:  # bend/end/branch
+            for point, arms in covered.items():
+                if point in nodes:  # end, bend or branch
                     self.blocked_h.add(point)
                     self.blocked_v.add(point)
                     continue
-                if horizontal in orientations:
+                if arms & HORIZONTAL_ARMS:
                     self.blocked_h.add(point)
                     self.cross_v[point] = self.cross_v.get(point, 0) + 1
-                if vertical in orientations:
+                if arms & VERTICAL_ARMS:
                     self.blocked_v.add(point)
                     self.cross_h[point] = self.cross_h.get(point, 0) + 1
 

@@ -25,7 +25,7 @@ from typing import get_args
 from ..core.geometry import Point, Side
 from ..core.netlist import Module, Network, TermType
 from ..place.pablo import PabloOptions
-from ..route.eureka import Engine, NetOrder, RouterOptions
+from ..route.eureka import NetOrder, RouterOptions
 from ..route.line_expansion import CostOrder
 
 
@@ -127,10 +127,10 @@ def router_to_dict(options: RouterOptions) -> dict:
         "fixed_sides": sorted(s.name for s in options.fixed_sides),
         "retry_failed": options.retry_failed,
         "net_order": options.net_order,
-        "engine": options.engine,
-        # The bidirectional engine is gone; the key stays at the one value
-        # the router implements, so the digests of existing jobs, cache
-        # entries and journals stay valid.
+        # The engine option and the bidirectional engine are gone; their
+        # keys stay at the values the router implements, so the digests
+        # of existing jobs, cache entries and journals stay valid.
+        "engine": "state",
         "bidirectional": False,
     }
 
@@ -139,26 +139,27 @@ def router_from_dict(data: dict) -> RouterOptions:
     d = dict(data)
     if d.pop("bidirectional", False) is not False:
         raise JobError("eureka option bidirectional is no longer supported")
-    # The interval-sweep engine is gone too, and its outputs differed from
-    # the state engine's, so a spec asking for it is refused by name.
-    if d.get("engine") == "intervals":
-        raise JobError("eureka engine intervals is no longer supported")
+    # The interval-sweep and reference engines are gone too, and their
+    # outputs differed from the state engine's, so a spec asking for
+    # either is refused by name.
+    if d.get("engine") in ("intervals", "reference"):
+        raise JobError(f"eureka engine {d['engine']} is no longer supported")
     # Older specs and journal entries may ask for thread-parallel
     # routing.  That option never changed a job's output, so either value
     # is accepted and ignored: the job gets the routing it always got.
     d.pop("parallel_nets", None)
-    known = {f.name for f in fields(RouterOptions)}
+    known = {f.name for f in fields(RouterOptions)} | {"engine"}
     unknown = set(d) - known
     if unknown:
         raise JobError(f"unknown eureka option(s): {sorted(unknown)}")
     # A value the router does not implement would run the default path
     # under a digest of its own: refuse it instead.
-    for name, literal in (("engine", Engine), ("net_order", NetOrder)):
-        if name in d and d[name] not in get_args(literal):
+    for name, allowed in (("engine", ("state",)), ("net_order", get_args(NetOrder))):
+        if name in d and d[name] not in allowed:
             raise JobError(
-                f"unknown eureka {name} {d[name]!r}: "
-                f"expected one of {list(get_args(literal))}"
+                f"unknown eureka {name} {d[name]!r}: expected one of {list(allowed)}"
             )
+    d.pop("engine", None)
     try:
         if "cost_order" in d:
             d["cost_order"] = CostOrder[d["cost_order"]]

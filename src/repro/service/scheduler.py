@@ -38,6 +38,7 @@ from ..core.diagram import Diagram
 from ..core.generator import generate
 from ..formats.escher import read_escher, write_escher
 from ..obs import get_logger, get_registry, get_tracer, span
+from ..obs.congestion import CongestionMap
 from ..obs.counters import Registry, set_registry
 from ..obs.runlog import RunLog, stages_from_spans
 from ..obs.sampler import ensure_sampler, sampler_running
@@ -159,7 +160,7 @@ def execute_job(payload: dict, progress: Callable[[str], None] | None = None) ->
                 net: reason.value
                 for net, reason in result.routing.failure_reasons.items()
             },
-            "congestion": result.routing.congestion,
+            "congestion": CongestionMap.from_diagram(result.diagram).to_dict(),
             "search": dict(getattr(result.routing, "search_detail", {}) or {}),
             "seconds": round(time.perf_counter() - started, 4),
             "trace": tracer.export_roots(),

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.diagram import Diagram
-from repro.core.geometry import Orientation, Point, Rect, net_geometry
+from repro.core.geometry import HORIZONTAL_ARMS, VERTICAL_ARMS, Point, Rect, net_geometry
 from repro.core.netlist import Network, TermType
 from repro.route.index import PlaneIndex
 from repro.route.plane import Plane
@@ -127,15 +127,15 @@ INDEX_BUFFERS = ("hard", "h_block", "v_block", "cross_h", "cross_v", "occ")
 def _contribution(paths) -> dict[Point, tuple[int, int, int, int]]:
     """One net's ``contrib`` recomputed from :func:`net_geometry` of its
     paths: ``(1, 1, 0, 0)`` at a node or a single-point wire, else the
-    axis flags of its wire, ``(h, v, v, h)``."""
+    axis flags of its wire's arms, ``(h, v, v, h)``."""
     covered, nodes = net_geometry(paths)
     out = {}
-    for p, orientations in covered.items():
-        if p in nodes or not orientations:
+    for p, arms in covered.items():
+        if p in nodes:
             out[p] = (1, 1, 0, 0)
         else:
-            h = int(Orientation.HORIZONTAL in orientations)
-            v = int(Orientation.VERTICAL in orientations)
+            h = int(bool(arms & HORIZONTAL_ARMS))
+            v = int(bool(arms & VERTICAL_ARMS))
             out[p] = (h, v, v, h)
     return out
 

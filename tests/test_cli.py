@@ -3,7 +3,11 @@
 import pytest
 
 from repro.cli import artwork_main, eureka_main, pablo_main, quinto_main
+from repro.formats.escher import save_escher
 from repro.formats.netlist_files import save_network_files
+from repro.inspect import inspect_main
+from repro.obs import get_tracer, set_tracer
+from repro.obs.runlog import RunLog
 from repro.workloads.examples import example1_string
 
 
@@ -12,6 +16,15 @@ def network_files(tmp_path):
     net = example1_string()
     paths = save_network_files(net, tmp_path)
     return paths
+
+
+@pytest.fixture
+def runlog(tmp_path):
+    """A run registry file.  ``--runlog`` installs an enabled global
+    tracer, so the one in place before the test comes back after it."""
+    previous = get_tracer()
+    yield str(tmp_path / "runs.jsonl")
+    set_tracer(previous)
 
 
 def _net_args(paths):
@@ -40,6 +53,38 @@ class TestEureka:
         assert rc == 0
         assert routed.exists()
         assert "nets routed: 6/6" in capsys.readouterr().out
+
+    def test_runlog_record_is_explainable(self, tmp_path, network_files, runlog, capsys):
+        placed = tmp_path / "placed.es"
+        pablo_main(_net_args(network_files) + ["-p", "7", "-b", "7", "-o", str(placed)])
+        argv = [str(placed)] + _net_args(network_files) + ["--runlog", runlog]
+        assert eureka_main(argv + ["-o", str(tmp_path / "routed.es")]) == 0
+        [record] = RunLog(runlog).load()
+        assert record.kind == "eureka" and record.extra["search"]["nets"]
+        assert inspect_main(["explain", record.run_id, "--runlog", runlog]) == 0
+        assert "search effort by net" in capsys.readouterr().out
+
+    def test_runlog_failures_carry_certificates(
+        self, tmp_path, network_files, runlog, corridor_diagram, monkeypatch
+    ):
+        # ``a`` stays unroutable; its record says how that was proven.  The
+        # corridor's walls are modules without terminals, which a net-list
+        # file cannot declare, so its network stands in for the loaded one.
+        import repro.cli as cli_mod
+
+        diagram = corridor_diagram(b_pin_in_corridor=True)
+        monkeypatch.setattr(cli_mod, "_load_network", lambda args: diagram.network)
+        save_escher(diagram, tmp_path / "placed.es")
+        rc = eureka_main(
+            [str(tmp_path / "placed.es")]
+            + _net_args(network_files)
+            + ["--runlog", runlog, "-o", str(tmp_path / "r.es")]
+        )
+        assert rc == 1
+        [record] = RunLog(runlog).load()
+        assert record.failures == {
+            "a": {"reason": "retry_exhausted", "unconnected_pins": 2, "certificate": "field"}
+        }
 
     def test_swap_and_border_flags_accepted(self, tmp_path, network_files):
         placed = tmp_path / "placed.es"

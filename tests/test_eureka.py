@@ -10,6 +10,7 @@ from repro.core.netlist import Network, TermType
 from repro.core.validate import check_diagram, connectivity_matches_netlist
 from repro.formats.escher import write_escher
 from repro.obs import counters
+from repro.obs.congestion import CongestionMap
 from repro.route.eureka import FailureReason, RouterOptions, route_diagram
 from repro.route.line_expansion import CostOrder
 from repro.route.plane import Plane
@@ -239,7 +240,7 @@ class TestRipupPass:
         # ``b`` no longer can, so the pass completes no more nets than the
         # first pass did and both nets get their first-pass state back.
         first = corridor_diagram(b_pin_in_corridor=True)
-        first_report = route_diagram(first, RouterOptions(retry_failed=False))
+        route_diagram(first, RouterOptions(retry_failed=False))
         planes = _keep_planes(monkeypatch)
         d = corridor_diagram(b_pin_in_corridor=True)
         report = route_diagram(d)
@@ -247,13 +248,15 @@ class TestRipupPass:
         assert report.recovered_nets == []
         assert write_escher(d) == write_escher(first)
         assert d.routes["a"].failed_pins == first.routes["a"].failed_pins
-        assert report.congestion == first_report.congestion
+        cmap = CongestionMap.from_diagram(d)
+        assert cmap.to_dict() == CongestionMap.from_diagram(first).to_dict()
         [failure] = report.failed_nets
         assert failure == "a" and failure.reason is FailureReason.RETRY_EXHAUSTED
         assert failure.certificate == "field"
         check_diagram(d)
         [plane] = planes
         _assert_plane_matches_diagram(plane, d)
+        assert cmap.occupancy_total == sum(plane.index.occ)
 
     def test_retry_failed_false_runs_no_pass(self, corridor_diagram):
         registry = counters.get_registry()

@@ -526,21 +526,30 @@ class TestHistogramPercentiles:
 
 
 class TestCongestionMap:
-    def _crossing_plane(self):
-        from repro.core.geometry import Point, Rect
-        from repro.route.plane import Plane
+    def _crossing_diagram(self):
+        from repro.core.diagram import Diagram
+        from repro.core.geometry import Point
+        from repro.core.netlist import TermType
 
-        plane = Plane(bounds=Rect(0, 0, 10, 10))
-        plane.add_net_path("h", [Point(0, 5), Point(10, 5)])
-        plane.add_net_path("v", [Point(5, 0), Point(5, 10)])
-        return plane
+        network = Network(name="cross")
+        for name in ("w", "e", "s", "n"):
+            network.add_system_terminal(name, TermType.INOUT)
+        network.connect("h", "w", "e")
+        network.connect("v", "s", "n")
+        diagram = Diagram(network)
+        diagram.route_for("h").add_path([Point(0, 5), Point(10, 5)])
+        diagram.route_for("v").add_path([Point(5, 0), Point(5, 10)])
+        return diagram
 
     def test_totals_match_live_index(self):
         from repro.obs.congestion import CongestionMap
+        from repro.route.plane import Plane
 
-        plane = self._crossing_plane()
-        cmap = CongestionMap.from_plane(plane)
-        assert cmap.occupancy_total == sum(plane.index.occ)
+        diagram = self._crossing_diagram()
+        cmap = CongestionMap.from_diagram(diagram)
+        # The index of a plane holding the same routes agrees.
+        assert cmap.occupancy_total == sum(Plane.for_diagram(diagram).index.occ)
+        assert (cmap.x, cmap.y, cmap.w, cmap.h) == (0, 0, 10, 10)
         assert cmap.cells[(5, 5)] == (2, 1)  # the crossing point
         assert cmap.crossover_total == 1
         assert cmap.max_occupancy == 2
@@ -552,7 +561,7 @@ class TestCongestionMap:
     def test_dict_round_trip(self):
         from repro.obs.congestion import CongestionMap
 
-        cmap = CongestionMap.from_plane(self._crossing_plane())
+        cmap = CongestionMap.from_diagram(self._crossing_diagram())
         data = cmap.to_dict()
         again = CongestionMap.from_dict(json.loads(json.dumps(data)))
         assert again.cells == cmap.cells
@@ -562,7 +571,7 @@ class TestCongestionMap:
     def test_heat_cells_normalized(self):
         from repro.obs.congestion import CongestionMap
 
-        cells = CongestionMap.from_plane(self._crossing_plane()).heat_cells()
+        cells = CongestionMap.from_diagram(self._crossing_diagram()).heat_cells()
         assert cells
         assert all(0.0 < i <= 1.0 for _, _, i in cells)
         by_point = {(x, y): i for x, y, i in cells}
@@ -571,7 +580,7 @@ class TestCongestionMap:
     def test_svg_marks_crossovers(self):
         from repro.obs.congestion import CongestionMap
 
-        svg = CongestionMap.from_plane(self._crossing_plane()).to_svg()
+        svg = CongestionMap.from_diagram(self._crossing_diagram()).to_svg()
         assert svg.startswith("<svg")
         assert "occ=2 cross=1" in svg
         assert "<circle" in svg  # crossover ring
@@ -585,11 +594,12 @@ class TestCongestionMap:
         assert cmap.heat_cells() == []
         assert "<svg" in cmap.to_svg()
 
-    def test_routed_report_agrees_with_metrics(self, tracer, registry):
+    def test_routed_report_agrees_with_metrics(self, tracer, registry, tmp_path):
         from repro.obs.congestion import CongestionMap
+        from repro.obs.runlog import RunLog
 
-        result = generate(example1_string())
-        cmap = CongestionMap.from_dict(result.routing.congestion)
+        result = generate(example1_string(), runlog=RunLog(tmp_path / "runs.jsonl"))
+        cmap = CongestionMap.from_dict(result.run_record.congestion)
         assert cmap.crossover_total == result.metrics.as_row()["crossovers"]
         assert cmap.occupancy_total > 0 and cmap.max_occupancy >= 1
 
@@ -648,7 +658,7 @@ class TestTraceFileHandling:
         def explode(*_args, **_kwargs):
             raise DiagramError("mid-route inconsistency")
 
-        monkeypatch.setattr(cli_mod, "route_diagram", explode)
+        monkeypatch.setattr(cli_mod, "route_placed", explode)
         trace_file = tmp_path / "abort2" / "trace.json"
         rc = cli_mod.eureka_main(
             [str(placed)]

@@ -16,8 +16,10 @@ from repro.core.validate import (
     routing_violations,
 )
 from repro.formats.escher import read_escher, write_escher
+from repro.obs.congestion import CongestionMap
 from repro.place.pablo import PabloOptions
 from repro.route.eureka import RouterOptions
+from repro.route.plane import Plane
 from repro.workloads.random_nets import random_network
 
 SEEDS = [0, 3, 7, 11]
@@ -42,8 +44,11 @@ def test_generated_diagram_invariants(seed):
     assert metrics.nets_routed + metrics.nets_failed == metrics.nets_total
     # Sanity on metric consistency.
     assert metrics.length >= 0 and metrics.bends >= 0
-    # The congestion map read off the index counts the same crossovers.
-    assert result.routing.congestion["crossover_total"] == metrics.crossovers
+    # The congestion map counts the same crossovers, and the same wire
+    # occupancy as the index of a plane built from the diagram.
+    cmap = CongestionMap.from_diagram(result.diagram)
+    assert cmap.crossover_total == metrics.crossovers
+    assert cmap.occupancy_total == sum(Plane.for_diagram(result.diagram).index.occ)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -104,10 +104,11 @@ class TestJobSpec:
         "option, value, message",
         [
             ("engine", "intervals", "engine intervals is no longer supported"),
+            ("engine", "reference", "engine reference is no longer supported"),
             ("engine", "bogus", "unknown eureka engine 'bogus'"),
             ("net_order", "nope", "unknown eureka net_order 'nope'"),
         ],
-        ids=["engine-intervals", "engine-bogus", "net_order-nope"],
+        ids=["engine-intervals", "engine-reference", "engine-bogus", "net_order-nope"],
     )
     def test_unimplemented_router_value_rejected(self, option, value, message):
         # Accepted, such a value would run the default path under a

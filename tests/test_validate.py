@@ -115,6 +115,34 @@ class TestConnectivity:
             [Point(7, 1), Point(8, 1)],
         )
         assert any("disconnected" in p for p in connectivity_violations(two_buffer_diagram))
+        # Two wires on adjacent parallel tracks, each reaching one pin:
+        # grid neighbours all along, never joined.
+        two_buffer_diagram.routes.clear()
+        two_buffer_diagram.place_module("u1", Point(8, 1))  # u1.a at (8, 2)
+        _route(
+            two_buffer_diagram,
+            "n_mid",
+            [Point(3, 1), Point(7, 1)],
+            [Point(4, 2), Point(8, 2)],
+        )
+        assert connectivity_violations(two_buffer_diagram) == [
+            "net 'n_mid' geometry is disconnected"
+        ]
+        with pytest.raises(DiagramViolation, match="disconnected"):
+            check_diagram(two_buffer_diagram)
+
+    def test_paths_crossing_without_a_vertex_are_connected(self, two_buffer_diagram):
+        # Each path reaches one pin; they meet only where the second
+        # path's horizontal run crosses the first one's vertical run at
+        # (5, 3), a vertex of neither, so only the wire's arms there join
+        # them.
+        _route(
+            two_buffer_diagram,
+            "n_mid",
+            [Point(3, 1), Point(5, 1), Point(5, 4)],
+            [Point(4, 3), Point(7, 3), Point(7, 1), Point(8, 1)],
+        )
+        assert connectivity_violations(two_buffer_diagram) == []
 
     def test_extract(self, two_buffer_diagram):
         _route(two_buffer_diagram, "n_mid", [Point(3, 1), Point(8, 1)])
