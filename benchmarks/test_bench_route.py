@@ -17,7 +17,9 @@ outcome), and on the example netlists every single connection's
 
 One more scenario routes the LIFE hand placement at pitch 18 and checks
 the whole diagram, printing routed nets, bends, crossovers and route
-seconds.
+seconds.  Another routes figs 6.6 and 6.7 as perfbench's ``life`` jobs do
+and records the cost-to-go field's layer: connections, states, the sum
+and median of the connections' ``field_s`` and the search seconds.
 
 Writes ``BENCH_route.json`` at the repo root for cross-PR tracking.
 """
@@ -32,7 +34,7 @@ from pathlib import Path
 
 from conftest import once, print_table
 
-from repro.core.generator import route_placed
+from repro.core.generator import generate, route_placed
 from repro.core.validate import check_diagram
 from repro.obs import counters
 from repro.place.pablo import PabloOptions, place_network
@@ -44,6 +46,7 @@ from repro.workloads import (
     example1_string,
     example2_controller,
     hand_placement,
+    life_network,
     random_network,
 )
 
@@ -58,6 +61,11 @@ VIEW_PASSES = 7
 #: workload than the pre-index path.
 MIN_STATE_RATIO = 3.0
 MIN_WALL_RATIO = 2.0
+
+#: The perfbench ``life`` jobs' router: EUREKA ``--margin 14``.  Fig 6.6
+#: routes the hand placement at pitch 24, fig 6.7 PABLO ``-p 7 -b 5``'s.
+LIFE_ROUTER = RouterOptions(margin=14)
+LIFE_PABLO = PabloOptions(partition_size=7, box_size=5)
 
 #: Acceptance ceiling for the heuristic tentpole (ISSUE 9): the
 #: crossover-aware bound plus the escalated searches' exact cost-to-go
@@ -270,6 +278,40 @@ def test_bench_route_life_pitch18(benchmark, experiment_store):
     experiment_store["route_life_pitch18"] = row
 
 
+def test_bench_route_life_figures(benchmark, experiment_store):
+    """Figs 6.6 and 6.7 routed as perfbench's ``life`` jobs route them,
+    with the cost-to-go field's layer read off the per-connection rows:
+    its seconds summed and per connection (median), next to the search
+    seconds that include it, the connections and the states."""
+    jobs = {
+        "fig6_6": lambda: route_diagram(hand_placement(pitch=24), LIFE_ROUTER),
+        "fig6_7": lambda: generate(life_network(), LIFE_PABLO, LIFE_ROUTER).routing,
+    }
+
+    def run():
+        rows = []
+        for name, job in jobs.items():
+            search = job().search
+            # Every connection has its row, so the sums are complete.
+            assert len(search.connections) == search.routes
+            field_s = [row["field_s"] for row in search.connections]
+            rows.append(
+                {
+                    "figure": name,
+                    "connections": search.routes,
+                    "states": search.states_expanded,
+                    "field_s": round(sum(field_s), 3),
+                    "field_ms_median": round(1e3 * statistics.median(field_s), 3),
+                    "search_s": round(sum(row["seconds"] for row in search.connections), 3),
+                }
+            )
+        return rows
+
+    rows = once(benchmark, run)
+    print_table("LIFE figures: the cost-to-go field's layer", rows)
+    experiment_store["route_life_figures"] = rows
+
+
 def test_bench_route_profile_attribution(benchmark, experiment_store):
     """Sampler-measured cost attribution: route the datapath workload
     under a high-hz sampling profiler and report the hottest self-time
@@ -337,6 +379,8 @@ def test_bench_route_summary(experiment_store):
                 "datapath_speedup": experiment_store.get("route_datapath_ratios"),
                 "per_connection_view": experiment_store.get("route_view_cost"),
                 "verified_examples": experiment_store.get("route_verified"),
+                "life_pitch18": experiment_store.get("route_life_pitch18"),
+                "life_figures": experiment_store.get("route_life_figures"),
                 "profile": experiment_store.get("route_profile"),
             },
             indent=1,

@@ -41,6 +41,8 @@ from .obs import (
     add_log_argument,
     enable_tracing,
     get_registry,
+    get_tracer,
+    set_tracer,
     setup_logging,
 )
 from .core.generator import generate, route_placed
@@ -133,7 +135,10 @@ def _obs_args(parser: argparse.ArgumentParser) -> None:
 def _obs_begin(args: argparse.Namespace):
     """Configure logging and, when asked for, turn tracing on (the run
     registry needs per-stage timings, so ``--runlog`` implies tracing;
-    ``--flame`` does too — sample attribution roots in the span path)."""
+    ``--flame`` does too — sample attribution roots in the span path).
+
+    Returns the tracer that was installed before, which :func:`_obs_end`
+    puts back, or ``None`` when tracing stays as it was."""
     setup_logging(args.log_level)
     if getattr(args, "flame", None):
         from .obs.sampler import CAPTURE_HZ, ensure_sampler
@@ -148,7 +153,9 @@ def _obs_begin(args: argparse.Namespace):
         or getattr(args, "flame", None)
         or getattr(args, "runlog", None)
     ):
-        return enable_tracing()
+        previous = get_tracer()
+        enable_tracing()
+        return previous
     return None
 
 
@@ -156,12 +163,25 @@ def _runlog_for(args: argparse.Namespace) -> RunLog | None:
     return RunLog(args.runlog) if getattr(args, "runlog", None) else None
 
 
-def _obs_end(args: argparse.Namespace, tracer) -> None:
-    """Emit whatever observability outputs the flags requested.
+def _obs_end(args: argparse.Namespace, previous) -> None:
+    """Emit whatever observability outputs the flags requested, then
+    reinstall the tracer :func:`_obs_begin` replaced, so an in-process
+    call of a CLI main leaves tracing as it found it.
 
     Runs from ``finally`` blocks, so the trace survives aborted runs
     (DiagramError mid-pipeline still leaves the spans collected so far).
     """
+    if previous is None:
+        _obs_outputs(args, None)
+        return
+    try:
+        _obs_outputs(args, get_tracer())
+    finally:
+        set_tracer(previous)
+
+
+def _obs_outputs(args: argparse.Namespace, tracer) -> None:
+    """Write the flamegraph, trace and profile the flags asked for."""
     if getattr(args, "flame", None):
         from .obs.sampler import get_sampler, merge_windows, write_flamegraph_html
 
@@ -290,7 +310,7 @@ def _pablo_body(argv: list[str] | None) -> int:
     _obs_args(parser)
     parser.add_argument("-o", "--output", default="placed.es", help="output ESCHER file")
     args = parser.parse_args(argv)
-    tracer = _obs_begin(args)
+    previous = _obs_begin(args)
     try:
         network = _load_network(args)
         diagram, report = place_network(network, _pablo_options(args))
@@ -315,7 +335,7 @@ def _pablo_body(argv: list[str] | None) -> int:
             print(f"runlog: {record.run_id} -> {args.runlog}")
         return 0
     finally:
-        _obs_end(args, tracer)
+        _obs_end(args, previous)
 
 
 def eureka_main(argv: list[str] | None = None) -> int:
@@ -332,7 +352,7 @@ def _eureka_body(argv: list[str] | None) -> int:
     _obs_args(parser)
     parser.add_argument("-o", "--output", default="routed.es", help="output ESCHER file")
     args = parser.parse_args(argv)
-    tracer = _obs_begin(args)
+    previous = _obs_begin(args)
     try:
         network = _load_network(args)
         try:
@@ -354,7 +374,7 @@ def _eureka_body(argv: list[str] | None) -> int:
             print(f"runlog: {record.run_id} -> {args.runlog}")
         return 0 if not result.routing.failed_nets else 1
     finally:
-        _obs_end(args, tracer)
+        _obs_end(args, previous)
 
 
 def quinto_main(argv: list[str] | None = None) -> int:
@@ -397,7 +417,7 @@ def _artwork_body(argv: list[str] | None) -> int:
     parser.add_argument("-o", "--output", default="artwork.svg", help="output SVG")
     parser.add_argument("--escher", help="also write an ESCHER file here")
     args = parser.parse_args(argv)
-    tracer = _obs_begin(args)
+    previous = _obs_begin(args)
     try:
         network = _load_network(args)
         result = generate(
@@ -417,7 +437,7 @@ def _artwork_body(argv: list[str] | None) -> int:
             print(f"runlog: {result.run_record.run_id} -> {args.runlog}")
         return 0 if not result.routing.failed_nets else 1
     finally:
-        _obs_end(args, tracer)
+        _obs_end(args, previous)
 
 
 # -- artwork-batch: the job service front end -----------------------------
@@ -551,11 +571,11 @@ def _artwork_batch_body(argv: list[str] | None) -> int:
     parser.add_argument("-q", "--quiet", action="store_true", help="no per-job progress")
     _obs_args(parser)
     args = parser.parse_args(argv)
-    tracer = _obs_begin(args)
+    previous = _obs_begin(args)
     try:
         return _artwork_batch_run(args)
     finally:
-        _obs_end(args, tracer)
+        _obs_end(args, previous)
 
 
 def _load_manifest_specs(manifest_path: Path) -> list[JobSpec]:
@@ -793,11 +813,11 @@ def _artwork_serve_body(argv: list[str] | None) -> int:
     )
     _obs_args(parser)
     args = parser.parse_args(argv)
-    tracer = _obs_begin(args)
+    previous = _obs_begin(args)
     try:
         return _artwork_serve_run(args)
     finally:
-        _obs_end(args, tracer)
+        _obs_end(args, previous)
 
 
 def _artwork_serve_run(args: argparse.Namespace) -> int:

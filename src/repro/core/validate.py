@@ -14,7 +14,8 @@ Both read each net's geometry from
 :func:`~repro.core.geometry.net_geometry`: the pure-crossing test reads
 the wire's arms and nodes at a shared point, and a net is connected
 when a walk along its arms reaches every point it covers, so two wires
-on adjacent tracks do not join.
+on adjacent tracks do not join.  The extraction follows the same walks:
+each piece of wire is one electrical node.
 """
 
 from __future__ import annotations
@@ -147,22 +148,34 @@ def connectivity_violations(diagram: Diagram) -> list[str]:
 
 
 def _is_connected(arms: dict[Point, int]) -> bool:
-    """Whether one piece of wire joins every covered point: the walk
+    """Whether one piece of wire joins every covered point."""
+    return len(_pieces(arms)) == 1
+
+
+def _pieces(arms: dict[Point, int]) -> list[set[Point]]:
+    """A net's covered points split into pieces of wire: each walk
     follows the wire's arms, so parallel wires on adjacent tracks stay
-    apart."""
-    start = next(iter(arms))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x, y = stack.pop()
-        mask = arms[x, y]
-        for bit, dx, dy in ARMS:
-            if mask & bit:
-                q = (x + dx, y + dy)
-                if q not in seen:
-                    seen.add(q)
-                    stack.append(q)
-    return len(seen) == len(arms)
+    apart.  Points are plain ``(x, y)`` tuples past each piece's start,
+    equal to the :class:`Point` keys of ``arms``."""
+    pieces: list[set[Point]] = []
+    seen: set[Point] = set()
+    for start in arms:
+        if start in seen:
+            continue
+        piece = {start}
+        stack = [start]
+        while stack:
+            x, y = stack.pop()
+            mask = arms[x, y]
+            for bit, dx, dy in ARMS:
+                if mask & bit:
+                    q = (x + dx, y + dy)
+                    if q not in piece:
+                        piece.add(q)
+                        stack.append(q)
+        seen |= piece
+        pieces.append(piece)
+    return pieces
 
 
 def check_diagram(diagram: Diagram, *, routed: bool = True) -> None:
@@ -180,21 +193,39 @@ def extract_connectivity(diagram: Diagram) -> dict[Pin, str]:
 
     This is the reproduction of the paper's ESCHER+ check: the generator's
     output is electrically correct iff this mapping equals the net-list.
-    Pins of unrouted or two-pin-degenerate nets are absent from the map.
+    Each routed net's geometry is split into its pieces of wire, walked
+    along the wire's arms as :func:`connectivity_violations` walks them,
+    and each pin maps to the piece on its position.  The piece holding a
+    net's first pin keeps the net's name; every other piece is a node of
+    its own, ``"<net><piece k>"``, so a net drawn as two unjoined wires
+    extracts as two nodes.  A pin on pieces of several nets maps to
+    ``"<conflict>"``.  Pins of unrouted or two-pin-degenerate nets are
+    absent from the map.
     """
+    pins_at: dict[Point, list[Pin]] = defaultdict(list)
+    for net in diagram.network.nets.values():
+        for pin in net.pins:
+            pins_at[diagram.pin_position(pin)].append(pin)
+    touching: dict[Point, list[str]] = defaultdict(list)
+    for name, route in diagram.routes.items():
+        arms, _ = net_geometry(route.paths)
+        pins = route.net.pins
+        first = diagram.pin_position(pins[0]) if pins else None
+        k = 1
+        for piece in _pieces(arms):
+            if first in piece:
+                node = name
+            else:
+                k += 1
+                node = f"{name}<piece {k}>"
+            for p in piece & pins_at.keys():
+                touching[p].append(node)
     mapping: dict[Pin, str] = {}
-    geometry = {name: route.points() for name, route in diagram.routes.items()}
-    all_pins: list[Pin] = [
-        pin for net in diagram.network.nets.values() for pin in net.pins
-    ]
-    for pin in all_pins:
-        pos = diagram.pin_position(pin)
-        touching = [name for name, pts in geometry.items() if pos in pts]
-        if len(touching) == 1:
-            mapping[pin] = touching[0]
-        elif len(touching) > 1:
-            # A pin touched by several nets is electrically ambiguous.
-            mapping[pin] = "<conflict>"
+    for p, nodes in touching.items():
+        # A pin touched by several nets is electrically ambiguous.
+        node = nodes[0] if len(nodes) == 1 else "<conflict>"
+        for pin in pins_at[p]:
+            mapping[pin] = node
     return mapping
 
 

@@ -34,6 +34,7 @@ Profiling must never break the pipeline: every tick runs under a
 
 from __future__ import annotations
 
+import gc
 import sys
 import threading
 import time
@@ -112,6 +113,21 @@ def collapse_frame(frame: Any, limit: int = MAX_STACK_DEPTH) -> list[str]:
         frame = frame.f_back
     names.reverse()
     return names
+
+
+def _without_gc(call: Callable[[], Any]) -> Any:
+    """``call()`` with the cycle collector held off.  ``sys._current_frames``
+    holds the interpreter's thread-list lock while it allocates; a
+    collection there can run a finalizer that gives up the GIL, and a
+    thread that then takes the GIL and waits for that lock (starting a
+    thread does) deadlocks the process."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return call()
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # -- profile windows -------------------------------------------------------
@@ -340,7 +356,7 @@ class Sampler:
         added = 0
         try:
             fault("sampler.tick")
-            frames = self._frame_source()
+            frames = _without_gc(self._frame_source)
             span_paths = self._span_source()
             ctx = current_trace_context()
             request_id = ctx.trace_id if ctx is not None else None

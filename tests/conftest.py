@@ -1,5 +1,6 @@
 """Shared fixtures: small hand-built networks and diagrams, and the
-check that a plane's index equals one rebuilt from its paths."""
+check that a plane's index equals one rebuilt from its paths, free
+intervals included."""
 
 from __future__ import annotations
 
@@ -162,6 +163,47 @@ def _grid_points(grid: np.ndarray, bounds: Rect) -> dict[Point, int]:
     }
 
 
+#: A net no plane routes: its view has no exceptions, so the labels it
+#: takes are the plane's own.
+NO_NET = "<no net>"
+
+
+def brute_labels(index: PlaneIndex, stops) -> tuple[list[int], dict[int, int]]:
+    """Free intervals labelled from scratch, line by line: ``stops(cell,
+    vertical)`` says where a sweep stops.  Returns ``lab`` over line space
+    and each interval's size by its first position."""
+    n, nx, ny = index.n, index.nx, index.ny
+    lab, size = [-1] * (2 * n), {}
+    lines = [[(i * nx + j, i * nx + j, False) for j in range(nx)] for i in range(ny)]
+    lines += [[(i * nx + j, n + j * ny + i, True) for i in range(ny)] for j in range(nx)]
+    for line in lines:
+        first = None
+        for cell, p, vertical in line:
+            if stops(cell, vertical):
+                first = None
+                continue
+            if first is None:
+                first, size[p] = p, 0
+            lab[p] = first
+            size[first] += 1
+    return lab, size
+
+
+def assert_labels_match(index: PlaneIndex, stops, bendable) -> None:
+    """``lab``, ``size`` at interval starts and ``corner`` (at both
+    positions of every point) equal a labelling from scratch of
+    ``stops`` with bends allowed where ``bendable(cell)``."""
+    lab, size = brute_labels(index, stops)
+    assert index.lab.tolist() == lab
+    assert {p: int(index.size[p]) for p in size} == size
+    n = index.n
+    corner = [
+        not stops(c, False) and not stops(c, True) and bendable(c) for c in range(n)
+    ]
+    assert index.corner[:n].tolist() == corner
+    assert index.corner[index.other[:n]].tolist() == corner
+
+
 def assert_index_matches_rebuild(plane: Plane) -> None:
     live, fresh = plane.index, _fresh_index(plane)
     contrib = {n: c for n, c in live.contrib.items() if c}
@@ -180,3 +222,17 @@ def assert_index_matches_rebuild(plane: Plane) -> None:
         assert _grid_points(live.grid(buffer), b) == {
             p: n for p, n in want[name].items() if b.contains(p)
         }, name
+    assert live.crossings == sum(live.cross_h) + sum(live.cross_v)
+    # The kept intervals, under a view without exceptions: the rebuild's,
+    # and a labelling from scratch of the buffers' stops.
+    for index in (live, fresh):
+        index.label_for(index.view(NO_NET))
+    starts = [p for p, first in enumerate(fresh.lab.tolist()) if p == first]
+    assert np.array_equal(live.lab, fresh.lab)
+    assert np.array_equal(live.size[starts], fresh.size[starts])
+    assert np.array_equal(live.corner, fresh.corner)
+
+    def stops(cell, vertical):
+        return bool(live.hard[cell]) or (live.v_block if vertical else live.h_block)[cell] != 0
+
+    assert_labels_match(live, stops, lambda cell: live.occ[cell] == 0)

@@ -86,6 +86,19 @@ class TestEureka:
             "a": {"reason": "retry_exhausted", "unconnected_pins": 2, "certificate": "field"}
         }
 
+    def test_runlog_restores_the_tracer(self, tmp_path, network_files, runlog):
+        # ``--runlog`` traces the run on a fresh tracer and then puts back
+        # the one it replaced, so an in-process call leaves tracing as it
+        # found it.
+        placed = tmp_path / "placed.es"
+        pablo_main(_net_args(network_files) + ["-p", "7", "-b", "7", "-o", str(placed)])
+        before = get_tracer()
+        argv = [str(placed)] + _net_args(network_files) + ["--runlog", runlog]
+        assert eureka_main(argv + ["-o", str(tmp_path / "routed.es")]) == 0
+        assert get_tracer() is before
+        [record] = RunLog(runlog).load()
+        assert record.kind == "eureka"
+
     def test_swap_and_border_flags_accepted(self, tmp_path, network_files):
         placed = tmp_path / "placed.es"
         pablo_main(_net_args(network_files) + ["-p", "7", "-b", "7", "-o", str(placed)])

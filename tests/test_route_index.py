@@ -6,8 +6,8 @@ Two layers of evidence:
   maintained :class:`~repro.route.index.PlaneIndex` equals an index
   rebuilt from scratch off the same plane, and a
   :class:`~repro.route.index.NetView`'s stops, bendable points and
-  crossing counts — per point and as patched grids — equal the pre-index
-  :class:`~repro.route.reference.ReferenceSnapshot`,
+  crossing counts — per point and as the free intervals it relabels —
+  equal the pre-index :class:`~repro.route.reference.ReferenceSnapshot`,
 * behavioural — the indexed A* returns the same optimum cost tuple
   (bends, crossings, length) as the snapshot-rebuilding reference
   Dijkstra on randomized scenes, under both tie-break orders, also when
@@ -20,6 +20,7 @@ import collections
 import copy
 import heapq
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from repro.obs import counters
 from repro.place.pablo import PabloOptions, place_network
 from repro.route import line_expansion
 from repro.route.eureka import RouterOptions, route_diagram
+from repro.route.index import UNLAID, UNREACHED
 from repro.route.line_expansion import (
     CostOrder,
     SearchStats,
@@ -39,13 +41,25 @@ from repro.route.plane import Plane
 from repro.route.reference import ReferenceSnapshot, route_connection_reference
 from repro.workloads import example1_string, random_network
 
-from .conftest import INDEX_BUFFERS, assert_index_matches_rebuild
+from .conftest import INDEX_BUFFERS, assert_index_matches_rebuild, assert_labels_match
+
+
+def _stop_grids(view) -> tuple[np.ndarray, np.ndarray]:
+    """Where a horizontal / vertical sweep of ``view``'s net stops, as
+    grids indexed ``[y - y1, x - x1]``, read off the labels the view
+    makes its own."""
+    index = view.index
+    index.label_for(view)
+    n = index.n
+    stop_h = (index.lab[:n] < 0).reshape(index.ny, index.nx)
+    stop_v = (index.lab[n:] < 0).reshape(index.nx, index.ny).T
+    return stop_h, stop_v
 
 
 def assert_view_matches_snapshot(plane: Plane, net: str, allow=frozenset()) -> None:
     """The O(own net) overlay view stops, bends and counts crossings
     exactly like the rebuilt flat snapshot of the pre-index router: per
-    point, and on every in-bounds cell of its patched grids."""
+    point, and on every in-bounds cell of the labels it makes its own."""
     snap = ReferenceSnapshot(plane, net, allow)
     view = plane.index.view(net, allow)
     stops_h, stops_v = snap.hard | snap.blocked_h, snap.hard | snap.blocked_v
@@ -59,16 +73,20 @@ def assert_view_matches_snapshot(plane: Plane, net: str, allow=frozenset()) -> N
         assert view._stops(q, False) == (q in stops_h), q
         assert view._stops(q, True) == (q in stops_v), q
         assert view.foreign_at(q) == (q in snap.foreign_any), q
-    stop_h, stop_v, bendable, cross_h, cross_v = view.grids()
+    stop_h, stop_v = _stop_grids(view)
+    index = plane.index
     b = plane.bounds
     for x in range(b.x, b.x2 + 1):
         for y in range(b.y, b.y2 + 1):
-            q, cell = Point(x, y), (y - b.y, x - b.x)
-            assert stop_h[cell] == (q in stops_h), q
-            assert stop_v[cell] == (q in stops_v), q
-            assert bendable[cell] == (q not in snap.foreign_any), q
-            assert cross_h[cell] == snap.cross_h.get(q, 0), q
-            assert cross_v[cell] == snap.cross_v.get(q, 0), q
+            q, cell = Point(x, y), index.cell(Point(x, y))
+            assert stop_h[y - b.y, x - b.x] == (q in stops_h), q
+            assert stop_v[y - b.y, x - b.x] == (q in stops_v), q
+            corner = q not in stops_h and q not in stops_v and q not in snap.foreign_any
+            assert index.corner[cell] == index.corner[index.other[cell]] == corner, q
+            cross_h = index.cross_h[cell] - view.own_cross_h.get(cell, 0)
+            cross_v = index.cross_v[cell] - view.own_cross_v.get(cell, 0)
+            assert cross_h == snap.cross_h.get(q, 0), q
+            assert cross_v == snap.cross_v.get(q, 0), q
 
 
 class TestIncrementalConsistency:
@@ -140,14 +158,14 @@ class TestIncrementalConsistency:
         p.add_net_path("w", [Point(2, 5), Point(6, 5)])  # blocks h on row 5
         assert p.add_claim(Point(8, 5), "c")
         assert p.release_claims(["c"]) == 1
-        stop_h = p.index.view("mine").grids()[0]
+        stop_h = _stop_grids(p.index.view("mine"))[0]
         assert stop_h[5].nonzero()[0].tolist() == [2, 3, 4, 5, 6]
         assert_index_matches_rebuild(p)
         # Unblocking a claimed point keeps the claim's stop.
         assert p.add_claim(Point(8, 3), "d")
         p.blocked.add(Point(8, 3))
         p.blocked.discard(Point(8, 3))
-        stop_h, stop_v = p.index.view("mine").grids()[:2]
+        stop_h, stop_v = _stop_grids(p.index.view("mine"))
         assert stop_h[3].nonzero()[0].tolist() == [8]
         assert stop_v[:, 8].nonzero()[0].tolist() == [3]
         assert_index_matches_rebuild(p)
@@ -160,7 +178,7 @@ class TestIncrementalConsistency:
         p.blocked |= {Point(0, 0), Point(10, 10), Point(-1, 4), Point(12, 4)}
         p.add_net_path("edge", [Point(7, 13), Point(7, 7), Point(13, 7)])
         assert_index_matches_rebuild(p)
-        stop_h = p.index.view("mine").grids()[0]
+        stop_h = _stop_grids(p.index.view("mine"))[0]
         assert not stop_h[4].any() and stop_h[10].nonzero()[0].tolist() == [10]
         cross_h = p.index.grid(p.index.cross_h)
         assert cross_h[10].sum() == 1  # (7, 11) on: no cells
@@ -272,6 +290,88 @@ class TestRemoveNet:
 
         assert plane.paths == paths
         assert_index_matches_rebuild(plane)
+
+
+class TestKeptIntervals:
+    """The index keeps every free interval and hands the labels from
+    view to view in place: each view's labels equal a labelling from
+    scratch of its own stops, whatever view held them before."""
+
+    def _assert_view_labels(self, view) -> None:
+        index = view.index
+        index.label_for(view)
+        assert_labels_match(
+            index,
+            view.stops_at,
+            lambda cell: index.occ[cell] == 0 or cell in view.self_clear,
+        )
+
+    def test_views_take_turns(self):
+        p = Plane(bounds=Rect(0, 0, 16, 12))
+        p.block_rect(Rect(6, 4, 2, 2))
+        p.add_net_path("a", [Point(0, 2), Point(12, 2), Point(12, 9)])
+        p.add_net_path("a", [Point(4, 2), Point(4, 10)])
+        p.add_net_path("b", [Point(2, 0), Point(2, 11)])
+        p.add_net_path("b", [Point(2, 7), Point(14, 7)])
+        assert p.add_claim(Point(10, 10), "c0")
+        assert p.add_claim(Point(1, 5), "c1")
+        pins = {
+            "a": frozenset({Point(6, 5), Point(10, 10), Point(0, 2)}),
+            "b": frozenset({Point(7, 4), Point(1, 5)}),
+            "c": frozenset({Point(8, 6)}),
+        }
+        a = p.index.view("a", pins["a"])
+        for view in (a, p.index.view("b", pins["b"]), a):
+            self._assert_view_labels(view)
+        # Mutations under a view mark lines dirty and flip corners: the
+        # next view still gets labels of its own stops.
+        p.add_net_path("c", [Point(9, 0), Point(9, 3), Point(15, 3)])
+        p.release_claims(["c1"])
+        p.blocked.discard(Point(7, 5))
+        for net in ("c", "a", "b"):
+            self._assert_view_labels(p.index.view(net, pins[net]))
+        p.remove_net("b")
+        self._assert_view_labels(p.index.view("a", pins["a"]))
+        assert_index_matches_rebuild(p)
+
+    def test_search_raising_midway_leaves_no_scratch(self, monkeypatch):
+        # A search that dies mid-way closes its field: the next connection
+        # routes and counts exactly as on a plane that never saw it.
+        def scene() -> Plane:
+            plane = _random_scene(5)
+            plane.add_net_path("mine", [Point(0, 11), Point(6, 11)])
+            return plane
+
+        def route(plane: Plane, stats: SearchStats):
+            return route_connection(
+                plane, "mine", Point(0, 0), list(Direction), [Point(21, 20)], stats=stats
+            )
+
+        plane = scene()
+        pushes = []
+
+        def heappush(heap, item):
+            pushes.append(item)
+            if len(pushes) == 8:
+                raise RuntimeError("push failed")
+            heapq.heappush(heap, item)
+
+        monkeypatch.setattr(
+            line_expansion, "heapq", SimpleNamespace(heappush=heappush, heappop=heapq.heappop)
+        )
+        with pytest.raises(RuntimeError, match="push failed"):
+            route_connection(plane, "mine", Point(22, 22), list(Direction), [Point(1, 21)])
+        monkeypatch.undo()
+        assert (plane.index.wave == UNREACHED).all()
+        assert (plane.index.laid == UNLAID).all()
+
+        stats, fresh_stats = SearchStats(), SearchStats()
+        got, want = route(plane, stats), route(scene(), fresh_stats)
+        assert got == want and got is not None
+        for s in (stats, fresh_stats):
+            for row in s.connections:
+                del row["field_s"], row["seconds"]
+        assert stats == fresh_stats
 
 
 def _random_scene(seed: int) -> Plane:

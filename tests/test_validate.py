@@ -130,6 +130,10 @@ class TestConnectivity:
         ]
         with pytest.raises(DiagramViolation, match="disconnected"):
             check_diagram(two_buffer_diagram)
+        # Extraction follows the wire too: each wire is its own node.
+        assert not connectivity_matches_netlist(two_buffer_diagram, nets=["n_mid"])
+        mapping = extract_connectivity(two_buffer_diagram)
+        assert mapping[Pin("u0", "y")] != mapping[Pin("u1", "a")]
 
     def test_paths_crossing_without_a_vertex_are_connected(self, two_buffer_diagram):
         # Each path reaches one pin; they meet only where the second
