@@ -19,7 +19,10 @@ One more scenario routes the LIFE hand placement at pitch 18 and checks
 the whole diagram, printing routed nets, bends, crossovers and route
 seconds.  Another routes figs 6.6 and 6.7 as perfbench's ``life`` jobs do
 and records the cost-to-go field's layer: connections, states, the sum
-and median of the connections' ``field_s`` and the search seconds.
+and median of the connections' ``field_s`` and the search seconds, and,
+from a second, untimed pass, counts that do not drift with the machine:
+the points the field's waves gather, the points it lays out and the
+search's heap pushes.
 
 Writes ``BENCH_route.json`` at the repo root for cross-PR tracking.
 """
@@ -27,10 +30,12 @@ Writes ``BENCH_route.json`` at the repo root for cross-PR tracking.
 from __future__ import annotations
 
 import copy
+import heapq
 import json
 import statistics
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 from conftest import once, print_table
 
@@ -38,7 +43,7 @@ from repro.core.generator import generate, route_placed
 from repro.core.validate import check_diagram
 from repro.obs import counters
 from repro.place.pablo import PabloOptions, place_network
-from repro.route import RouterOptions, eureka, route_diagram
+from repro.route import RouterOptions, eureka, line_expansion, route_diagram
 from repro.route.plane import Plane
 from repro.route.reference import ReferenceSnapshot, route_connection_reference
 from repro.workloads import (
@@ -66,6 +71,13 @@ MIN_WALL_RATIO = 2.0
 #: routes the hand placement at pitch 24, fig 6.7 PABLO ``-p 7 -b 5``'s.
 LIFE_ROUTER = RouterOptions(margin=14)
 LIFE_PABLO = PabloOptions(partition_size=7, box_size=5)
+
+#: Sampling ticks the profile attribution collects at least: the
+#: datapath route repeats under one sampler until it has them, so the
+#: top frames are not a handful of samples.
+MIN_PROFILE_TICKS = 200
+#: Routes the attribution gives up after, should the sampler starve.
+MAX_PROFILE_ROUTES = 100
 
 #: Acceptance ceiling for the heuristic tentpole (ISSUE 9): the
 #: crossover-aware bound plus the escalated searches' exact cost-to-go
@@ -278,11 +290,46 @@ def test_bench_route_life_pitch18(benchmark, experiment_store):
     experiment_store["route_life_pitch18"] = row
 
 
-def test_bench_route_life_figures(benchmark, experiment_store):
+def _field_volume(job, monkeypatch) -> dict:
+    """Run ``job`` once with the field's and the search's work counted:
+    the points the field's waves gather (every run of line space they
+    read), the points its layouts hold, and the search's heap pushes."""
+    counts = {"pushes": 0, "gathered": 0, "laid": 0}
+    ranges = line_expansion._ranges
+
+    def gathered(begin, size):
+        runs = ranges(begin, size)
+        counts["gathered"] += runs.size
+        return runs
+
+    class Counted(line_expansion.Field):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            counts["laid"] += len(self.values)
+
+    def heappush(heap, item):
+        counts["pushes"] += 1
+        heapq.heappush(heap, item)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(line_expansion, "_ranges", gathered)
+        patch.setattr(line_expansion, "Field", Counted)
+        patch.setattr(
+            line_expansion,
+            "heapq",
+            SimpleNamespace(heappush=heappush, heappop=heapq.heappop),
+        )
+        job()
+    return counts
+
+
+def test_bench_route_life_figures(benchmark, experiment_store, monkeypatch):
     """Figs 6.6 and 6.7 routed as perfbench's ``life`` jobs route them,
     with the cost-to-go field's layer read off the per-connection rows:
     its seconds summed and per connection (median), next to the search
-    seconds that include it, the connections and the states."""
+    seconds that include it, the connections and the states.  A second,
+    untimed pass counts the search's pushes and the field's gathered and
+    laid-out points, which repeat exactly from run to run."""
     jobs = {
         "fig6_6": lambda: route_diagram(hand_placement(pitch=24), LIFE_ROUTER),
         "fig6_7": lambda: generate(life_network(), LIFE_PABLO, LIFE_ROUTER).routing,
@@ -308,16 +355,19 @@ def test_bench_route_life_figures(benchmark, experiment_store):
         return rows
 
     rows = once(benchmark, run)
+    for row, job in zip(rows, jobs.values()):
+        row.update(_field_volume(job, monkeypatch))
     print_table("LIFE figures: the cost-to-go field's layer", rows)
     experiment_store["route_life_figures"] = rows
 
 
 def test_bench_route_profile_attribution(benchmark, experiment_store):
     """Sampler-measured cost attribution: route the datapath workload
-    under a high-hz sampling profiler and report the hottest self-time
-    frames next to the wall clock.  Also projects the measured per-tick
-    cost down to the always-on 19 hz rate and enforces the <2% overhead
-    budget that rate is sold on."""
+    under a high-hz sampling profiler, again and again until the sampler
+    has ticked :data:`MIN_PROFILE_TICKS` times, and report the hottest
+    self-time frames next to the wall clock.  Also projects the measured
+    per-tick cost down to the always-on 19 hz rate and enforces the <2%
+    overhead budget that rate is sold on."""
     from repro.obs.sampler import DEFAULT_HZ, Sampler, label_thread, merge_windows, unlabel_thread
 
     placed = _workloads()["datapath"]
@@ -326,14 +376,20 @@ def test_bench_route_profile_attribution(benchmark, experiment_store):
         sampler = Sampler(hz=199.0, window_s=1.0, max_windows=600)
         label_thread("bench.route")
         sampler.start()
+        wall = 0.0
+        routes = 0
         try:
-            _, report, wall = _route_once(placed, RouterOptions())
+            while sampler.ticks < MIN_PROFILE_TICKS and routes < MAX_PROFILE_ROUTES:
+                _, report, seconds = _route_once(placed, RouterOptions())
+                wall += seconds
+                routes += 1
         finally:
             sampler.stop()
             unlabel_thread()
         merged = merge_windows(sampler.windows())
         per_tick_s = merged.self_s / max(1, merged.ticks)
         return {
+            "routes": routes,
             "wall_s": round(wall, 3),
             "samples": merged.samples,
             "ticks": merged.ticks,
@@ -354,6 +410,7 @@ def test_bench_route_profile_attribution(benchmark, experiment_store):
     )
     experiment_store["route_profile"] = row
 
+    assert row["ticks"] >= MIN_PROFILE_TICKS, row
     assert row["samples"] > 0, "sampler saw no stacks during the route"
     # The hottest frames must be the router's own machinery, not noise.
     assert any(

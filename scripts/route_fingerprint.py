@@ -30,6 +30,12 @@ Usage::
     PYTHONPATH=/path/to/parent/src python scripts/route_fingerprint.py > parent.json
     PYTHONPATH=src python scripts/route_fingerprint.py --against parent.json
 
+``benchmarks/route_fingerprint.json`` holds the committed tree's
+fingerprints, and CI runs ``--against`` it.  A change that moves an
+ESCHER byte, a search count or a metrics row regenerates it::
+
+    PYTHONPATH=src python scripts/route_fingerprint.py > benchmarks/route_fingerprint.json
+
 With ``--against FILE`` the exit code is 1 when any job's fingerprint
 differs from the one in FILE (or is missing from either side).  Every
 such job is named on stderr with whether its ESCHER and its metrics row

@@ -65,10 +65,10 @@ outside a view's exceptions its stops are the plane's.  A running
 ``crossings`` total replaces a whole-buffer sum per field.
 
 The index also owns the cost-to-go field's scratch arrays (``wave``,
-``laid``, ``slot``), sized once per plane like everything above: the
-field (:class:`~repro.route.line_expansion.Field`) resets what it wrote
-when it closes.  A connection allocates only what scales with the lines
-it relabels and the intervals its field lays out.
+``fwave``, ``laid``, ``slot``), sized once per plane like everything
+above: the field (:class:`~repro.route.line_expansion.Field`) resets
+what it wrote when it closes.  A connection allocates only what scales
+with the lines it relabels and the intervals its field's waves reach.
 
 Outside the bounds there is no cell.  ``contrib`` still records a net's
 points there, so ``net_points`` and ``remove_net`` see the whole net,
@@ -109,7 +109,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ..core.geometry import Point, path_points
+from ..core.geometry import Point
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .plane import Plane
@@ -119,13 +119,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 # which blocks both axes and is never crossed.
 _FREE = (0, 0, 0, 0)
 _NODE = (1, 1, 0, 0)
+# Its contribution on a horizontal wire, a vertical one, and where its
+# wires cross.
+_ACROSS = (1, 0, 0, 1)
+_DOWN = (0, 1, 1, 0)
+_BOTH = (1, 1, 1, 1)
 
-#: ``wave`` of an interval no target reaches (above every real wave).
+#: ``wave`` or ``fwave`` of an interval the field's waves did not reach.
 UNREACHED = 1 << 30
 #: ``laid`` of an interval outside the field's layout.
 UNLAID = -(1 << 31)
 
-#: No lines or cells.
+#: No cells.
 _NOTHING = np.empty(0, dtype=np.intp)
 
 
@@ -205,6 +210,7 @@ class PlaneIndex:
         "corner",
         "_corner",
         "wave",
+        "fwave",
         "laid",
         "slot",
         "mv",
@@ -235,8 +241,8 @@ class PlaneIndex:
         # Line space: the rows' positions are the cells; column ``j``,
         # point ``i`` sits at ``n + j * ny + i``.  The int32 arrays over
         # it share one allocation.
-        self.other, self.lab, self.size, self.wave, self.laid, self.slot = (
-            np.empty((6, 2 * cells), dtype=np.int32)
+        self.other, self.lab, self.size, self.wave, self.fwave, self.laid, self.slot = (
+            np.empty((7, 2 * cells), dtype=np.int32)
         )
         i, j = np.divmod(np.arange(cells, dtype=np.int32), np.int32(nx))
         self.other[:cells] = columns = cells + j * ny + i
@@ -250,14 +256,16 @@ class PlaneIndex:
         self._corner = bytearray(b"\x01") * (2 * cells)
         self.corner = np.frombuffer(self._corner, dtype=bool)
         # The cost-to-go field's scratch, reset by the field where it
-        # wrote: ``wave`` per interval first position, ``laid`` the
-        # interval's offset into the field's layout, ``slot`` for
-        # dedupes (written before it is read).
+        # wrote, per interval first position: ``wave`` the bend wave from
+        # the targets, ``fwave`` the one from the start, ``laid`` the
+        # interval's offset into the field's layout; ``slot`` for dedupes
+        # (written before it is read).
         self.wave[:] = UNREACHED
+        self.fwave[:] = UNREACHED
         self.laid[:] = UNLAID
-        #: ``other``, ``lab``, ``laid`` and ``wave`` as memoryviews, which
-        #: read one entry as a Python int far faster than numpy does.
-        self.mv = tuple(map(memoryview, (self.other, self.lab, self.laid, self.wave)))
+        #: ``other``, ``lab`` and ``laid`` as memoryviews, which read one
+        #: entry as a Python int far faster than numpy does.
+        self.mv = tuple(map(memoryview, (self.other, self.lab, self.laid)))
         # numpy views of the buffers: hard, h_block, v_block, cross_h,
         # cross_v, occ.
         self._np = tuple(self.grid(b).ravel() for b in (
@@ -268,11 +276,11 @@ class PlaneIndex:
         self._dirty = bytearray(ny + nx)
         self._dirty_np = np.frombuffer(self._dirty, dtype=np.uint8)
         # The view whose exceptions the labels carry (held weakly: a view
-        # holds its index), its exception lines and corner cells, and
-        # whether no hook flipped a stop or a corner since the labels were
-        # made its own.
+        # holds its index), its exception cells per axis and its corner
+        # cells, and whether no hook flipped a stop or a corner since the
+        # labels were made its own.
         self._owner = _no_view
-        self._patched = _NOTHING, _NOTHING
+        self._patched = ((), ()), _NOTHING
         self._fresh = True
 
     @property
@@ -324,13 +332,48 @@ class PlaneIndex:
         cmap = self.contrib.setdefault(net, {})
         for p in path:
             self._merge(cmap, p, _NODE)
+        # One pass per straight run over its interior, in path order: a
+        # point gains the run's axis flag unless it has it (a node has
+        # both), so only the run's block and crossing buffers change.
+        x1, y1, nx, ny, n = self.x1, self.y1, self.nx, self.ny, self.n
+        occ, hard, corner, dirty = self.occ, self.hard, self._corner, self._dirty
+        crossings, flipped = 0, False
         for a, b in zip(path, path[1:]):
-            h, v = (1, 0) if a.y == b.y else (0, 1)
-            for p in path_points((a, b)):
-                old = cmap.get(p, _FREE)
-                if old != _NODE:
-                    hb, vb = old[0] | h, old[1] | v
-                    self._merge(cmap, p, (hb, vb, vb, hb))
+            if a.y == b.y:
+                axis, block, cross, wire = 0, self.h_block, self.cross_v, _ACROSS
+                step = 1 if b.x > a.x else -1
+                run = [Point(x, a.y) for x in range(a.x + step, b.x, step)]
+            else:
+                axis, block, cross, wire = 1, self.v_block, self.cross_h, _DOWN
+                step = 1 if b.y > a.y else -1
+                run = [Point(a.x, y) for y in range(a.y + step, b.y, step)]
+            for p in run:
+                old = cmap.get(p)
+                if old is None:
+                    cmap[p] = wire
+                elif old[axis]:
+                    continue
+                else:
+                    cmap[p] = _BOTH
+                i, j = p[1] - y1, p[0] - x1
+                if not (0 <= i < ny and 0 <= j < nx):
+                    continue
+                c = i * nx + j
+                if old is None:
+                    occ[c] += 1
+                    if occ[c] == 1 and not hard[c]:
+                        corner[c] = corner[n + j * ny + i] = 0
+                        flipped = True
+                count = block[c]
+                block[c] = count + 1
+                if not count and not hard[c]:
+                    dirty[ny + j if axis else i] = 1
+                    flipped = True
+                cross[c] += 1
+                crossings += 1
+        self.crossings += crossings
+        if flipped:
+            self._fresh = False
 
     def _merge(self, cmap: dict, p: Point, new: tuple) -> None:
         """Set one net's contribution at ``p`` to ``new``."""
@@ -414,27 +457,30 @@ class PlaneIndex:
         are already ``view``'s and no hook flipped anything since."""
         if self._owner() is view and self._fresh:
             return
-        lines, cells = self._patched
-        dirty = self._dirty_np
-        dirty[lines] = 1
-        dirty[view.lines] = 1
-        lines = np.flatnonzero(dirty)
+        previous, cells = self._patched
+        nx, ny, dirty = self.nx, self.ny, self._dirty
+        for across, down in (previous, (view.across, view.down)):
+            for c in across:
+                dirty[c // nx] = 1
+            for c in down:
+                dirty[ny + c % nx] = 1
+        lines = np.flatnonzero(self._dirty_np)
         if lines.size:
             self._relabel(lines, view)
         hard, occ, corner = self._np[0], self._np[5], self.corner
         corner[cells] = corner[self.other[cells]] = ~hard[cells] & (occ[cells] == 0)
         # From here on the corners are the new view's to undo.
         self._owner = weakref.ref(view)
-        self._patched = view.lines, view.corner_cells
+        self._patched = (view.across, view.down), view.corner_cells
         self._fresh = False
         cells = view.corner_cells
         columns = self.other[cells]
+        bendable = occ[cells] == 0
+        bendable[: len(view.self_clear)] = True
         corner[cells] = corner[columns] = (
-            (self.lab[cells] >= 0)
-            & (self.lab[columns] >= 0)
-            & ((occ[cells] == 0) | view.corner_clear)
+            (self.lab[cells] >= 0) & (self.lab[columns] >= 0) & bendable
         )
-        dirty[lines] = 0
+        self._dirty_np[lines] = 0
         self._fresh = True
 
     def _relabel(self, lines: np.ndarray, view: "NetView") -> None:
@@ -453,9 +499,12 @@ class PlaneIndex:
         pos = np.concatenate(
             (row_cells, n + (cols[:, None] * ny + np.arange(ny, dtype=np.int32)).ravel())
         )
-        if view.exceptions:
-            stop[np.searchsorted(pos, view.exception_pos)] = [
-                view.stops_at(cell, vertical) for cell, vertical in view.exceptions
+        across, down = view.across, view.down
+        if across or down:
+            where = [*across, *(n + c % nx * ny + c // nx for c in down)]
+            stop[np.searchsorted(pos, where)] = [
+                *(view.stops_at(c, False) for c in across),
+                *(view.stops_at(c, True) for c in down),
             ]
         free = ~stop
         # A free point is first in its interval after a stop or at the
@@ -500,14 +549,12 @@ class NetView:
     own net"), keyed by cell.
 
     The view's stops differ from the plane's only on its exception
-    cells: axis by axis, ``exceptions`` lists ``(cell, vertical)`` for
-    the allow cells and the cells only this net blocks on that axis,
-    ``exception_pos`` their line-space positions and ``lines`` the rows
-    and columns through them (in the index's dirty-line numbering).  Its
-    bendable points differ from the plane's corners only on
-    ``corner_cells``, those cells plus its own points free of foreign
-    wires (``corner_clear`` marks the latter).  ``own_crossings`` is the
-    sum of its own crossing contributions."""
+    cells: ``across`` and ``down`` hold, for the horizontal and the
+    vertical axis, the allow cells and the cells only this net blocks on
+    that axis.  Its bendable points differ from the plane's corners only
+    on ``corner_cells``: its own points free of foreign wires
+    (``self_clear``) first, then the other exception cells.
+    ``own_crossings`` is the sum of its own crossing contributions."""
 
     __slots__ = (
         "x1",
@@ -525,11 +572,9 @@ class NetView:
         "own_cross_v",
         "own_crossings",
         "self_clear",
-        "exceptions",
-        "exception_pos",
-        "lines",
+        "across",
+        "down",
         "corner_cells",
-        "corner_clear",
         "__weakref__",
     )
 
@@ -542,7 +587,9 @@ class NetView:
         self.allow = allow
         # In-bounds points exempt from the blocked/claimed stops.
         self.allow_cells = allow_cells = {
-            c for c in map(index.cell, allow) if c is not None
+            (y - y1) * nx + x - x1
+            for x, y in allow
+            if 0 <= x - x1 < nx and 0 <= y - y1 < ny
         }
         # Points only this net blocks: passable for it.
         self.unblock_h = unblock_h = set()
@@ -569,17 +616,12 @@ class NetView:
             if occ[c] == 1:
                 self_clear.add(c)
         self.own_crossings = sum(own_cross_h.values()) + sum(own_cross_v.values())
-        # The exception cells per axis, and the lines through them.
-        n = index.n
-        across, down = allow_cells | unblock_h, allow_cells | unblock_v
-        self.exceptions = [(c, False) for c in across] + [(c, True) for c in down]
-        self.exception_pos = [*across, *(n + c % nx * ny + c // nx for c in down)]
-        self.lines = np.array(
-            [*{c // nx for c in across}, *{ny + c % nx for c in down}], dtype=np.intp
+        # The exception cells per axis.
+        self.across = across = allow_cells | unblock_h
+        self.down = down = allow_cells | unblock_v
+        self.corner_cells = np.array(
+            [*self_clear, *((across | down) - self_clear)], dtype=np.intp
         )
-        corners = list(across | down | self_clear)
-        self.corner_cells = np.array(corners, dtype=np.intp)
-        self.corner_clear = np.array([c in self_clear for c in corners], dtype=bool)
 
     def foreign_at(self, q: Point) -> bool:
         """Does any *other* net use ``q`` (no bends/terminations there)?"""

@@ -29,16 +29,17 @@ exact optimum (bends, then crossings, then length, and the ``-s`` swap),
 and like the paper's algorithm (section 5.5.4) the search stays
 exhaustive: a connection is found whenever one exists.
 
-The field is exact on the start's *corridor* — the intervals that some
-minimum-bend relaxed path from the start passes — and elsewhere carries
-only a bend count that already exceeds the relaxed optimum, so states
-off the corridor are never popped.  When start-direction or arrival
-constraints make the real optimum bendier than the relaxed one, the
-field widens once to every interval a target reaches and the search
-restarts.  A start on a stop of its own axis, which the sweep never
-enters, is bounded by ``(0, 0, 0)``: the search only has to leave it.
-Among states of equal ``f`` the one with the longer path so far pops
-first, so plateaus of equal-cost states are walked depth-first.
+The field is swept only over the start's *corridor* — the intervals
+that some minimum-bend relaxed path from the start passes — which its
+waves find growing from both ends; every other state reads unswept and
+is never pushed, since its cost would exceed the start's relaxed bend
+count.  When start-direction or arrival constraints make the real
+optimum bendier than the relaxed one, the heap empties after such a
+skip: the field widens once to every interval a target reaches and the
+search restarts.  A start on a stop of its own axis, which the sweep
+never enters, is bounded by ``(0, 0, 0)``: the search only has to leave
+it.  Among states of equal ``f`` the one with the longer path so far
+pops first, so plateaus of equal-cost states are walked depth-first.
 
 A failed connection carries a certificate of how its failure was
 proven: ``field`` when the field left no start state to pop (the
@@ -51,17 +52,19 @@ Obstacle queries come from the plane's incremental
 exception lines the index relabels in place — instead of the O(plane)
 snapshot rebuild the pre-index router paid per connection (that path
 survives as :mod:`repro.route.reference` for benchmarking and
-cross-checking).  The field's waves, layout offsets and corridor mark
-live in the index's scratch arrays, sized once per plane, which the
-field resets where it wrote them when it closes, also when the search
-raises; what a connection allocates scales with the intervals it lays
-out, not with the plane.
+cross-checking).  The field's waves from both ends and its layout
+offsets live in the index's scratch arrays, sized once per plane, which
+the field resets where it wrote them when it closes, also when the
+search raises; what a connection allocates scales with the intervals
+its waves reach, not with the plane.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
+import itertools
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -147,9 +150,8 @@ _INT64_LIMIT = 1 << 63
 class Field:
     """The lexicographic cost-to-go of a view's net towards the targets,
     relaxed only by ignoring U-turn bans (the admissible direction):
-    exact wherever a search from ``start`` can pop, a lower bound
-    elsewhere.  The search reads it state by state, :meth:`at` or the
-    same steps inline, and closes it when done.
+    exact wherever it is swept.  The search reads it state by state,
+    :meth:`at` or the same steps inline, and closes it when done.
 
     ``target_dirs`` maps target points to their accepted arrival
     direction indices (``None`` for any), as the search's goal test reads
@@ -158,45 +160,59 @@ class Field:
     shift) + second``, where ``(first, second)`` is ``(crossings,
     length)`` — or ``(length, crossings)`` under the ``-s`` order — so
     packed values compare like :meth:`CostOrder.key` tuples.  ``-1``
-    marks states on a stop of their own axis (never entered; the search
-    bounds starts there itself).
+    marks an unswept state: one on a stop of its own axis (never
+    entered; the search bounds starts there itself), one no target
+    reaches, and, with a start, one off its corridor.
 
     This is the paper's line expansion run backwards from the targets,
     with costs attached to the segment wavefront, over the free
     intervals the plane index keeps (:meth:`PlaneIndex.label_for
     <repro.route.index.PlaneIndex.label_for>` makes them the view's).
-    Wave ``k`` holds every free interval (maximal stop-free run of a row
-    or column) some target reaches with ``k`` bends: each wave gathers
-    its intervals' points, keeps the corners (points free on both axes
-    without a foreign wire) and steps to their other-axis intervals.
-    Then, wave by wave, every point of a wave-``k`` interval takes the
-    cheapest seed of its interval plus the straight run to it.  Wave-0
-    seeds are the accepted targets (value 0); wave-``k`` seeds are the
-    interval's corners whose other-axis state is on wave ``k - 1``, with
-    that state's value plus one bend.  A bendable point is free on both
-    axes or on neither, so these seeds also cover a state bending where
-    it stands.  Both axes share one layout, by wave, and one sweep per
-    wave: wave ``k`` reads only wave ``k - 1`` values.
+    A wave steps from intervals (maximal stop-free runs of a row or
+    column) to intervals: it gathers its frontier's points, keeps the
+    corners (points free on both axes without a foreign wire) and steps
+    to their other-axis intervals.  Backward wave ``k`` holds the
+    intervals some target reaches with ``k`` bends.  The swept
+    intervals are laid out by backward wave, and every point of a
+    wave-``k`` interval takes the cheapest seed of its interval plus the
+    straight run to it.  Wave-0 seeds are the accepted targets (value
+    0); wave-``k`` seeds are the interval's corners whose other-axis
+    state is on wave ``k - 1``, with that state's value plus one bend.
+    A bendable point is free on both axes or on neither, so these seeds
+    also cover a state bending where it stands.  Both axes share one
+    layout and one sweep per wave: wave ``k`` reads only wave ``k - 1``
+    values.
 
     Without a ``start`` — or with one outside the plane or on a stop of
-    an axis it may leave on, which has no interval to start from — every
-    interval a target reaches is swept, the rest are ``-1`` and
-    ``budget`` is ``None``.  With one, only the *corridor* is swept.  The
-    budget ``B`` is the least wave of the start's intervals on its
-    allowed axes, its exact relaxed bend count; ``u`` is the forward bend
-    wave from those intervals, and the corridor holds every interval
-    with ``u + wave <= B``: every state a minimum-bend relaxed path from
-    the start passes.  The seeds of a wave-``k`` corridor interval lie on
-    wave-``k - 1`` intervals one forward wave away at most, so inside the
-    corridor too, and every corridor state gets the exact value above.
-    Any other state gets ``(min(wave, B + 1), 0, 0)``: its bends are
-    exact up to the budget, and a search that has spent ``g`` bends on
-    reaching it has ``g >= u`` and so ``g + wave > B``.  When no start
-    interval is reached at all, every state is ``-1``.
+    an axis it may leave on, which has no interval to start from — the
+    backward waves run until they stop growing and every interval they
+    reach is swept; the wave that reaches an interval also gathers its
+    seeds, the corners it stepped through.  ``budget`` is ``None``.
 
-    The waves, the layout offsets and the corridor mark live in the
-    index's scratch arrays (``wave``, ``laid``), written only on the
-    intervals the field reaches; :meth:`close` resets them there.
+    With one, only the *corridor* is swept: the intervals some
+    minimum-bend relaxed path from the start's intervals on its allowed
+    axes passes.  Forward waves grow from those intervals and backward
+    waves from the targets', always on the side whose frontier holds
+    fewer points, until a new frontier touches the other side.  The
+    budget ``B`` is then ``a + b``, the forward wave ``a`` of the
+    touching intervals plus their backward wave ``b`` (every interval
+    the other side reached sits at its last wave), and ``B`` is the
+    start's exact relaxed bend count.  An interval is on the corridor
+    exactly when its forward wave ``u`` and backward wave ``w`` add up
+    to ``B``; the touching intervals are its layer ``u = a``.  A walk
+    from that layer gathers the rest: a corridor interval's neighbours
+    at forward wave ``u - 1`` are the corridor's layer ``u - 1``, and
+    those at backward wave ``w - 1`` its layer ``u + 1``.  The corners
+    it keeps are every layer's seeds: walking to the targets, the
+    corners of the layer being left; walking to the start, their
+    other-axis positions on the layer being entered.  A side that stops
+    growing first proves that no start interval is reached: ``budget``
+    stays ``None`` and every state reads ``-1``.
+
+    The waves, the layout offsets and the dedupe slots live in the
+    index's scratch arrays (``wave``, ``fwave``, ``laid``, ``slot``),
+    written only on the intervals the field reaches; :meth:`close`
+    resets them there.
     """
 
     __slots__ = ("index", "shift", "budget", "values", "_s2", "_waved", "_laid")
@@ -214,9 +230,10 @@ class Field:
         self.index = index
         self.budget: int | None = None
         self.values = memoryview(np.zeros(0, dtype=np.int64))
-        # The interval arrays whose ``wave`` / ``laid`` entries this
-        # field wrote, recorded before each write.
-        self._waved: list[np.ndarray] = []
+        # The wave arrays and intervals whose ``wave`` / ``fwave`` entries
+        # this field wrote, and the intervals whose ``laid`` entries it
+        # wrote, recorded before each write.
+        self._waved: list[tuple[np.ndarray, np.ndarray]] = []
         self._laid: list[np.ndarray] = []
         try:
             self._build(view, target_dirs, cost_order, start, start_dirs)
@@ -227,8 +244,8 @@ class Field:
     def _build(self, view, target_dirs, cost_order, start, start_dirs) -> None:
         index = self.index
         n, nx, ny = index.n, index.nx, index.ny
-        lab, size, wave, laid = index.lab, index.size, index.wave, index.laid
-        _, lab_at, _, wave_at = index.mv
+        lab, size, other, laid = index.lab, index.size, index.other, index.laid
+        lab_at = index.mv[1]
         # Both cost components of any candidate — an optimal completion,
         # which enters each state at most once, plus one straight run — fit
         # in ``shift`` bits, so packed sums never carry between them.
@@ -252,9 +269,10 @@ class Field:
                 if lab_at[p] >= 0:
                     targets.add(p)
         targets = np.fromiter(targets, dtype=np.intp, count=len(targets))
-        front = self._distinct(lab[targets])
-        self._waved.append(front)
-        wave[front] = 0
+        back = self._distinct(lab[targets])
+        if not back.size:
+            return  # no target state: every state reads -1
+        self._mark(index.wave, back, 0)
         # The start's interval on each axis it may leave on, if it has one.
         entry = None
         if start is not None:
@@ -263,59 +281,26 @@ class Field:
                 axes = {d >> 1 for d in start_dirs}
                 at = [lab_at[i * nx + j if a == 0 else n + j * ny + i] for a in axes]
                 if at and min(at) >= 0:
-                    entry = at
-        # The bend waves, frontier by frontier; with an entry they stop at
-        # the first wave holding one of its intervals.
-        level = 0
-        while True:
-            if entry is not None and min(wave_at[s] for s in entry) <= level:
-                self.budget = level
-                break
-            ids = self._neighbours(front)
-            front = self._distinct(ids[wave[ids] == UNREACHED])
-            if not front.size:
-                break
-            level += 1
-            self._waved.append(front)
-            wave[front] = level
-        budget = self.budget
+                    entry = np.array(at, dtype=np.intp)
+        # The swept intervals and their points, by backward wave, and the
+        # seeds of every wave after the first.
         if entry is None:
-            members = np.concatenate(self._waved)
-            self._laid.append(members)
-        elif budget is None:
-            return  # no start interval reached: every state reads -1
+            layers, seeds = self._backward(back)
         else:
-            # The corridor, as forward waves from the entry that only enter
-            # intervals with room left for their backward wave: every
-            # interval on a shortest forward path to a corridor interval is
-            # in the corridor itself.  ``laid`` marks it until the layout.
-            front = np.array([s for s in entry if wave_at[s] == budget], dtype=np.intp)
-            self._laid.append(front)
-            laid[front] = 0
-            for room in range(budget - 1, -1, -1):
-                ids = self._neighbours(front)
-                front = self._distinct(ids[(laid[ids] == UNLAID) & (wave[ids] <= room)])
-                self._laid.append(front)
-                laid[front] = 0
-            members = np.concatenate(self._laid)
-            level = budget
-        if not members.size:
-            return
-        # Lay the swept intervals out by wave, in line order within a wave
-        # (rows before columns), so each wave's sweep reads slices.  A
-        # swept position ``p`` sits at ``laid[lab[p]] + p`` in the layout.
-        key = wave[members].astype(np.int64) * (2 * n) + members
-        key.sort()
-        waves, members = np.divmod(key, 2 * n)
-        members = members.astype(np.int32)
+            layers, seeds = self._corridor(back, entry)
+            if not layers:
+                return  # no start interval reached: every state reads -1
+        level = len(layers) - 1
+        # A swept position ``p`` sits at ``laid[lab[p]] + p`` in the layout.
+        members = np.concatenate([firsts for firsts, _ in layers])
         sizes = size[members]
         ends = np.cumsum(sizes, dtype=np.int32)
+        self._laid.append(members)
         laid[members] = ends - sizes - members
-        at = np.repeat(members - ends + sizes, sizes)
-        at += np.arange(ends[-1], dtype=np.int32)
-        other = index.other[at]
+        at = np.concatenate([runs for _, runs in layers])
+        bounds = list(itertools.accumulate((runs.size for _, runs in layers), initial=0))
         # Foreign crossings entering each point along its axis.
-        cells = np.minimum(at, other)
+        cells = np.minimum(at, other[at])
         cross = index.grid(index.cross_h).ravel()[cells]
         vertical = at >= n
         cross[vertical] = index.grid(index.cross_v).ravel()[cells[vertical]]
@@ -329,12 +314,6 @@ class Field:
             keep = (first >= 0) & (laid[first] != UNLAID)
             counts = [*view.own_cross_h.values(), *view.own_cross_v.values()]
             cross[where[keep]] -= np.array(counts)[keep]
-        # Which wave's other-axis state seeds each point: a corner's, or -1
-        # (seeding wave 0) at an accepted target.
-        seeded_by = np.where(index.corner[at], wave[lab[other]], -2)
-        offsets = laid[lab[targets]]
-        swept = offsets != UNLAID
-        seeded_by[(offsets + targets)[swept]] = -1
         # Packed cost of entering each point, summed over the layout up
         # to and excluding / including the point: within an interval a
         # straight run from ``p`` to ``b`` costs ``excl[p] - excl[b]``
@@ -347,7 +326,6 @@ class Field:
         else:
             step += unit
         incl = np.cumsum(step)
-        excl = incl - step
         # One offset span per interval, wider than every entry of every
         # sweep, so a running minimum never crosses into the next
         # interval.  Seeds are a bend plus optimal completions, whose
@@ -357,33 +335,111 @@ class Field:
         span = none + reach + 1
         place = np.arange(members.size, dtype=np.int64)
         if members.size * span + none >= _INT64_LIMIT:
-            place, excl, incl = (x.astype(object) for x in (place, excl, incl))
-        offset = np.repeat(place * span, sizes)
+            place, step, incl = (x.astype(object) for x in (place, step, incl))
+        # ``excl`` and ``incl`` plus each point's interval offset.
+        trail = incl + np.repeat(place * span, sizes)
+        lead = trail - step
+        # Wave 0 is seeded by the accepted targets it lays out, every later
+        # one by the values of its seeds' other-axis positions plus a bend.
+        offsets = laid[lab[targets]]
+        where = (offsets + targets)[offsets != UNLAID]
+        seed_value = 0
+        if level:
+            cuts = list(itertools.accumulate(map(len, seeds), initial=0))
+            later = np.concatenate(seeds)
+            source = other[later]
+            source += laid[lab[source]]
+            later += laid[lab[later]]
         values = np.zeros(at.size, dtype=np.int64)
-        bounds = np.concatenate(([0], ends))[
-            np.searchsorted(waves, np.arange(level + 2))
-        ].tolist()
         bend = 1 << s2
         for k in range(level + 1):
             lo, hi = bounds[k], bounds[k + 1]
-            if lo == hi:
-                continue
-            seeds = np.flatnonzero(seeded_by[lo:hi] == k - 1)
-            seed_value = 0
             if k:
-                q = other[lo + seeds]
-                seed_value = values[laid[lab[q]] + q] + bend
-            values[lo:hi] = _sweep(
-                seeds, seed_value, offset[lo:hi], excl[lo:hi], incl[lo:hi], none
-            )
+                where = later[cuts[k - 1] : cuts[k]]
+                seed_value = values[source[cuts[k - 1] : cuts[k]]] + bend
+            values[lo:hi] = _sweep(where - lo, seed_value, lead[lo:hi], trail[lo:hi], none)
         self.values = memoryview(values)
 
-    def _neighbours(self, front: np.ndarray) -> np.ndarray:
-        """The other-axis intervals of every corner of the ``front``
-        intervals (with repeats)."""
+    def _backward(self, front: np.ndarray) -> tuple[list, list]:
+        """Every interval the backward waves from wave 0, ``front``, reach:
+        ``(firsts, points)`` per wave, and the seeds of each wave after
+        the first, the corners the wave reached them through."""
+        wave = self.index.wave
+        layers, seeds = [], []
+        while True:
+            runs, _, q, ids = self._gather(front)
+            layers.append((front, runs))
+            new = wave[ids] == UNREACHED
+            ids = ids[new]
+            if not ids.size:
+                return layers, seeds
+            seeds.append(q[new])
+            front = self._distinct(ids)
+            self._mark(wave, front, len(layers))
+
+    def _corridor(self, back: np.ndarray, entry: np.ndarray) -> tuple[list, list]:
+        """The corridor from the ``entry`` intervals to the backward
+        wave-0 intervals ``back``, as layers and seeds like
+        :meth:`_backward`'s, with :attr:`budget` set; no layers when the
+        two sides never meet."""
         index = self.index
-        points = _ranges(front, index.size[front])
-        return index.lab[index.other[points[index.corner[points]]]]
+        size = index.size
+        marks = (index.wave, index.fwave)  # backward, forward
+        self._mark(index.fwave, entry, 0)
+        touch = entry[index.wave[entry] != UNREACHED]
+        fronts, depths = [back, entry], [0, 0]
+        points = [size[back].sum(), size[entry].sum()]
+        while not touch.size:
+            side = int(points[1] < points[0])
+            ids = self._gather(fronts[side])[3]
+            front = self._distinct(ids[marks[side][ids] == UNREACHED])
+            if not front.size:
+                return [], []  # this side stopped growing: no path meets
+            depths[side] += 1
+            self._mark(marks[side], front, depths[side])
+            fronts[side], points[side] = front, size[front].sum()
+            touch = front[marks[1 - side][front] != UNREACHED]
+        b, a = depths
+        self.budget = budget = a + b
+        # Layer by backward wave ``k``, forward wave ``budget - k``.
+        layers, seeds = [None] * (budget + 1), [None] * budget
+        meet = self._gather(touch)
+        layers[b] = touch, meet[0]
+        # Toward the targets: the layer being left keeps the corners one
+        # backward wave closer; they are its seeds.
+        runs, p, q, ids = meet
+        for k in range(b, 0, -1):
+            keep = index.wave[ids] == k - 1
+            seeds[k - 1] = p[keep]
+            front = self._distinct(ids[keep])
+            runs, p, q, ids = self._gather(front)
+            layers[k - 1] = front, runs
+        # Toward the start: the kept corners' other-axis positions seed the
+        # layer being entered.
+        runs, p, q, ids = meet
+        for k in range(b, budget):
+            keep = index.fwave[ids] == budget - k - 1
+            seeds[k] = q[keep]
+            front = self._distinct(ids[keep])
+            runs, p, q, ids = self._gather(front)
+            layers[k + 1] = front, runs
+        return layers, seeds
+
+    def _gather(self, front: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The points of the ``front`` intervals, their corners, the
+        corners' other-axis positions and those positions' intervals
+        (with repeats)."""
+        index = self.index
+        runs = _ranges(front, index.size[front])
+        p = runs[index.corner[runs]]
+        q = index.other[p]
+        return runs, p, q, index.lab[q]
+
+    def _mark(self, marks: np.ndarray, ids: np.ndarray, value: int) -> None:
+        """Set the wave array ``marks`` to ``value`` at ``ids``, recorded
+        for :meth:`close`."""
+        self._waved.append((marks, ids))
+        marks[ids] = value
 
     def _distinct(self, ids: np.ndarray) -> np.ndarray:
         """``ids`` without repeats."""
@@ -394,26 +450,24 @@ class Field:
 
     def at(self, axis: int, cell: int) -> int:
         """The packed cost-to-go of the state at ``cell`` travelling
-        along ``axis`` (0 horizontal, 1 vertical)."""
-        other, lab, laid, wave = self.index.mv
+        along ``axis`` (0 horizontal, 1 vertical), or ``-1`` unswept."""
+        other, lab, laid = self.index.mv
         p = other[cell] if axis else cell
         first = lab[p]
         if first < 0:
             return -1
         offset = laid[first]
-        if offset != UNLAID:
-            return self.values[offset + p]
-        if self.budget is None:
+        if offset == UNLAID:
             return -1
-        return min(wave[first], self.budget + 1) << self._s2
+        return self.values[offset + p]
 
     def close(self) -> None:
         """Reset the index's scratch where this field wrote it."""
-        index = self.index
-        for ids in self._waved:
-            index.wave[ids] = UNREACHED
+        laid = self.index.laid
+        for marks, ids in self._waved:
+            marks[ids] = UNREACHED
         for ids in self._laid:
-            index.laid[ids] = UNLAID
+            laid[ids] = UNLAID
         self._waved.clear()
         self._laid.clear()
 
@@ -454,31 +508,29 @@ def _ranges(begin: np.ndarray, size: np.ndarray) -> np.ndarray:
 def _sweep(
     seeds: np.ndarray,
     seed_value: np.ndarray | int,
-    offset: np.ndarray,
-    excl: np.ndarray,
-    incl: np.ndarray,
+    lead: np.ndarray,
+    trail: np.ndarray,
     none: int,
 ) -> np.ndarray:
     """Min over the seeds ``b`` of each point's interval of
     ``seed_value`` at ``b`` plus the packed cost of the straight run to
     ``b``, for points given as whole intervals in line order: running
-    left from ``p`` to ``b`` costs ``excl[p] - excl[b]``, running right
-    costs ``incl[b] - incl[p]``.  ``seeds`` are the seed positions.
+    left from ``p`` to ``b`` costs ``lead[p] - lead[b]``, running right
+    costs ``trail[b] - trail[p]``.  ``seeds`` are the seed positions.
 
-    A segmented prefix-min and suffix-min do it.  ``offset`` (ascending
-    per interval, a span apart) keeps each running minimum inside its
-    interval; ``none`` stands in for a missing seed and stays above every
-    real candidate, and every interval holds a seed."""
-    left = none - offset
-    left[seeds] = seed_value - excl[seeds] - offset[seeds]
+    A segmented prefix-min and suffix-min do it.  ``lead`` and ``trail``
+    carry each interval's offset (ascending, a span apart), which keeps
+    each running minimum inside its interval; ``none`` stands in for a
+    missing seed and stays above every real candidate, and every
+    interval holds a seed."""
+    left = none - lead
+    left[seeds] = seed_value - lead[seeds]
     np.minimum.accumulate(left, out=left)
-    left += offset
-    left += excl
-    right = none + offset
-    right[seeds] = seed_value + incl[seeds] + offset[seeds]
+    left += lead
+    right = none + trail
+    right[seeds] = seed_value + trail[seeds]
     right = np.minimum.accumulate(right[::-1])[::-1]
-    right -= offset
-    right -= incl
+    right -= trail
     return np.minimum(left, right)
 
 
@@ -563,7 +615,7 @@ def route_connection(
     x1, y1, x2, y2, nx = view.x1, view.y1, view.x2, view.y2, view.nx
     occ = index.occ
     self_clear = view.self_clear
-    other, lab, laid, wave = index.mv
+    other, lab, laid = index.mv
     axes = (
         (index.cross_h, view.own_cross_h, False),
         (index.cross_v, view.own_cross_v, True),
@@ -587,12 +639,14 @@ def route_connection(
     counters.inc("route.heur_escalations")
 
     # The search runs under the cost-to-go field swept over the start's
-    # corridor.  When start-direction or arrival constraints make the
-    # optimum bendier than the start's relaxed bend count ``budget``, the
-    # heap's minimum outgrows the budget before any goal pops: the field
-    # widens once to every interval a target reaches and the search
-    # restarts.  Expansions spent before the restart stay counted.  Each
-    # field is closed before the next opens, and on any exception.
+    # corridor, and pushes only states whose f keeps within the start's
+    # relaxed bend count ``budget``: an unswept state, off the corridor,
+    # would exceed it.  When start-direction or arrival constraints make
+    # the optimum bendier than the budget, the heap empties after such a
+    # skip before any goal pops: the field widens once to every interval
+    # a target reaches and the search restarts.  Expansions spent before
+    # the restart stay counted.  Each field is closed before the next
+    # opens, and on any exception.
     for corridor in (True, False):
         t_field = time.perf_counter()
         field = Field(
@@ -602,10 +656,10 @@ def route_connection(
         try:
             if not corridor:
                 counters.inc("route.field_widenings")
-            # A state off the swept intervals reads its interval's wave,
-            # capped at ``over``; without a budget it has no completion.
+            # Without a budget an unswept state has no relaxed completion.
             budget, values = field.budget, field.values
-            over = -1 if budget is None else budget + 1
+            ceiling = sys.maxsize if budget is None else budget
+            skipped = False
             s1 = field.shift
             s2, mask = 2 * s1, (1 << s1) - 1
             # Heap entries are (f, -length so far, push counter, g, state):
@@ -624,7 +678,8 @@ def route_connection(
                 else:
                     v = field.at(di >> 1, start_cell)
                     if v < 0:
-                        continue  # no relaxed completion, so no real one
+                        skipped = True
+                        continue  # unswept: off the corridor, or no completion
                     f = (v >> s2, (v >> s1) & mask, v & mask)
                 best[state] = zero
                 parents[state] = None
@@ -634,8 +689,6 @@ def route_connection(
             counter = len(dir_indices)
 
             while heap:
-                if budget is not None and heap[0][0][0] > budget:
-                    break  # widen
                 _f, _, _, cost, state = heappop(heap)
                 if cost != best.get(state):
                     pruned += 1  # stale entry, superseded by a better push
@@ -676,6 +729,13 @@ def route_connection(
                     first = lab[p]
                     if first < 0:
                         continue  # a stop of the axis it moves along
+                    # :meth:`Field.at`, inline.  A state off the corridor, or
+                    # one with more bends in f than the budget, is skipped:
+                    # it would pop only after a widening.
+                    offset = laid[first]
+                    if offset == UNLAID:
+                        skipped = True
+                        continue
                     cross = crosses[q]
                     if cross:
                         cross -= own.get(q, 0)
@@ -690,24 +750,18 @@ def route_connection(
                     nstate = q * 4 + ndi
                     old = best.get(nstate)
                     if old is None or ncost < old:
-                        # :meth:`Field.at`, inline.
-                        offset = laid[first]
-                        if offset != UNLAID:
-                            v = values[offset + p]
-                        elif over < 0:
-                            continue  # no relaxed completion, so no real one
-                        else:
-                            v = wave[first]
-                            v = (v if v < over else over) << s2
+                        v = values[offset + p]
+                        f0 = n0 + (v >> s2)
+                        if f0 > ceiling:
+                            skipped = True
+                            continue
                         best[nstate] = ncost
                         parents[nstate] = state
-                        f = (n0 + (v >> s2), n1 + ((v >> s1) & mask), n2 + (v & mask))
+                        f = (f0, n1 + ((v >> s1) & mask), n2 + (v & mask))
                         heappush(heap, (f, depth, counter, ncost, nstate))
                         counter += 1
-            else:
-                break  # the heap emptied: no connection exists
-            if goal_state is not None:
-                break
+            if goal_state is not None or not skipped or budget is None:
+                break  # found, or the heap emptied: no connection exists
         finally:
             field.close()
 

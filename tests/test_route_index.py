@@ -363,6 +363,7 @@ class TestKeptIntervals:
             route_connection(plane, "mine", Point(22, 22), list(Direction), [Point(1, 21)])
         monkeypatch.undo()
         assert (plane.index.wave == UNREACHED).all()
+        assert (plane.index.fwave == UNREACHED).all()
         assert (plane.index.laid == UNLAID).all()
 
         stats, fresh_stats = SearchStats(), SearchStats()
@@ -567,23 +568,30 @@ class TestBendDistance:
     a per-state Dijkstra on the U-turn relaxation — bends, crossings and
     length — for own, foreign and fresh nets, with ``allow`` points and
     claims in play, under both cost orders: at every state without a
-    start, and with one on the start's corridor, staying admissible with
-    exact bends up to the budget everywhere else."""
+    start, and with one on the start's corridor; every other state with
+    a start is unswept."""
 
-    def _check(self, plane: Plane, rng: random.Random) -> int:
-        """Compare every state of a 23x23 plane; return the most bends
-        a finite cost-to-go needs."""
+    def _check(self, plane: Plane, rng: random.Random, targets=None, starts=()) -> int:
+        """Compare every state of a 23x23 plane, also from each of
+        ``starts`` leaving in any direction; return the most bends a
+        finite cost-to-go needs.  ``targets`` (point -> accepted arrival
+        direction indices) replaces the random targets and ``allow``
+        points."""
         grid = [Point(x, y) for x in range(23) for y in range(23)]
         hard = sorted(set(plane.blocked) | set(plane.claims))
         deepest = 0
+        fixed = targets
         for net in ("f0", "f1", "mine"):
-            targets = {
-                p: rng.choice(
-                    [None, frozenset(rng.sample(range(4), rng.randrange(1, 4)))]
-                )
-                for p in rng.sample(grid, rng.randrange(1, 4))
-            }
-            allow = frozenset([*targets, *rng.sample(hard, min(len(hard), 3))])
+            if fixed:
+                targets, allow = fixed, frozenset(fixed)
+            else:
+                targets = {
+                    p: rng.choice(
+                        [None, frozenset(rng.sample(range(4), rng.randrange(1, 4)))]
+                    )
+                    for p in rng.sample(grid, rng.randrange(1, 4))
+                }
+                allow = frozenset([*targets, *rng.sample(hard, min(len(hard), 3))])
             view = plane.index.view(net, allow)
             relax = _Relaxation(view)
             target_dirs = {(p.x, p.y): d for p, d in targets.items()}
@@ -604,6 +612,10 @@ class TestBendDistance:
                         )
                         if got is not None:
                             deepest = max(deepest, got[0])
+                for start in starts:
+                    self._check_corridor(
+                        view, relax, target_dirs, order, start, range(4), field, want
+                    )
                 for _ in range(3):
                     start = rng.choice(grid)
                     dirs = rng.sample(range(4), rng.randrange(1, 5))
@@ -617,7 +629,7 @@ class TestBendDistance:
     ):
         """The field from ``start`` against the references: exact on every
         state whose forward plus backward relaxed bends equal the start's
-        budget, ``(min(bends, budget + 1), 0, 0)`` elsewhere."""
+        budget, unswept (``-1``) elsewhere."""
         field, shift, budget = cost_to_go(
             view, target_dirs, order, (start.x, start.y), dirs
         )
@@ -646,9 +658,8 @@ class TestBendDistance:
                     if forward.get((x, y, axis), budget + 1) + bends == budget:
                         assert got == exact, (*context, x, y, axis, got, exact)
                     else:
-                        cheap = (min(bends, budget + 1), 0, 0)
-                        assert got == cheap, (*context, x, y, axis, got, cheap)
-                    assert exact is None or got <= exact, (*context, x, y, axis)
+                        assert got is None, (*context, x, y, axis, got)
+                    assert got is None or got <= exact, (*context, x, y, axis)
 
     def test_matches_per_point_expansion(self):
         for seed in range(30):
@@ -665,6 +676,14 @@ class TestBendDistance:
         assert plane.add_claim(Point(10, 12), "c0")
         rng = random.Random(3)
         assert max(self._check(plane, rng) for _ in range(8)) >= 6
+        # A walled-in pocket: with the start inside, the waves from the
+        # start stop growing first; with the target inside, those from the
+        # target do.  Either way no start interval is reached.
+        for x, y, w, h in ((17, 17, 4, 0), (17, 21, 4, 0), (17, 18, 0, 2), (21, 18, 0, 2)):
+            plane.block_rect(Rect(x, y, w, h))
+        inside, outside = Point(19, 19), Point(1, 20)
+        for start, target in ((inside, outside), (outside, inside)):
+            self._check(plane, rng, {target: None}, (start,))
 
     def test_exact_beyond_int64(self, monkeypatch):
         # Sweeps whose offsets would leave int64 run on Python integers
