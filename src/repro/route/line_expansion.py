@@ -71,7 +71,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from ..core.geometry import Direction, Point, normalize_path
+from ..core.geometry import Direction, Point
 from ..obs import counters
 from .index import UNLAID, UNREACHED, NetView
 from .plane import Plane
@@ -624,6 +624,14 @@ def route_connection(
         (dx, dy, dx + dy * nx, *axes[0 if moves_h else 1])
         for dx, dy, moves_h in _DIR_STEPS
     ]
+    # Per travel direction, the moves a state may probe, in direction
+    # order and never a U-turn: ``(direction, turning, *move)``, all of
+    # them where the state may turn, else only the straight one.
+    ahead = [
+        [(ndi, ndi != di, *moves[ndi]) for ndi in range(4) if ndi != _OPPOSITE[di]]
+        for di in range(4)
+    ]
+    straight = [[(di, False, *moves[di])] for di in range(4)]
     dir_indices = [_DIR_INDEX[d] for d in start_directions]
     heappush, heappop = heapq.heappush, heapq.heappop
     zero = (0, 0, 0)
@@ -714,13 +722,9 @@ def route_connection(
                         break
 
                 c0, c1, c2 = cost
-                for ndi in range(4):
-                    if ndi == _OPPOSITE[di]:
-                        continue
-                    turning = ndi != di
-                    if turning and not can_turn:
-                        continue
-                    dx, dy, step, crosses, own, vertical = moves[ndi]
+                for ndi, turning, dx, dy, step, crosses, own, vertical in (
+                    ahead[di] if can_turn else straight[di]
+                ):
                     qx, qy = px + dx, py + dy
                     if not (x1 <= qx <= x2 and y1 <= qy <= y2):
                         continue
@@ -809,17 +813,21 @@ def route_connection(
         counters.inc("route.connection_failures")
         return None
 
+    # The path's vertices, from the goal back: the ends, and every state
+    # whose travel direction differs from its successor's (the search
+    # never turns back, so this is the normalized path).
     path: list[Point] = []
-    cursor = goal_state
+    cursor, heading = goal_state, -1
     while cursor is not None:
-        i, j = divmod(cursor >> 2, nx)
-        path.append(Point(x1 + j, y1 + i))
-        cursor = parents[cursor]
+        parent = parents[cursor]
+        if cursor & 3 != heading or parent is None:
+            i, j = divmod(cursor >> 2, nx)
+            path.append(Point(x1 + j, y1 + i))
+        heading = cursor & 3
+        cursor = parent
     path.reverse()
     bends, crossings, length = final_cost
-    return RouteResult(
-        path=normalize_path(path), bends=bends, crossings=crossings, length=length
-    )
+    return RouteResult(path=path, bends=bends, crossings=crossings, length=length)
 
 
 _MISSING = object()
