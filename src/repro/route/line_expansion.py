@@ -215,7 +215,7 @@ class Field:
     resets them there.
     """
 
-    __slots__ = ("index", "shift", "budget", "values", "_s2", "_waved", "_laid")
+    __slots__ = ("index", "shift", "budget", "values", "_waved", "_laid")
 
     def __init__(
         self,
@@ -251,7 +251,7 @@ class Field:
         # in ``shift`` bits, so packed sums never carry between them.
         cap = max(2 * n + max(nx, ny), 2 * (index.crossings - view.own_crossings))
         self.shift = shift = cap.bit_length()
-        self._s2 = s2 = 2 * shift
+        s2 = 2 * shift
         # Seeds mirror the goal-acceptance rule, per arrival axis, so every
         # acceptable goal state reads cost 0.
         targets = set()
